@@ -1,6 +1,5 @@
 //! Scale family: HBC rounds on constant-density worlds of 1 k / 10 k /
-//! 100 k nodes, plus a speedup-vs-threads table for the within-wave
-//! parallel engine at the largest size.
+//! 100 k nodes.
 //!
 //! The workload (constant-density world, drifting measurements, full HBC
 //! rounds: convergecasts, broadcasts, ledger, histograms) lives in
@@ -23,29 +22,6 @@ fn main() {
                 &format!("hbc_ns_per_node_round/n={n}"),
                 r.median_ns as f64 / (n as f64 * rounds as f64),
             );
-        }
-    }
-
-    // Speedup vs. within-wave worker threads at the largest size. On a
-    // 1-core container every ratio is ≈ 1.0 by construction — re-run on a
-    // multi-core box to measure the real win; the parity suite guarantees
-    // the results are bit-identical either way.
-    let n = 100_000;
-    let rounds = 200;
-    let mut net = build_world(n, 0xB16);
-    let mut base = None;
-    for workers in [1usize, 2, 4, 8] {
-        net.set_wave_workers(workers);
-        let r = h.bench(&format!("hbc_threads/n={n}/workers={workers}"), || {
-            hbc_rounds(&mut net, n, rounds)
-        });
-        match (base, r) {
-            (None, Some(r)) => base = Some(r.median_ns),
-            (Some(b), Some(r)) => h.note(
-                &format!("hbc_speedup/workers={workers}"),
-                b as f64 / r.median_ns as f64,
-            ),
-            _ => {}
         }
     }
 

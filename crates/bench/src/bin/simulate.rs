@@ -54,7 +54,6 @@ struct Args {
     capture: Option<String>,
     metrics_out: Option<String>,
     threads: usize,
-    wave_threads: usize,
 }
 
 impl Default for Args {
@@ -88,7 +87,6 @@ impl Default for Args {
             capture: None,
             metrics_out: None,
             threads: wsn_sim::parallel::thread_count(),
-            wave_threads: 1,
         }
     }
 }
@@ -117,14 +115,32 @@ fn algorithm_by_name(name: &str) -> Option<AlgorithmKind> {
         .find(|a| a.name().eq_ignore_ascii_case(name))
 }
 
-/// Parses a probability flag, rejecting values outside [0, 1] at the CLI
-/// boundary (the library asserts on them much deeper).
-fn probability(raw: String, flag: &str) -> Result<f64, String> {
-    let p: f64 = raw.parse().map_err(|e| format!("{flag}: {e}"))?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(format!("{flag}: {p} is not a probability in [0, 1]"));
+/// Reads the value of the flag at `argv[*i]` (advancing `i` past it) and
+/// rejects it unless `ok` holds — at the CLI boundary, because the library
+/// asserts on such values much deeper and would panic. `domain` names the
+/// accepted values in the error.
+fn checked<T>(argv: &[String], i: &mut usize, domain: &str, ok: fn(&T) -> bool) -> Result<T, String>
+where
+    T: std::str::FromStr + std::fmt::Display,
+    T::Err: std::fmt::Display,
+{
+    let flag = &argv[*i];
+    *i += 1;
+    let raw = argv
+        .get(*i)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    let v: T = raw.parse().map_err(|e| format!("{flag}: {e}"))?;
+    if !ok(&v) {
+        return Err(format!("{flag}: {v} is not {domain}"));
     }
-    Ok(p)
+    Ok(v)
+}
+
+const POSITIVE: &str = "a positive integer";
+const UNIT: &str = "a fraction in [0, 1]";
+
+fn in_unit(p: &f64) -> bool {
+    (0.0..=1.0).contains(p)
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -145,49 +161,23 @@ fn parse_args() -> Result<Args, String> {
                     Some(algorithm_by_name(&name).ok_or(format!("unknown algorithm {name}"))?);
             }
             "--all" => args.all = true,
-            "--nodes" | "-n" => {
-                args.nodes = value(&argv, &mut i, "--nodes")?
-                    .parse()
-                    .map_err(|e| format!("--nodes: {e}"))?
-            }
-            "--rounds" => {
-                args.rounds = value(&argv, &mut i, "--rounds")?
-                    .parse()
-                    .map_err(|e| format!("--rounds: {e}"))?
-            }
-            "--runs" => {
-                args.runs = value(&argv, &mut i, "--runs")?
-                    .parse()
-                    .map_err(|e| format!("--runs: {e}"))?
-            }
-            "--phi" => {
-                args.phi = value(&argv, &mut i, "--phi")?
-                    .parse()
-                    .map_err(|e| format!("--phi: {e}"))?
-            }
+            "--nodes" | "-n" => args.nodes = checked(&argv, &mut i, POSITIVE, |&n| n > 0)?,
+            "--rounds" => args.rounds = checked(&argv, &mut i, POSITIVE, |&n| n > 0)?,
+            "--runs" => args.runs = checked(&argv, &mut i, POSITIVE, |&n| n > 0)?,
+            "--phi" => args.phi = checked(&argv, &mut i, UNIT, in_unit)?,
             "--rho" => {
-                args.rho = value(&argv, &mut i, "--rho")?
-                    .parse()
-                    .map_err(|e| format!("--rho: {e}"))?
+                let domain = "a positive finite radio range";
+                args.rho = checked(&argv, &mut i, domain, |r: &f64| r.is_finite() && *r > 0.0)?
             }
-            "--period" => {
-                args.period = value(&argv, &mut i, "--period")?
-                    .parse()
-                    .map_err(|e| format!("--period: {e}"))?
-            }
+            "--period" => args.period = checked(&argv, &mut i, POSITIVE, |&t| t > 0)?,
             "--noise" => {
-                args.noise = value(&argv, &mut i, "--noise")?
-                    .parse()
-                    .map_err(|e| format!("--noise: {e}"))?
+                let domain = "a percentage in [0, 100]";
+                args.noise = checked(&argv, &mut i, domain, |p| (0.0..=100.0).contains(p))?
             }
             "--dataset" => args.dataset = value(&argv, &mut i, "--dataset")?,
-            "--skip" => {
-                args.skip = value(&argv, &mut i, "--skip")?
-                    .parse()
-                    .map_err(|e| format!("--skip: {e}"))?
-            }
+            "--skip" => args.skip = checked(&argv, &mut i, POSITIVE, |&s| s > 0)?,
             "--range" => args.range = value(&argv, &mut i, "--range")?,
-            "--loss" => args.loss = Some(probability(value(&argv, &mut i, "--loss")?, "--loss")?),
+            "--loss" => args.loss = Some(checked(&argv, &mut i, UNIT, in_unit)?),
             "--retries" => {
                 args.retries = value(&argv, &mut i, "--retries")?
                     .parse()
@@ -198,12 +188,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--recovery: {e}"))?
             }
-            "--node-failures" => {
-                args.node_failures = Some(probability(
-                    value(&argv, &mut i, "--node-failures")?,
-                    "--node-failures",
-                )?)
-            }
+            "--node-failures" => args.node_failures = Some(checked(&argv, &mut i, UNIT, in_unit)?),
             "--mobility" => args.mobility = true,
             "--churn" => args.churn = true,
             "--drift" => args.drift = true,
@@ -224,12 +209,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse::<usize>()
                     .map(|n| n.max(1))
                     .map_err(|e| format!("--threads: {e}"))?
-            }
-            "--wave-threads" => {
-                args.wave_threads = value(&argv, &mut i, "--wave-threads")?
-                    .parse::<usize>()
-                    .map(|n| n.max(1))
-                    .map_err(|e| format!("--wave-threads: {e}"))?
             }
             "--help" | "-h" => {
                 print_usage();
@@ -254,15 +233,13 @@ fn print_usage() {
                 [--loss P] [--retries R] [--recovery PASSES] [--node-failures P]
                 [--mobility] [--churn] [--drift] [--duty]
                 [--audit] [--seed S] [--csv FILE] [--json FILE] [--threads N]
-                [--wave-threads W]
                 [--events FILE] [--capture FILE] [--metrics-out FILE]
        simulate diff A.jsonl B.jsonl
        simulate fuzz [--scenarios N] [--seed S] [--threads N]
                      [--corpus FILE] [--repro LINE]
-       simulate scale [--nodes N] [--rounds R] [--wave-threads W]
-                      [--seed S] [--budget-secs T]
+       simulate scale [--nodes N] [--rounds R] [--seed S] [--budget-secs T]
        simulate serve [--queries Q] [--nodes N] [--rounds R] [--phi F]
-                      [--seed S] [--shared] [--wave-threads W] [--audit]
+                      [--seed S] [--shared] [--audit]
                       [--admit ROUND:PHI_MILLI] [--retire ROUND:SLOT]
                       [--digest] [--json FILE]
                       [--monitor] [--budget-mj X] [--health-json FILE]
@@ -305,8 +282,8 @@ queries (mixed protocols, φ including both boundaries, mixed epochs) over
 one shared network, compiled into per-round traffic plans with execution
 dedup and — under --shared — piggybacked frame packing. --admit/--retire
 change the query set mid-run; --audit prints the per-lane charge table;
---digest prints the byte-exact parity digest (identical at any
---wave-threads). Exit 0 clean, 1 on any audit discrepancy.
+--digest prints the byte-exact parity digest. Exit 0 clean, 1 on any
+audit discrepancy.
 
 Serve monitoring: any of --monitor/--budget-mj/--health-json/
 --metrics-out/--status-every attaches the observability monitor (never
@@ -320,12 +297,11 @@ compares two BENCH_results.json files and exits 1 when any shared cell's
 median slowed past the tolerance band (default 0.5 = 50%).
 
 `simulate scale` is the engine-throughput smoke gate: it runs R full HBC
-rounds on an N-node constant-density world (the `scale` bench workload)
-with W within-wave worker threads, prints the wall clock and per-round
-cost, and exits 1 when the run exceeds the --budget-secs wall-clock
-budget (default: no budget). --threads parallelizes across runs;
---wave-threads parallelizes the waves *inside* one run — results are
-bit-identical at any setting of either."
+rounds on an N-node constant-density world (the `scale` bench workload),
+prints the wall clock and per-round cost, and exits 1 when the run
+exceeds the --budget-secs wall-clock budget (default: no budget).
+--threads parallelizes across runs; results are bit-identical at any
+setting."
     );
 }
 
@@ -553,7 +529,6 @@ fn run_scale(argv: &[String]) -> ! {
 
     let mut nodes: usize = 10_000;
     let mut rounds: u32 = 200;
-    let mut wave_threads: usize = 1;
     let mut seed: u64 = 0x5CA1E;
     let mut budget_secs: Option<f64> = None;
     let fail = |msg: String| -> ! {
@@ -583,12 +558,6 @@ fn run_scale(argv: &[String]) -> ! {
                     Err(e) => fail(format!("--rounds: {e}")),
                 }
             }
-            "--wave-threads" => {
-                wave_threads = match value(&mut i, "--wave-threads").parse::<usize>() {
-                    Ok(n) => n.max(1),
-                    Err(e) => fail(format!("--wave-threads: {e}")),
-                }
-            }
             "--seed" => {
                 seed = match value(&mut i, "--seed").parse() {
                     Ok(n) => n,
@@ -611,7 +580,6 @@ fn run_scale(argv: &[String]) -> ! {
 
     let built = Instant::now();
     let mut net = wsn_bench::scale::build_world(nodes, seed);
-    net.set_wave_workers(wave_threads);
     eprintln!(
         "scale: built {} nodes (avg degree target {}) in {:.2}s",
         net.len(),
@@ -623,8 +591,7 @@ fn run_scale(argv: &[String]) -> ! {
     let answer = wsn_bench::scale::hbc_rounds(&mut net, nodes, rounds);
     let elapsed = start.elapsed().as_secs_f64();
     println!(
-        "scale: n={nodes} rounds={rounds} wave-threads={wave_threads} \
-         wall={elapsed:.2}s round={:.3}ms ns/(node*round)={:.0} median={answer}",
+        "scale: n={nodes} rounds={rounds} wall={elapsed:.2}s round={:.3}ms ns/(node*round)={:.0} median={answer}",
         elapsed * 1e3 / rounds as f64,
         elapsed * 1e9 / (nodes as f64 * rounds as f64),
     );
@@ -692,7 +659,6 @@ fn build_config(args: &Args) -> Result<SimulationConfig, String> {
         dynamics,
         audit: args.audit,
         dataset,
-        wave_workers: args.wave_threads,
         ..SimulationConfig::default()
     })
 }
@@ -847,7 +813,7 @@ fn metrics_json(m: &AggregatedMetrics) -> Json {
 /// both boundaries, mixed epochs) over one shared network, optionally
 /// applies admit/retire events mid-run, and prints per-query answers and
 /// lane charges plus the shared-plan aggregates. `--digest` prints the
-/// byte-exact parity digest instead (identical at any `--wave-threads`).
+/// byte-exact parity digest instead.
 /// Exit 0 clean, 1 on any audit discrepancy, 2 on bad usage.
 fn run_serve(argv: &[String]) -> ! {
     use wsn_sim::{DataSource, Scenario, ServeEvent, ServeQuery};
@@ -858,7 +824,6 @@ fn run_serve(argv: &[String]) -> ! {
     let mut phi_milli: u32 = 500;
     let mut seed: u64 = 0x5EE5;
     let mut shared = false;
-    let mut wave_threads: usize = 1;
     let mut digest = false;
     let mut audit_table = false;
     let mut json: Option<String> = None;
@@ -918,12 +883,6 @@ fn run_serve(argv: &[String]) -> ! {
                 seed = match value(&mut i, "--seed").parse() {
                     Ok(n) => n,
                     Err(e) => fail(format!("--seed: {e}")),
-                }
-            }
-            "--wave-threads" => {
-                wave_threads = match value(&mut i, "--wave-threads").parse::<usize>() {
-                    Ok(n) => n.max(1),
-                    Err(e) => fail(format!("--wave-threads: {e}")),
                 }
             }
             "--shared" => shared = true,
@@ -991,10 +950,7 @@ fn run_serve(argv: &[String]) -> ! {
             noise_permille: 100,
         },
     };
-    let cfg = SimulationConfig {
-        wave_workers: wave_threads,
-        ..sc.to_config()
-    };
+    let cfg = sc.to_config();
     let workload = sc.workload();
 
     // Any monitoring flag attaches the monitor; the flight recorder is
@@ -1031,13 +987,11 @@ fn run_serve(argv: &[String]) -> ! {
     let (report, monitor, _net) =
         wsn_sim::serve_monitored(&cfg, &workload, &events, shared, 0, monitor_cfg.as_ref());
     println!(
-        "serve: {} queries over {} rounds on {} nodes ({} framing, {} wave thread{})",
+        "serve: {} queries over {} rounds on {} nodes ({} framing)",
         report.queries.len(),
         report.rounds,
         nodes,
         if shared { "shared" } else { "solo" },
-        wave_threads,
-        if wave_threads == 1 { "" } else { "s" },
     );
     println!(
         "plan: {} executions for {} query-rounds served, cache {} hits / {} misses",

@@ -197,6 +197,58 @@ fn fuzz_exit_codes_through_the_real_binary() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Batch `simulate` through the real binary: every flag value outside its
+/// domain exits 2 with the usage text — rejected at the CLI instead of
+/// panicking (exit 101) on a library assert.
+#[test]
+fn batch_flag_domain_errors_exit_2_through_the_real_binary() {
+    let dir = scratch("flags");
+    // A world known to connect (the capture runs above use it too).
+    let base = [
+        "--algorithm",
+        "TAG",
+        "--nodes",
+        "40",
+        "--rho",
+        "80",
+        "--rounds",
+        "2",
+        "--runs",
+        "1",
+    ];
+    let bad: [&[&str]; 14] = [
+        &["--nodes", "0"],
+        &["--rounds", "0"],
+        &["--runs", "0"],
+        &["--rho", "0"],
+        &["--rho", "-5"],
+        &["--rho", "NaN"],
+        &["--phi", "1.5"],
+        &["--phi", "-0.1"],
+        &["--phi", "NaN"],
+        &["--period", "0"],
+        &["--noise", "101"],
+        &["--noise", "-1"],
+        &["--noise", "NaN"],
+        &["--skip", "0", "--dataset", "pressure"],
+    ];
+    for flags in bad {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_simulate"))
+            .current_dir(&dir)
+            .args(base)
+            .args(flags)
+            .output()
+            .expect("simulate binary must run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.contains("usage: simulate"), "{flags:?}: {stderr}");
+    }
+    let (code, _) = simulate(&dir, &base);
+    assert_eq!(code, 0, "the in-domain baseline runs");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn histograms_reconcile_with_traffic_stats() {
     let net = telemetered_run(7, 8);

@@ -7,8 +7,7 @@
 //! The digest covers run metrics, per-phase energy, merged and per-node
 //! histograms, and the full audit log — all floats as raw bit patterns —
 //! so any reordering of a loss draw, an energy charge, or an audit append
-//! fails the suite. It runs at `wave_workers` ∈ {1, 2, 8} to pin the
-//! determinism contract of the within-wave parallel path.
+//! fails the suite.
 //!
 //! Regenerate (only when intentionally changing observable behavior):
 //!
@@ -30,7 +29,7 @@ fn corpus_text() -> String {
 
 /// Renders the golden document: one `== corpus line N` section per
 /// scenario, each followed by that scenario's full digest.
-fn render(workers: usize) -> String {
+fn render() -> String {
     let mut out = String::from(
         "# Engine-parity golden digests. Generated from tests/fuzz_corpus.txt by\n\
          # `WSN_PARITY_REWRITE=1 cargo test -p wsn-check --test engine_parity`.\n\
@@ -39,7 +38,7 @@ fn render(workers: usize) -> String {
     );
     for (line, scenario) in corpus_entries(&corpus_text()).expect("corpus must parse") {
         out.push_str(&format!("== corpus line {line}\n"));
-        out.push_str(&scenario_digest(&scenario, workers));
+        out.push_str(&scenario_digest(&scenario));
     }
     out
 }
@@ -47,7 +46,7 @@ fn render(workers: usize) -> String {
 #[test]
 fn corpus_digests_match_golden() {
     let golden_path = repo_path("tests/parity_golden.txt");
-    let current = render(1);
+    let current = render();
     if std::env::var_os("WSN_PARITY_REWRITE").is_some() {
         std::fs::write(&golden_path, &current).expect("golden file must be writable");
         return;
@@ -64,16 +63,4 @@ fn corpus_digests_match_golden() {
         current.lines().count(),
         "digest line count diverged from golden"
     );
-}
-
-#[test]
-fn digests_are_independent_of_wave_workers() {
-    let base = render(1);
-    for workers in [2, 8] {
-        assert_eq!(
-            base,
-            render(workers),
-            "wave_workers = {workers} broke bit-for-bit determinism"
-        );
-    }
 }

@@ -95,10 +95,7 @@ pub fn run_init(
 /// ascending. Charges the full convergecast cost.
 pub fn collect_all(net: &mut Network, values: &[Value]) -> Vec<Value> {
     let collected = net
-        .convergecast_fill(
-            |id| Some(ValueList::single(measurement(values, id))),
-            |_, _| {},
-        )
+        .convergecast(|id| Some(ValueList::single(measurement(values, id))))
         .map(|l: ValueList| l.vals)
         .unwrap_or_default();
     let mut sorted = collected;

@@ -35,10 +35,7 @@ where
     T: Aggregate + Send + 'static,
     F: FnMut(NodeId) -> Option<T>,
 {
-    // Routed through the slot engine so within-run parallelism can engage
-    // (contributions are materialised in the exact sequential wave order;
-    // see `Network::convergecast_fill`).
-    let result = net.convergecast_fill(&mut contribute, |_, _| {});
+    let result = net.convergecast(&mut contribute);
     reissue_incomplete(net, result, contribute)
 }
 

@@ -5,9 +5,9 @@
 //! The paper's two headline indicators — maximum per-node energy
 //! consumption and network lifetime (§5.1.5) — are only as trustworthy as
 //! the ledger behind them, and after the reliability extension the ledger
-//! is charged from four different call sites (plain convergecast,
-//! broadcast, ARQ retransmissions, recovery waves). This module closes the
-//! loop:
+//! is charged by many send paths (plain convergecast, broadcast, ARQ
+//! retransmissions, recovery waves, rebuild beacons, idle listening). This
+//! module closes the loop:
 //!
 //! * every transmission emits a [`TxEvent`] into a per-run [`AuditLog`]
 //!   (each simulation run owns its network, so the log needs no locking —
@@ -153,6 +153,23 @@ impl TxKind {
             TxKind::Idle => "idle",
         }
     }
+
+    /// The booking rule, shared by the live network books and every replay
+    /// of the audit log: what one charge of this kind adds to the traffic,
+    /// phase and lane counters, as `(messages, bits, joules)`. Data frames
+    /// count their fragments and bits and cost both ends; ACKs cost both
+    /// ends and count bits but not messages (§5.1 counts data messages); a
+    /// broadcast counts its frames and bits once, at the transmitter;
+    /// broadcast receptions and idle listening add receive energy only.
+    #[inline]
+    pub(crate) fn tally(self, fragments: u64, bits: u64, tx: f64, rx: f64) -> (u64, u64, f64) {
+        match self {
+            TxKind::Data => (fragments, bits, tx + rx),
+            TxKind::Ack => (0, bits, tx + rx),
+            TxKind::BroadcastTx => (fragments, bits, tx),
+            TxKind::BroadcastRx | TxKind::Idle => (0, 0, rx),
+        }
+    }
 }
 
 /// One audited transmission, in ledger-charge order.
@@ -182,6 +199,12 @@ pub struct TxEvent {
 }
 
 impl TxEvent {
+    /// This event's [`TxKind::tally`]: what it added to the live books.
+    pub(crate) fn tally(&self) -> (u64, u64, f64) {
+        self.kind
+            .tally(self.fragments, self.bits, self.joules_tx, self.joules_rx)
+    }
+
     /// The packet-capture view of this event (energies are derived data —
     /// the auditor recomputes them — so the capture carries only the
     /// discrete fields two runs must agree on bit for bit).
@@ -272,11 +295,18 @@ impl LaneBook {
     /// has been seen).
     #[inline]
     pub fn charge(&mut self, lane: u32, phase: Phase, messages: u64, bits: u64, joules: f64) {
+        self.reserve(lane);
+        self.lanes[lane as usize].charge(phase, messages, bits, joules);
+    }
+
+    /// Grows the book to cover `lane` (with zeros), so a later charge to
+    /// it never allocates.
+    #[inline]
+    pub(crate) fn reserve(&mut self, lane: u32) {
         let lane = lane as usize;
         if lane >= self.lanes.len() {
             self.lanes.resize(lane + 1, PhaseBreakdown::default());
         }
-        self.lanes[lane].charge(phase, messages, bits, joules);
     }
 
     /// The breakdown of one lane (zeros for lanes never charged).
@@ -307,24 +337,14 @@ impl LaneBook {
 
 /// Rebuilds the per-lane [`PhaseBreakdown`]s from an enabled run's audit
 /// log. Bit-exact against the live [`LaneBook`] the network maintained:
-/// every event charges exactly one lane with the same `(messages, bits,
-/// joules)` arguments the engine passed to the live book, so per-lane
+/// every event charges exactly one lane with the same per-kind
+/// `(messages, bits, joules)` the engine booked live, so per-lane
 /// accumulation order — hence `f64` rounding — is identical. `n_lanes`
 /// floors the result length so callers can compare books of equal size.
 pub fn lane_breakdowns(log: &AuditLog, n_lanes: usize) -> Vec<PhaseBreakdown> {
     let mut book = LaneBook::default();
     for ev in log.events() {
-        // Mirror the engine's charge sites exactly: Data charges tx + rx
-        // and counts fragments/bits; ACKs charge energy + bits but no
-        // message count; broadcast counts bits once at the transmitter and
-        // receptions charge rx energy only.
-        let (messages, bits, joules) = match ev.kind {
-            TxKind::Data => (ev.fragments, ev.bits, ev.joules_tx + ev.joules_rx),
-            TxKind::Ack => (0, ev.bits, ev.joules_tx + ev.joules_rx),
-            TxKind::BroadcastTx => (ev.fragments, ev.bits, ev.joules_tx),
-            TxKind::BroadcastRx => (0, 0, ev.joules_rx),
-            TxKind::Idle => (0, 0, ev.joules_rx),
-        };
+        let (messages, bits, joules) = ev.tally();
         book.charge(ev.lane, ev.phase, messages, bits, joules);
     }
     let mut lanes = book.lanes;
@@ -363,13 +383,7 @@ pub fn lane_breakdowns_by_round(
     for r in 0..rounds {
         while events.peek().is_some_and(|e| e.round <= r) {
             let ev = events.next().expect("peeked");
-            let (messages, bits, joules) = match ev.kind {
-                TxKind::Data => (ev.fragments, ev.bits, ev.joules_tx + ev.joules_rx),
-                TxKind::Ack => (0, ev.bits, ev.joules_tx + ev.joules_rx),
-                TxKind::BroadcastTx => (ev.fragments, ev.bits, ev.joules_tx),
-                TxKind::BroadcastRx => (0, 0, ev.joules_rx),
-                TxKind::Idle => (0, 0, ev.joules_rx),
-            };
+            let (messages, bits, joules) = ev.tally();
             book.charge(ev.lane, ev.phase, messages, bits, joules);
         }
         out.push(snapshot(&book));

@@ -15,7 +15,10 @@
 //!
 //! The engine charges transmit/receive energy per the [`RadioModel`] and
 //! fragments payloads per [`MessageSizes`]. Protocol logic never touches the
-//! ledger directly.
+//! ledger directly, and inside the engine one function books every radio
+//! charge — data frame, ACK, broadcast transmission or reception, idle
+//! listening — into the ledger, the traffic stats, the phase and lane
+//! breakdowns and the audit log, by one per-kind booking rule.
 //!
 //! With a [`LossModel`] installed, every 802.15.4 fragment is lost
 //! independently; the optional reliability layer (see
@@ -80,38 +83,24 @@ impl TrafficStats {
     }
 }
 
-/// Reusable per-wave scratch buffers, so the convergecast/broadcast hot
-/// path performs no heap allocation in steady state. Convergecast buffers
-/// are generic over the payload type, so they are stored type-erased and
-/// recycled per `(payload type, role)`: the first wave of each combination
-/// allocates, every later wave reuses that buffer.
+/// Reusable convergecast inboxes, so the wave hot path performs no heap
+/// allocation in steady state. Inboxes are generic over the payload type,
+/// so they are stored type-erased and recycled per payload type: the first
+/// wave of each type allocates, every later wave reuses that buffer.
 ///
 /// Scratch holds no observable state — clearing (or cloning to empty) never
 /// changes simulation results, only allocation behaviour.
 #[derive(Default)]
 struct ScratchPool {
-    /// One recycled `Vec<Option<T>>` per `(payload type, role)` pair.
-    bufs: Vec<((TypeId, u8), Box<dyn Any + Send>)>,
-}
-
-/// Scratch roles: the same payload type can need several live buffers in
-/// one wave (inbox + caller slots, or the parallel engine's own/acc/out).
-mod scratch_role {
-    /// Sequential convergecast inbox / parallel per-node accumulator.
-    pub const INBOX: u8 = 0;
-    /// [`super::Network::convergecast_fill`] contribution slots.
-    pub const FILL: u8 = 1;
-    /// Parallel engine: prefetched own contributions, group-major.
-    pub const OWN: u8 = 2;
-    /// Parallel engine: one delivered-to-root payload per subtree group.
-    pub const GROUP_OUT: u8 = 3;
+    /// One recycled `Vec<Option<T>>` per payload type.
+    bufs: Vec<(TypeId, Box<dyn Any + Send>)>,
 }
 
 impl ScratchPool {
-    /// Takes the recycled buffer for payload type `T` in `role` (empty on
-    /// first use), cleared and resized to `n` empty slots.
-    fn take_buf<T: Send + 'static>(&mut self, n: usize, role: u8) -> Vec<Option<T>> {
-        let key = (TypeId::of::<Vec<Option<T>>>(), role);
+    /// Takes the recycled buffer for payload type `T` (empty on first
+    /// use), cleared and resized to `n` empty slots.
+    fn take_buf<T: Send + 'static>(&mut self, n: usize) -> Vec<Option<T>> {
+        let key = TypeId::of::<Vec<Option<T>>>();
         let mut buf = self
             .bufs
             .iter_mut()
@@ -125,9 +114,9 @@ impl ScratchPool {
     }
 
     /// Returns a buffer to the pool for later reuse.
-    fn put_buf<T: Send + 'static>(&mut self, mut buf: Vec<Option<T>>, role: u8) {
+    fn put_buf<T: Send + 'static>(&mut self, mut buf: Vec<Option<T>>) {
         buf.clear();
-        let key = (TypeId::of::<Vec<Option<T>>>(), role);
+        let key = TypeId::of::<Vec<Option<T>>>();
         match self.bufs.iter_mut().find(|(k, _)| *k == key) {
             Some((_, b)) => {
                 if let Some(slot) = b.downcast_mut::<Vec<Option<T>>>() {
@@ -161,11 +150,8 @@ pub struct Network {
     tree: RoutingTree,
     model: RadioModel,
     sizes: MessageSizes,
-    ledger: EnergyLedger,
-    stats: TrafficStats,
     loss: Option<LossModel>,
     reliability: ReliabilityConfig,
-    rel_stats: ReliabilityStats,
     wave: WaveReport,
     failures: Option<FailureModel>,
     alive: Vec<bool>,
@@ -176,13 +162,6 @@ pub struct Network {
     /// The protocol phase currently charged for traffic (see
     /// [`Network::set_phase`]).
     phase: Phase,
-    phases: PhaseBreakdown,
-    /// The service lane (query slot) currently charged for traffic (see
-    /// [`Network::set_lane`]); `0` outside multi-query service runs.
-    lane: u32,
-    /// Per-lane attribution mirroring every [`PhaseBreakdown::charge`], so
-    /// multi-query service runs get bit-exact per-query accounting.
-    lanes: LaneBook,
     /// Per-round shared-frame state for multi-query rounds (see
     /// [`Network::set_shared_frames`]). Off by default.
     share: SharedWave,
@@ -191,32 +170,9 @@ pub struct Network {
     /// real round with [`Network::finish_round`] once every due query has
     /// executed — so shared frames span the whole multi-query round.
     round_hold: bool,
-    audit: AuditLog,
+    /// Every record a send writes.
+    books: Books,
     scratch: ScratchPool,
-    /// Per-node telemetry histograms (always on: recording is a fixed-size
-    /// array increment, allocated once here at construction). Stored in
-    /// *wave-slot* order — `hists` slot `s` belongs to the node at
-    /// `tree.bottom_up()[s]` — so the convergecast/broadcast engines touch
-    /// the 1.1 kB histogram blocks in exactly their iteration order instead
-    /// of scattering over node-id order. [`Network::histograms`] assembles
-    /// the id-ordered view.
-    hists: NodeHistograms,
-    /// Node id → histogram storage slot (see `hists`). Tree nodes map to
-    /// their `bottom_up` position; nodes outside the routing tree (dead or
-    /// orphaned) are packed after them in ascending id order. Rebuilt, with
-    /// a matching storage permutation, whenever `fail_round` repairs the
-    /// tree.
-    hist_slot: Vec<u32>,
-    /// Histogram hot cache: one run-length [`HistDelta`] cell per
-    /// `(wave slot, HistKind)`, slot-major. The wave engines record through
-    /// these cells ([`record_hot`]) so repeated per-node samples touch 16
-    /// bytes instead of the full histogram block; [`Network::histograms`]
-    /// folds pending runs into its snapshot and [`Network::fail_round`]
-    /// flushes them before re-permuting slots.
-    hist_hot: Vec<HistDelta>,
-    /// Wall-clock span recorder (off by default; see
-    /// [`Network::set_telemetry`]).
-    recorder: Recorder,
     /// Open span for the current round (null while telemetry is off).
     round_start: SpanStart,
     /// Open span for the current phase (null while telemetry is off).
@@ -224,172 +180,214 @@ pub struct Network {
     /// Per-wave scratch: delivered-child-payload counts for the fan-in
     /// histogram (cleared each convergecast; no steady-state allocation).
     fanin: Vec<u32>,
-    /// Parallel-wave scratch (group-major): payload bits each sender put on
-    /// air, recorded by the workers and replayed sequentially.
-    wave_bits: Vec<u64>,
-    /// Parallel-wave scratch (group-major): value counts per sender.
-    wave_vals: Vec<u32>,
-    /// Parallel-wave scratch (group-major): which nodes sent at all.
-    wave_sent: Vec<bool>,
-    /// Worker threads for within-run wave parallelism (see
-    /// [`Network::set_wave_workers`]); `1` = sequential.
-    wave_workers: usize,
     /// Reusable reception mask for [`Network::broadcast`]; steady-state
     /// broadcasts perform no heap allocation.
     bcast_recv: NodeBits,
 }
 
+/// Everything a send writes, split off [`Network`] so the wave engines can
+/// charge while they read the routing tree in place.
+///
+/// The five accounting books — energy ledger, traffic stats, per-phase and
+/// per-lane breakdowns, audit log — change only through [`Books::charge`],
+/// one call per radio charge, so they cannot disagree with each other or
+/// with what the audit log replays ([`crate::audit::lane_breakdowns`]).
+#[derive(Debug, Clone)]
+struct Books {
+    ledger: EnergyLedger,
+    stats: TrafficStats,
+    phases: PhaseBreakdown,
+    /// Per-lane twin of `phases`, charged under the audit log's current
+    /// lane, so multi-query service runs get bit-exact per-query accounting.
+    lanes: LaneBook,
+    audit: AuditLog,
+    rel: ReliabilityStats,
+    hists: Hists,
+    /// Wall-clock span recorder (off by default; see
+    /// [`Network::set_telemetry`]).
+    recorder: Recorder,
+}
+
+impl Books {
+    /// Books one radio charge: in the ledger `src` pays `tx` and `dst` pays
+    /// `rx` (one-sided kinds skip the side they lack), the traffic, phase
+    /// and lane books add the kind's [`TxKind::tally`], and the audit log
+    /// witnesses the charge under the current round and lane.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn charge(
+        &mut self,
+        phase: Phase,
+        kind: TxKind,
+        src: NodeId,
+        dst: NodeId,
+        fragments: u64,
+        bits: u64,
+        tx: f64,
+        rx: f64,
+    ) {
+        if !matches!(kind, TxKind::BroadcastRx | TxKind::Idle) {
+            self.ledger.charge_tx(src, tx);
+        }
+        if kind != TxKind::BroadcastTx {
+            self.ledger.charge(dst, rx);
+        }
+        let (messages, counted, joules) = kind.tally(fragments, bits, tx, rx);
+        self.stats.messages += messages;
+        self.stats.bits += counted;
+        self.phases.charge(phase, messages, counted, joules);
+        let lane = self.audit.lane();
+        self.lanes.charge(lane, phase, messages, counted, joules);
+        self.audit
+            .record(phase, kind, src, dst, fragments, bits, tx, rx);
+    }
+
+    /// Books a `payload_bits` payload sent `from` (histogram slot `slot`)
+    /// `to` over a perfect channel: one data charge at the wire's per-bit
+    /// energies, its `MsgBits` samples, a zero-retry sample and the
+    /// delivery. `shared` is a shared frame's marginal `(fragments, bits)`
+    /// (see [`SharedWave`]); `None` frames the payload solo.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn deliver(
+        &mut self,
+        wire: &Wire,
+        phase: Phase,
+        from: NodeId,
+        slot: usize,
+        to: NodeId,
+        payload_bits: u64,
+        shared: Option<(u64, u64)>,
+    ) {
+        let (fragments, bits) = shared.unwrap_or_else(|| wire.sizes.fragment(payload_bits));
+        let (tx, rx) = wire.energy(bits);
+        self.charge(phase, TxKind::Data, from, to, fragments, bits, tx, rx);
+        self.hists.frames(slot, &wire.sizes, payload_bits, shared);
+        self.hists.record(slot, HistKind::Retries, 0);
+        self.rel.delivered += 1;
+    }
+}
+
+/// A wave's radio constants, hoisted off the per-send path: framing rules,
+/// per-bit energies at the network's radio range and the ARQ retry budget.
+#[derive(Debug, Clone, Copy)]
+struct Wire {
+    sizes: MessageSizes,
+    tx_coef: f64,
+    rx_coef: f64,
+    arq: u32,
+}
+
+impl Wire {
+    /// Transmit and receive joules of `bits` on air: bit-exact against
+    /// [`RadioModel::tx_energy`] / [`RadioModel::rx_energy`] (see
+    /// [`RadioModel::tx_coef`]), without their per-call `powf`.
+    #[inline(always)]
+    fn energy(&self, bits: u64) -> (f64, f64) {
+        (bits as f64 * self.tx_coef, bits as f64 * self.rx_coef)
+    }
+}
+
 /// Sends one logical payload over the single link `from → to`, charging
-/// energy/stats through split field borrows so the wave engines can iterate
-/// the routing tree in place. Returns whether the *entire* payload (every
-/// fragment) arrived.
+/// the grouped [`Books`] so the wave engines can iterate the routing tree
+/// in place. `slot` is `from`'s histogram slot. Returns whether the
+/// *entire* payload (every fragment) arrived.
 ///
 /// Without a loss model the link is perfect: the payload is charged in one
 /// piece and always arrives (ARQ never acts — there is nothing to
 /// retransmit, and link-layer ACKs are not modelled on reliable links).
 /// With a loss model every 802.15.4 fragment is lost independently (a
 /// ten-fragment histogram really is more fragile than a one-value payload)
-/// and, when `arq_retries > 0`, each data frame is acknowledged and
+/// and, when `wire.arq > 0`, each data frame is acknowledged and
 /// retransmitted up to the budget. Retries and ACKs are charged to the
 /// ledger like any other traffic; ACK frames count towards bits on air but
 /// not towards the message count (§5.1 counts data messages).
 #[allow(clippy::too_many_arguments)]
 fn send_over_link(
-    topo: &Topology,
-    model: &RadioModel,
-    sizes: &MessageSizes,
-    ledger: &mut EnergyLedger,
-    stats: &mut TrafficStats,
-    rel: &mut ReliabilityStats,
+    books: &mut Books,
     loss: &mut Option<LossModel>,
+    wire: &Wire,
     phase: Phase,
-    phases: &mut PhaseBreakdown,
-    lane: u32,
-    lanes: &mut LaneBook,
-    audit: &mut AuditLog,
-    hists: &mut NodeHistograms,
-    hot: &mut [HistDelta],
-    rec: &mut Recorder,
-    arq_retries: u32,
     from: NodeId,
-    // Histogram storage slot of `from` (histograms live in wave-slot
-    // order; see `Network::hists`).
-    from_slot: usize,
+    slot: usize,
     to: NodeId,
     payload_bits: u64,
     values: usize,
 ) -> bool {
-    let range = topo.radio_range();
-    let span = rec.start();
-    let round = audit.round();
-    stats.values += values as u64;
+    let span = books.recorder.start();
+    let round = books.audit.round();
+    books.stats.values += values as u64;
     let Some(loss) = loss.as_mut() else {
-        let (fragments, total_bits) = sizes.fragment(payload_bits);
-        let tx = model.tx_energy(total_bits, range);
-        let rx = model.rx_energy(total_bits);
-        ledger.charge_tx(from, tx);
-        // The receiver listens according to its schedule, so it pays for
-        // the reception even if the message is corrupted.
-        ledger.charge(to, rx);
-        stats.messages += fragments;
-        stats.bits += total_bits;
-        phases.charge(phase, fragments, total_bits, tx + rx);
-        lanes.charge(lane, phase, fragments, total_bits, tx + rx);
-        audit.record(phase, TxKind::Data, from, to, fragments, total_bits, tx, rx);
-        for frag_bits in sizes.fragment_bits(payload_bits) {
-            record_hot(hot, hists, from_slot, HistKind::MsgBits, frag_bits);
-        }
-        record_hot(hot, hists, from_slot, HistKind::Retries, 0);
-        rel.delivered += 1;
-        rec.end(phase.name(), from.0 + 1, round, span);
+        books.deliver(wire, phase, from, slot, to, payload_bits, None);
+        books.recorder.end(phase.name(), from.0 + 1, round, span);
         return true;
     };
     let mut all_arrived = true;
     let mut link_retries = 0u64;
-    for frag_bits in sizes.fragment_bits(payload_bits) {
+    for frag_bits in wire.sizes.fragment_bits(payload_bits) {
         let mut frag_arrived = false;
         let mut attempt = 0u32;
         loop {
-            let tx = model.tx_energy(frag_bits, range);
-            let rx = model.rx_energy(frag_bits);
-            ledger.charge_tx(from, tx);
-            ledger.charge(to, rx);
-            stats.messages += 1;
-            stats.bits += frag_bits;
-            phases.charge(phase, 1, frag_bits, tx + rx);
-            lanes.charge(lane, phase, 1, frag_bits, tx + rx);
-            audit.record(phase, TxKind::Data, from, to, 1, frag_bits, tx, rx);
-            record_hot(hot, hists, from_slot, HistKind::MsgBits, frag_bits);
+            let (tx, rx) = wire.energy(frag_bits);
+            books.charge(phase, TxKind::Data, from, to, 1, frag_bits, tx, rx);
+            books.hists.record(slot, HistKind::MsgBits, frag_bits);
             if attempt > 0 {
-                rel.retransmissions += 1;
+                books.rel.retransmissions += 1;
                 link_retries += 1;
-                rec.instant("arq_retry", from.0 + 1, round);
+                books.recorder.instant("arq_retry", from.0 + 1, round);
             }
             let arrived = !loss.lose();
             frag_arrived |= arrived;
-            if arq_retries == 0 {
+            if wire.arq == 0 {
                 // Fire-and-forget: the plain lossy path, no ACKs on air.
                 break;
             }
             if arrived {
                 // Immediate ACK `to → from`. A lost ACK burns a retry on a
                 // harmless duplicate — the data is already through.
-                let ack_tx = model.tx_energy(sizes.ack_bits, range);
-                let ack_rx = model.rx_energy(sizes.ack_bits);
-                ledger.charge_tx(to, ack_tx);
-                ledger.charge(from, ack_rx);
-                stats.bits += sizes.ack_bits;
-                // ACKs hit bits-on-air but not the data-message count.
-                phases.charge(phase, 0, sizes.ack_bits, ack_tx + ack_rx);
-                lanes.charge(lane, phase, 0, sizes.ack_bits, ack_tx + ack_rx);
-                audit.record(
-                    phase,
-                    TxKind::Ack,
-                    to,
-                    from,
-                    1,
-                    sizes.ack_bits,
-                    ack_tx,
-                    ack_rx,
-                );
-                rel.acks += 1;
+                let ack = wire.sizes.ack_bits;
+                let (tx, rx) = wire.energy(ack);
+                books.charge(phase, TxKind::Ack, to, from, 1, ack, tx, rx);
+                books.rel.acks += 1;
                 if !loss.lose() {
                     break;
                 }
             }
-            if attempt >= arq_retries {
+            if attempt >= wire.arq {
                 break;
             }
             attempt += 1;
         }
         all_arrived &= frag_arrived;
     }
-    record_hot(hot, hists, from_slot, HistKind::Retries, link_retries);
+    books.hists.record(slot, HistKind::Retries, link_retries);
     if all_arrived {
-        rel.delivered += 1;
+        books.rel.delivered += 1;
     } else {
-        rel.dropped += 1;
+        books.rel.dropped += 1;
     }
-    rec.end(phase.name(), from.0 + 1, round, span);
+    books.recorder.end(phase.name(), from.0 + 1, round, span);
     all_arrived
 }
 
-/// Builds the node-id → histogram-slot map for `tree` (see
-/// [`Network::histograms`]): tree nodes take their `bottom_up` position,
-/// everyone else is packed afterwards in ascending id order.
-fn hist_slots(tree: &RoutingTree, n: usize) -> Vec<u32> {
-    let mut slot = vec![u32::MAX; n];
-    for (pos, &u) in tree.bottom_up().iter().enumerate() {
-        slot[u.index()] = pos as u32;
-    }
-    let mut next = tree.tree_size() as u32;
-    for s in slot.iter_mut() {
-        if *s == u32::MAX {
-            *s = next;
-            next += 1;
-        }
-    }
-    slot
+/// Per-node telemetry histograms: message bits, hop depth, ARQ retries,
+/// convergecast fan-in. Always on: a sample is a fixed-size array
+/// increment into storage allocated once at construction.
+///
+/// The blocks live in *wave-slot* order — slot `s` belongs to the node at
+/// `tree.bottom_up()[s]`, and nodes outside the routing tree (dead or
+/// orphaned) are packed after the tree nodes in ascending id order — so
+/// the wave engines touch the 1.1 kB blocks in their iteration order
+/// instead of scattering over node ids. In front of the blocks sits a hot
+/// cache of one run-length [`HistDelta`] cell per `(slot, HistKind)`,
+/// slot-major, through which every sample is recorded.
+#[derive(Debug, Clone)]
+struct Hists {
+    blocks: NodeHistograms,
+    hot: Vec<HistDelta>,
+    /// Node id → storage slot; re-derived (with a matching permutation of
+    /// the blocks) whenever the routing tree is replaced.
+    slot: Vec<u32>,
 }
 
 /// One run-length cell of the histogram hot cache: `repeat` pending samples
@@ -410,26 +408,106 @@ struct HistDelta {
     repeat: u64,
 }
 
-/// Records one histogram sample through the hot cache: extends the cell's
-/// run when the value repeats, otherwise flushes the old run into `hists`
-/// and starts a new one. `hot` is slot-major — the four kinds of wave slot
-/// `s` live at `s * HistKind::COUNT ..`, matching `hists` slot order.
-#[inline(always)]
-fn record_hot(
-    hot: &mut [HistDelta],
-    hists: &mut NodeHistograms,
-    slot: usize,
-    kind: HistKind,
-    value: u64,
-) {
-    let cell = &mut hot[slot * HistKind::COUNT + kind.index()];
-    if cell.repeat != 0 && cell.value == value {
-        cell.repeat += 1;
-    } else {
-        if cell.repeat != 0 {
-            hists.record_n(slot, kind, cell.value, cell.repeat);
+impl Hists {
+    fn new(tree: &RoutingTree, n: usize) -> Self {
+        Hists {
+            blocks: NodeHistograms::new(n),
+            hot: vec![HistDelta::default(); n * HistKind::COUNT],
+            slot: Hists::slots(tree, n),
         }
-        *cell = HistDelta { value, repeat: 1 };
+    }
+
+    /// The node-id → slot map for `tree`: tree nodes take their `bottom_up`
+    /// position, everyone else is packed afterwards in ascending id order.
+    fn slots(tree: &RoutingTree, n: usize) -> Vec<u32> {
+        let mut slot = vec![u32::MAX; n];
+        for (pos, &u) in tree.bottom_up().iter().enumerate() {
+            slot[u.index()] = pos as u32;
+        }
+        let mut next = tree.tree_size() as u32;
+        for s in slot.iter_mut() {
+            if *s == u32::MAX {
+                *s = next;
+                next += 1;
+            }
+        }
+        slot
+    }
+
+    /// Records one sample: extends the cell's run when the value repeats,
+    /// otherwise flushes the old run into the block and starts a new one.
+    #[inline(always)]
+    fn record(&mut self, slot: usize, kind: HistKind, value: u64) {
+        let cell = &mut self.hot[slot * HistKind::COUNT + kind.index()];
+        if cell.repeat != 0 && cell.value == value {
+            cell.repeat += 1;
+        } else {
+            if cell.repeat != 0 {
+                self.blocks.record_n(slot, kind, cell.value, cell.repeat);
+            }
+            *cell = HistDelta { value, repeat: 1 };
+        }
+    }
+
+    /// One `MsgBits` sample per frame of a delivered payload: solo frames
+    /// at their exact fragment sizes; a shared frame's marginal
+    /// `(fragments, bits)` as that many samples of the average size, which
+    /// keeps the `MsgBits` count equal to the message count.
+    #[inline(always)]
+    fn frames(
+        &mut self,
+        slot: usize,
+        sizes: &MessageSizes,
+        payload_bits: u64,
+        shared: Option<(u64, u64)>,
+    ) {
+        match shared {
+            Some((fragments, bits)) => {
+                for _ in 0..fragments {
+                    self.record(slot, HistKind::MsgBits, bits / fragments.max(1));
+                }
+            }
+            None => {
+                for frag_bits in sizes.fragment_bits(payload_bits) {
+                    self.record(slot, HistKind::MsgBits, frag_bits);
+                }
+            }
+        }
+    }
+
+    /// The id-ordered view (index `i` = node `i`), with the pending runs
+    /// folded in; the live cells stay put.
+    fn snapshot(&self) -> NodeHistograms {
+        let mut out = self.blocks.clone();
+        fold_runs(&self.hot, &mut out);
+        out.reindex(|id| self.slot[id] as usize);
+        out
+    }
+
+    /// Re-slots the storage for `tree` so every node keeps its own history.
+    /// The hot cache is flushed first: its cells are keyed by the old slots.
+    fn reslot(&mut self, tree: &RoutingTree) {
+        fold_runs(&self.hot, &mut self.blocks);
+        self.hot.fill(HistDelta::default());
+        let n = self.slot.len();
+        let old = std::mem::replace(&mut self.slot, Hists::slots(tree, n));
+        let mut id_of_slot = vec![0u32; n];
+        for (id, &s) in self.slot.iter().enumerate() {
+            id_of_slot[s as usize] = id as u32;
+        }
+        self.blocks
+            .reindex(|s| old[id_of_slot[s] as usize] as usize);
+    }
+}
+
+/// Applies every pending hot-cache run to `blocks` (exact: see
+/// [`HistDelta`]).
+fn fold_runs(hot: &[HistDelta], blocks: &mut NodeHistograms) {
+    for (i, cell) in hot.iter().enumerate() {
+        if cell.repeat != 0 {
+            let kind = HistKind::ALL[i % HistKind::COUNT];
+            blocks.record_n(i / HistKind::COUNT, kind, cell.value, cell.repeat);
+        }
     }
 }
 
@@ -444,10 +522,10 @@ fn record_hot(
 /// `fragment` cost bit for bit, so enabling sharing never *increases* any
 /// link's traffic and single-query rounds are unchanged.
 ///
-/// Sharing applies only on lossless wave paths (the sequential fast path,
-/// the parallel engine's accounting replay, and lossless broadcasts);
-/// lossy/ARQ traffic keeps solo per-payload framing, which only
-/// over-approximates — the inequality "shared ≤ solo" still holds.
+/// Sharing applies only on lossless wave paths (the convergecast fast path
+/// and lossless broadcasts); lossy/ARQ traffic keeps solo per-payload
+/// framing, which only over-approximates — the inequality "shared ≤ solo"
+/// still holds.
 #[derive(Debug, Clone, Default)]
 struct SharedWave {
     enabled: bool,
@@ -495,75 +573,63 @@ impl Network {
         if let Err(e) = sizes.validate() {
             panic!("invalid MessageSizes: {e}");
         }
-        let hist_slot = hist_slots(&tree, n);
+        let mut lanes = LaneBook::default();
+        // Pre-size lane 0 so default (single-lane) runs never allocate on
+        // the warm path.
+        lanes.reserve(0);
+        let books = Books {
+            ledger: EnergyLedger::new(n),
+            stats: TrafficStats::default(),
+            phases: PhaseBreakdown::default(),
+            lanes,
+            audit: AuditLog::default(),
+            rel: ReliabilityStats::default(),
+            hists: Hists::new(&tree, n),
+            recorder: Recorder::default(),
+        };
         Network {
             topo,
             tree,
             model,
             sizes,
-            ledger: EnergyLedger::new(n),
-            stats: TrafficStats::default(),
             loss: None,
             reliability: ReliabilityConfig::default(),
-            rel_stats: ReliabilityStats::default(),
             wave: WaveReport::default(),
             failures: None,
             alive: vec![true; n],
             duty_milli: 0,
             phase: Phase::default(),
-            phases: PhaseBreakdown::default(),
-            lane: 0,
-            lanes: {
-                let mut book = LaneBook::default();
-                // Pre-size lane 0 so default (single-lane) runs never
-                // allocate on the warm path.
-                book.charge(0, Phase::Other, 0, 0, 0.0);
-                book
-            },
             share: SharedWave::default(),
             round_hold: false,
-            audit: AuditLog::default(),
+            books,
             scratch: ScratchPool::default(),
-            hists: NodeHistograms::new(n),
-            hist_slot,
-            hist_hot: vec![HistDelta::default(); n * HistKind::COUNT],
-            recorder: Recorder::default(),
             round_start: SpanStart::default(),
             phase_start: SpanStart::default(),
             fanin: Vec::new(),
-            wave_bits: Vec::new(),
-            wave_vals: Vec::new(),
-            wave_sent: Vec::new(),
-            wave_workers: 1,
             bcast_recv: NodeBits::new(),
         }
     }
 
-    /// Sets the number of worker threads used *within* convergecast waves:
-    /// disjoint root subtrees are aggregated concurrently and every
-    /// ledger/stats/audit/histogram update is then replayed in the exact
-    /// sequential wave order, so results are **bit-identical at any worker
-    /// count**. Parallelism only engages on lossless waves driven through
-    /// [`Network::convergecast_slots`] with the span recorder off; all
-    /// other paths fall back to the (identical) sequential engine.
-    pub fn set_wave_workers(&mut self, workers: usize) {
-        self.wave_workers = workers.max(1);
-    }
-
-    /// The configured within-wave worker count.
-    pub fn wave_workers(&self) -> usize {
-        self.wave_workers
-    }
+    /// Does nothing: every wave runs on the caller's thread. Within-run
+    /// wave workers were removed because no measured machine ran them
+    /// faster than one thread (DESIGN.md §3.3g); the setter stays so
+    /// existing callers keep compiling.
+    pub fn set_wave_workers(&mut self, _workers: usize) {}
 
     /// Sets the protocol phase that subsequent traffic is attributed to
     /// (per-phase counters and audit events). Protocols call this at each
     /// step boundary; the phase sticks until changed. With telemetry on, a
     /// phase change closes the open phase span and opens the next.
     pub fn set_phase(&mut self, phase: Phase) {
-        if phase != self.phase && self.recorder.is_enabled() {
-            self.recorder
-                .end(self.phase.name(), 0, self.audit.round(), self.phase_start);
-            self.phase_start = self.recorder.start();
+        let rec = &mut self.books.recorder;
+        if phase != self.phase && rec.is_enabled() {
+            rec.end(
+                self.phase.name(),
+                0,
+                self.books.audit.round(),
+                self.phase_start,
+            );
+            self.phase_start = rec.start();
         }
         self.phase = phase;
     }
@@ -575,7 +641,7 @@ impl Network {
 
     /// Per-phase traffic/energy attribution since construction.
     pub fn phases(&self) -> &PhaseBreakdown {
-        &self.phases
+        &self.books.phases
     }
 
     /// Sets the service lane (query slot) that subsequent traffic is
@@ -584,22 +650,21 @@ impl Network {
     /// runner sets this before executing each query's waves so per-query
     /// charges stay bit-exact.
     pub fn set_lane(&mut self, lane: u32) {
-        self.lane = lane;
-        self.audit.set_lane(lane);
+        self.books.audit.set_lane(lane);
         // Pre-size the book outside the hot path, so switching lanes never
         // allocates mid-wave.
-        self.lanes.charge(lane, Phase::Other, 0, 0, 0.0);
+        self.books.lanes.reserve(lane);
     }
 
     /// The lane currently charged for traffic.
     pub fn lane(&self) -> u32 {
-        self.lane
+        self.books.audit.lane()
     }
 
     /// Per-lane traffic/energy attribution since construction (lane 0
     /// holds everything unless [`Network::set_lane`] was used).
     pub fn lane_book(&self) -> &LaneBook {
-        &self.lanes
+        &self.books.lanes
     }
 
     /// Enables or disables shared-frame packing for multi-query rounds
@@ -645,12 +710,12 @@ impl Network {
     /// any traffic flows: [`crate::audit::EnergyAuditor::verify`] can only
     /// reconcile a ledger whose every charge was witnessed.
     pub fn set_audit(&mut self, on: bool) {
-        self.audit.set_enabled(on);
+        self.books.audit.set_enabled(on);
     }
 
     /// The transmission log (empty unless auditing is enabled).
     pub fn audit_log(&self) -> &AuditLog {
-        &self.audit
+        &self.books.audit
     }
 
     /// Enables or disables wall-clock span recording (rounds, phases,
@@ -659,19 +724,20 @@ impl Network {
     /// the clock or allocates, so untelemetered runs stay bit-identical
     /// and allocation-free. Enabling resets the span clock to now.
     pub fn set_telemetry(&mut self, on: bool) {
-        self.recorder.set_enabled(on);
-        self.round_start = self.recorder.start();
-        self.phase_start = self.recorder.start();
+        let rec = &mut self.books.recorder;
+        rec.set_enabled(on);
+        self.round_start = rec.start();
+        self.phase_start = rec.start();
     }
 
     /// Whether span recording is active.
     pub fn telemetry_enabled(&self) -> bool {
-        self.recorder.is_enabled()
+        self.books.recorder.is_enabled()
     }
 
     /// The span recorder (its events feed [`wsn_obs::export::chrome_trace`]).
     pub fn recorder(&self) -> &Recorder {
-        &self.recorder
+        &self.books.recorder
     }
 
     /// Per-node telemetry histograms: message bits, hop depth, ARQ
@@ -680,27 +746,13 @@ impl Network {
     /// order for locality; this assembles an id-ordered copy (index `i` =
     /// node `i`), so call it per run, not per round.
     pub fn histograms(&self) -> NodeHistograms {
-        let mut out = self.hists.clone();
-        // Fold the hot cache's pending runs into the snapshot (the live
-        // cells stay put — this is a read). Exact: see [`HistDelta`].
-        for (i, cell) in self.hist_hot.iter().enumerate() {
-            if cell.repeat != 0 {
-                out.record_n(
-                    i / HistKind::COUNT,
-                    HistKind::ALL[i % HistKind::COUNT],
-                    cell.value,
-                    cell.repeat,
-                );
-            }
-        }
-        out.reindex(|id| self.hist_slot[id] as usize);
-        out
+        self.books.hists.snapshot()
     }
 
     /// The packet capture of the run so far (requires
     /// [`Network::set_audit`] before traffic flows; empty otherwise).
     pub fn capture(&self) -> Vec<PacketRecord> {
-        self.audit.capture()
+        self.books.audit.capture()
     }
 
     /// Enables Bernoulli message loss (the §6 future-work extension).
@@ -727,7 +779,7 @@ impl Network {
     /// Cumulative reliability counters (retransmissions, ACKs, recoveries,
     /// failures, …).
     pub fn reliability_stats(&self) -> &ReliabilityStats {
-        &self.rel_stats
+        &self.books.rel
     }
 
     /// Report of the most recent convergecast wave: who sent, and the roots
@@ -783,43 +835,23 @@ impl Network {
             }
         }
         if newly > 0 {
-            self.rel_stats.failed_nodes += newly as u64;
+            self.books.rel.failed_nodes += newly as u64;
             let (tree, orphans) = RoutingTree::spanning_alive(&self.topo, &self.alive);
             self.install_tree(tree, orphans.len());
-            self.rel_stats.repairs += 1;
+            self.books.rel.repairs += 1;
         }
         newly
     }
 
-    /// Installs a freshly built routing tree, re-permuting the
-    /// wave-slot-ordered histogram storage so every node keeps its own
-    /// history under the new slot map, and updating the orphan count.
-    /// Shared by failure-driven repairs ([`Network::fail_round`]) and
-    /// dynamics-driven rebuilds ([`Network::dynamics_rebuild`]); charges
-    /// nothing.
+    /// Installs a freshly built routing tree, re-slotting the histogram
+    /// storage so every node keeps its own history, and updating the orphan
+    /// count. Shared by failure-driven repairs ([`Network::fail_round`])
+    /// and dynamics-driven rebuilds ([`Network::dynamics_rebuild`]);
+    /// charges nothing.
     fn install_tree(&mut self, tree: RoutingTree, orphans: usize) {
-        let n = self.len();
-        // Flush the hot cache first: its cells are keyed by the *old*
-        // wave slots, which the permutation below is about to re-map.
-        for (i, cell) in self.hist_hot.iter_mut().enumerate() {
-            if cell.repeat != 0 {
-                self.hists.record_n(
-                    i / HistKind::COUNT,
-                    HistKind::ALL[i % HistKind::COUNT],
-                    cell.value,
-                    cell.repeat,
-                );
-                *cell = HistDelta::default();
-            }
-        }
-        let old = std::mem::replace(&mut self.hist_slot, hist_slots(&tree, n));
-        let mut id_of_slot = vec![0u32; n];
-        for (id, &s) in self.hist_slot.iter().enumerate() {
-            id_of_slot[s as usize] = id as u32;
-        }
-        self.hists.reindex(|s| old[id_of_slot[s] as usize] as usize);
+        self.books.hists.reslot(&tree);
         self.tree = tree;
-        self.rel_stats.orphaned_nodes = orphans as u64;
+        self.books.rel.orphaned_nodes = orphans as u64;
     }
 
     /// Flips the liveness of one sensor without rebuilding anything — the
@@ -860,44 +892,19 @@ impl Network {
             self.topo = t;
         }
         let (tree, orphans) = RoutingTree::spanning_alive(&self.topo, &self.alive);
-        let orphan_count = orphans.len();
-        self.install_tree(tree, orphan_count);
-        self.rel_stats.rebuilds += 1;
+        self.install_tree(tree, orphans.len());
+        self.books.rel.rebuilds += 1;
 
         // Beacon wave over the new tree, lossless by construction.
-        let saved_loss = self.loss.take();
-        let beacon_bits = self.sizes.counter_bits;
-        for s in 0..self.tree.tree_size() {
-            let u = self.tree.bottom_up()[s];
-            let Some(parent) = self.tree.parent(u) else {
-                continue; // the root reports to no one
-            };
-            send_over_link(
-                &self.topo,
-                &self.model,
-                &self.sizes,
-                &mut self.ledger,
-                &mut self.stats,
-                &mut self.rel_stats,
-                &mut self.loss,
-                Phase::Rebuild,
-                &mut self.phases,
-                self.lane,
-                &mut self.lanes,
-                &mut self.audit,
-                &mut self.hists,
-                &mut self.hist_hot,
-                &mut self.recorder,
-                0,
-                u,
-                s,
-                parent,
-                beacon_bits,
-                0,
-            );
+        let (wire, rebuild) = (self.wire(), Phase::Rebuild);
+        let beacon = self.sizes.counter_bits;
+        let Network { tree, books, .. } = self;
+        for (s, &u) in tree.bottom_up().iter().enumerate() {
+            if let Some(parent) = tree.parent(u) {
+                send_over_link(books, &mut None, &wire, rebuild, u, s, parent, beacon, 0);
+            }
         }
-        self.loss = saved_loss;
-        orphan_count
+        orphans.len()
     }
 
     /// Sets the duty-cycle listen fraction in per-mille of a round
@@ -971,12 +978,22 @@ impl Network {
 
     /// The energy ledger (read access for metrics).
     pub fn ledger(&self) -> &EnergyLedger {
-        &self.ledger
+        &self.books.ledger
     }
 
     /// Cumulative traffic statistics.
     pub fn stats(&self) -> &TrafficStats {
-        &self.stats
+        &self.books.stats
+    }
+
+    /// The radio constants of the current topology and configuration.
+    fn wire(&self) -> Wire {
+        Wire {
+            sizes: self.sizes,
+            tx_coef: self.model.tx_coef(self.topo.radio_range()),
+            rx_coef: self.model.rx_coef(),
+            arq: self.reliability.max_retries,
+        }
     }
 
     /// Marks the end of a protocol round in the ledger (and, when auditing,
@@ -987,7 +1004,7 @@ impl Network {
         if self.round_hold {
             return;
         }
-        let round = self.audit.round();
+        let round = self.books.audit.round();
         if self.share.enabled {
             self.share.reset();
         }
@@ -995,72 +1012,31 @@ impl Network {
             // Idle listening: each live sensor pays the rx-priced cost of
             // keeping its radio awake for `duty_milli`‰ of the round, in
             // ascending node-id order (a deterministic charge order the
-            // auditor replays). Nothing is on the air: traffic stats and
-            // histograms are untouched; the audit log witnesses every
-            // charge as a `TxKind::Idle` event with `src == dst`.
+            // auditor replays). Nothing is on the air, so the kind's tally
+            // leaves traffic stats untouched and no histogram records it.
             let bits = self.duty_milli as u64;
             let rx = self.model.rx_energy(bits);
             for i in 1..self.alive.len() {
-                if !self.alive[i] {
-                    continue;
+                if self.alive[i] {
+                    let id = NodeId(i as u32);
+                    self.books
+                        .charge(Phase::Other, TxKind::Idle, id, id, 0, bits, 0.0, rx);
                 }
-                let id = NodeId(i as u32);
-                self.ledger.charge(id, rx);
-                self.phases.charge(Phase::Other, 0, 0, rx);
-                self.lanes.charge(self.lane, Phase::Other, 0, 0, rx);
-                self.audit
-                    .record(Phase::Other, TxKind::Idle, id, id, 0, bits, 0.0, rx);
             }
         }
-        self.ledger.end_round();
-        self.audit.end_round(
-            self.ledger.consumed_per_node(),
-            self.ledger.consumed_tx_per_node(),
+        let books = &mut self.books;
+        books.ledger.end_round();
+        books.audit.end_round(
+            books.ledger.consumed_per_node(),
+            books.ledger.consumed_tx_per_node(),
         );
-        if self.recorder.is_enabled() {
-            self.recorder
-                .end(self.phase.name(), 0, round, self.phase_start);
-            self.recorder.end("round", 0, round, self.round_start);
-            self.round_start = self.recorder.start();
-            self.phase_start = self.recorder.start();
+        let rec = &mut books.recorder;
+        if rec.is_enabled() {
+            rec.end(self.phase.name(), 0, round, self.phase_start);
+            rec.end("round", 0, round, self.round_start);
+            self.round_start = rec.start();
+            self.phase_start = rec.start();
         }
-    }
-
-    /// Charges one unicast transmission of `payload_bits` from `from` to its
-    /// parent, with fragmentation, and returns whether the (entire) payload
-    /// arrived. Used internally and exposed for custom protocol steps.
-    pub fn charge_unicast_up(&mut self, from: NodeId, payload_bits: u64, values: usize) -> bool {
-        let to = self
-            .tree
-            .parent(from)
-            .expect("root has no parent to send to");
-        let from_slot = self
-            .tree
-            .wave_slot(from)
-            .expect("sender with a parent is in the tree");
-        send_over_link(
-            &self.topo,
-            &self.model,
-            &self.sizes,
-            &mut self.ledger,
-            &mut self.stats,
-            &mut self.rel_stats,
-            &mut self.loss,
-            self.phase,
-            &mut self.phases,
-            self.lane,
-            &mut self.lanes,
-            &mut self.audit,
-            &mut self.hists,
-            &mut self.hist_hot,
-            &mut self.recorder,
-            self.reliability.max_retries,
-            from,
-            from_slot,
-            to,
-            payload_bits,
-            values,
-        )
     }
 
     /// Runs a convergecast. `local` yields each *sensor* node's own
@@ -1084,58 +1060,40 @@ impl Network {
         mut local: impl FnMut(NodeId) -> Option<T>,
         mut prune: impl FnMut(NodeId, &mut T),
     ) -> Option<T> {
-        self.stats.convergecasts += 1;
+        let wire = self.wire();
+        self.books.stats.convergecasts += 1;
         self.wave.clear();
         let tsize = self.tree.tree_size();
-        let mut inbox = self.scratch.take_buf::<T>(tsize, scratch_role::INBOX);
+        let mut inbox = self.scratch.take_buf::<T>(tsize);
 
         // Split field borrows: the traversal reads the tree while the
-        // charging mutates ledger/stats/loss, so the wave walks
-        // `bottom_up()` in place instead of cloning the order.
+        // charging mutates the books, so the wave walks `bottom_up()` in
+        // place instead of cloning the order.
         let Network {
             tree,
-            topo,
-            model,
-            sizes,
-            ledger,
-            stats,
+            books,
             loss,
             reliability,
-            rel_stats,
             wave,
             phase,
-            phases,
-            lane,
-            lanes,
             share,
-            audit,
-            hists,
-            hist_hot,
-            recorder,
             fanin,
             ..
         } = self;
-        let arq = reliability.max_retries;
         let phase = *phase;
-        let lane = *lane;
-        let wave_span = recorder.start();
-        let round = audit.round();
+        let wave_span = books.recorder.start();
+        let round = books.audit.round();
         fanin.clear();
         fanin.resize(tsize, 0);
 
         let order = tree.bottom_up();
         let parent_slot = tree.parent_slots();
         let level_offsets = tree.level_offsets();
-        // Hoisted per-bit energy coefficients: bit-exact against
-        // `tx_energy`/`rx_energy` (see [`RadioModel::tx_coef`]), so the
-        // `powf` leaves the per-sender path.
-        let tx_coef = model.tx_coef(topo.radio_range());
-        let rx_coef = model.rx_coef();
-        // On a perfect channel with the span recorder off, every link send
-        // is the same straight-line accounting sequence: inline it and keep
-        // `send_over_link` for the lossy/telemetered cases. The inlined
-        // block below mirrors its lossless branch statement for statement.
-        let fast = loss.is_none() && !recorder.is_enabled();
+        // On a perfect channel with the span recorder off, every send is
+        // one `Books::deliver` at the wire's hoisted energies — the only
+        // convergecast path that packs shared frames. Lossy and telemetered
+        // sends go through `send_over_link`.
+        let fast = loss.is_none() && !books.recorder.is_enabled();
 
         // (holder, origin, payload): payloads that died on a link, stashed
         // at the last node that held them so the recovery passes can resume
@@ -1176,81 +1134,21 @@ impl Network {
                 };
                 prune(u, &mut payload);
                 wave.senders += 1;
-                record_hot(hist_hot, hists, pos, HistKind::HopDepth, depth);
-                record_hot(hist_hot, hists, pos, HistKind::FanIn, merged_in);
-                let bits = payload.payload_bits(sizes);
+                books.hists.record(pos, HistKind::HopDepth, depth);
+                books.hists.record(pos, HistKind::FanIn, merged_in);
+                let bits = payload.payload_bits(&wire.sizes);
+                let values = payload.value_count();
                 let pslot = parent_slot[pos] as usize;
                 let parent = order[pslot];
                 let arrived = if fast {
-                    stats.values += payload.value_count() as u64;
-                    let (fragments, total_bits) = if share.enabled {
-                        SharedWave::frame(&mut share.up[u.index()], bits, sizes)
-                    } else {
-                        sizes.fragment(bits)
-                    };
-                    let tx = total_bits as f64 * tx_coef;
-                    let rx = total_bits as f64 * rx_coef;
-                    ledger.charge_tx(u, tx);
-                    ledger.charge(parent, rx);
-                    stats.messages += fragments;
-                    stats.bits += total_bits;
-                    phases.charge(phase, fragments, total_bits, tx + rx);
-                    lanes.charge(lane, phase, fragments, total_bits, tx + rx);
-                    audit.record(
-                        phase,
-                        TxKind::Data,
-                        u,
-                        parent,
-                        fragments,
-                        total_bits,
-                        tx,
-                        rx,
-                    );
-                    if share.enabled {
-                        // Marginal frames under sharing: one sample per new
-                        // frame (keeps the MsgBits-count == messages
-                        // invariant; sizes are the per-frame average).
-                        for _ in 0..fragments {
-                            record_hot(
-                                hist_hot,
-                                hists,
-                                pos,
-                                HistKind::MsgBits,
-                                total_bits / fragments.max(1),
-                            );
-                        }
-                    } else {
-                        for frag_bits in sizes.fragment_bits(bits) {
-                            record_hot(hist_hot, hists, pos, HistKind::MsgBits, frag_bits);
-                        }
-                    }
-                    record_hot(hist_hot, hists, pos, HistKind::Retries, 0);
-                    rel_stats.delivered += 1;
+                    books.stats.values += values as u64;
+                    let shared = share
+                        .enabled
+                        .then(|| SharedWave::frame(&mut share.up[u.index()], bits, &wire.sizes));
+                    books.deliver(&wire, phase, u, pos, parent, bits, shared);
                     true
                 } else {
-                    send_over_link(
-                        topo,
-                        model,
-                        sizes,
-                        ledger,
-                        stats,
-                        rel_stats,
-                        loss,
-                        phase,
-                        phases,
-                        lane,
-                        lanes,
-                        audit,
-                        hists,
-                        hist_hot,
-                        recorder,
-                        arq,
-                        u,
-                        pos,
-                        parent,
-                        bits,
-                        payload.value_count(),
-                    )
+                    send_over_link(books, loss, &wire, phase, u, pos, parent, bits, values)
                 };
                 if arrived {
                     fanin[pslot] += 1;
@@ -1269,44 +1167,24 @@ impl Network {
         let mut result = inbox[tsize - 1].take();
 
         // Recovery passes: stranded payloads resume their climb towards the
-        // root hop by hop, each hop a fresh (ARQ-protected) transmission.
+        // root hop by hop, each hop a fresh (ARQ-protected) transmission
+        // charged as reliability traffic, whatever phase stranded it.
         // Recovered payloads merge directly into the root's aggregate —
         // the intermediate nodes already forwarded their own wave upward.
+        let recovery = Phase::Recovery;
         let mut pass = 0;
         while !stranded.is_empty() && pass < reliability.recovery_passes {
             pass += 1;
             let mut still = Vec::new();
             for (start, origin, payload) in stranded {
-                let bits = payload.payload_bits(sizes);
+                let bits = payload.payload_bits(&wire.sizes);
                 let values = payload.value_count();
                 let mut at = start;
                 let delivered = loop {
                     let parent = tree.parent(at).expect("stranded below the root");
-                    let at_slot = tree.wave_slot(at).expect("stranded node is in the tree");
-                    // Recovery climbs are reliability traffic, whatever
-                    // phase stranded the payload.
+                    let slot = tree.wave_slot(at).expect("stranded node is in the tree");
                     let arrived = send_over_link(
-                        topo,
-                        model,
-                        sizes,
-                        ledger,
-                        stats,
-                        rel_stats,
-                        loss,
-                        Phase::Recovery,
-                        phases,
-                        lane,
-                        lanes,
-                        audit,
-                        hists,
-                        hist_hot,
-                        recorder,
-                        arq,
-                        at,
-                        at_slot,
-                        parent,
-                        bits,
-                        values,
+                        books, loss, &wire, recovery, at, slot, parent, bits, values,
                     );
                     if !arrived {
                         break false;
@@ -1317,7 +1195,7 @@ impl Network {
                     at = parent;
                 };
                 if delivered {
-                    rel_stats.recovered += 1;
+                    books.rel.recovered += 1;
                     match result.as_mut() {
                         Some(existing) => (*existing).merge(payload),
                         None => result = Some(payload),
@@ -1332,7 +1210,7 @@ impl Network {
             wave.dropped_roots.push(*origin);
         }
 
-        recorder.end("convergecast", 0, round, wave_span);
+        books.recorder.end("convergecast", 0, round, wave_span);
 
         // The root applies its prune exactly once, after recovery merged in
         // the late arrivals (it applies the same logic when consuming the
@@ -1340,316 +1218,23 @@ impl Network {
         if let Some(p) = result.as_mut() {
             prune(NodeId::ROOT, p);
         }
-        self.scratch.put_buf(inbox, scratch_role::INBOX);
+        self.scratch.put_buf(inbox);
         result
     }
 
     /// Runs a convergecast whose contributions are already materialised in
     /// a per-node slot array: `contributions[i]` is node `i`'s payload,
     /// taken by the engine (slots of nodes outside the routing tree are
-    /// left in place). Behaves exactly like [`Network::convergecast_with`]
-    /// with a take-from-slot closure — but this is the entry point where
-    /// within-run parallelism engages (see [`Network::set_wave_workers`]):
-    /// on a lossless channel, with the span recorder off and at least two
-    /// root subtrees, disjoint subtrees are aggregated concurrently and
-    /// every ledger/stats/audit/histogram update is replayed in the exact
-    /// sequential wave order afterwards, so results are **bit-identical at
-    /// any worker count**.
-    ///
-    /// `prune` must be a pure per-payload transformation (hence the `Fn +
-    /// Sync` bound): the parallel path applies it from worker threads, in
-    /// a different global order than the sequential wave.
+    /// left in place). Exactly [`Network::convergecast_with`] with a
+    /// take-from-slot closure; steady-state loops that rebuild their
+    /// contributions every round keep one reusable buffer this way.
     pub fn convergecast_slots<T: Aggregate + Send + 'static>(
         &mut self,
         contributions: &mut [Option<T>],
-        prune: impl Fn(NodeId, &mut T) + Sync,
+        prune: impl FnMut(NodeId, &mut T),
     ) -> Option<T> {
         assert_eq!(contributions.len(), self.len(), "one slot per node");
-        let parallel = self.wave_workers > 1
-            && self.loss.is_none()
-            && !self.recorder.is_enabled()
-            && self.tree.groups() >= 2;
-        if !parallel {
-            return self.convergecast_with(|u| contributions[u.index()].take(), prune);
-        }
-        self.convergecast_parallel(contributions, &prune)
-    }
-
-    /// Runs a convergecast whose contributions come from a closure, like
-    /// [`Network::convergecast_with`], but routed through
-    /// [`Network::convergecast_slots`] so within-run parallelism can
-    /// engage: `fill` is first materialised into a recycled per-node slot
-    /// buffer (called once per tree node, in the exact sequential wave
-    /// order), then the slots are aggregated. `fill` must not rely on
-    /// being interleaved with the wave's sends — true for every protocol
-    /// in this repository, whose contributions are pure reads of per-node
-    /// state.
-    pub fn convergecast_fill<T: Aggregate + Send + 'static>(
-        &mut self,
-        mut fill: impl FnMut(NodeId) -> Option<T>,
-        prune: impl Fn(NodeId, &mut T) + Sync,
-    ) -> Option<T> {
-        let n = self.len();
-        let mut slots = self.scratch.take_buf::<T>(n, scratch_role::FILL);
-        for &u in self.tree.bottom_up() {
-            if !u.is_root() {
-                slots[u.index()] = fill(u);
-            }
-        }
-        let result = self.convergecast_slots(&mut slots, prune);
-        self.scratch.put_buf(slots, scratch_role::FILL);
-        result
-    }
-
-    /// The parallel wave engine behind [`Network::convergecast_slots`].
-    ///
-    /// **Phase A** assigns contiguous runs of whole root subtrees
-    /// ("groups", balanced by node count) to scoped worker threads. Each
-    /// worker aggregates its groups in group-major order — within a group
-    /// that is exactly the sequential `bottom_up` order, so every parent's
-    /// inbox receives its children's payloads in the sequential merge
-    /// order and the resulting payloads are bit-identical. Workers touch
-    /// only disjoint slices and record per-sender wire sizes; they never
-    /// see the ledger, stats, audit log, or histograms.
-    ///
-    /// **Phase B** replays the accounting of every send sequentially in
-    /// wave-slot order — the exact order the sequential engine charges in,
-    /// which pins the floating-point addition order bit for bit. Finally
-    /// the root merges the per-group results in *reverse* group order:
-    /// level-1 of `bottom_up` visits the root's children in reverse
-    /// `children(root)` order, so that is the order their payloads reached
-    /// the root's inbox sequentially.
-    fn convergecast_parallel<T: Aggregate + Send + 'static>(
-        &mut self,
-        contributions: &mut [Option<T>],
-        prune: &(impl Fn(NodeId, &mut T) + Sync),
-    ) -> Option<T> {
-        self.stats.convergecasts += 1;
-        self.wave.clear();
-        let tsize = self.tree.tree_size();
-        let gsize = tsize - 1;
-        let groups = self.tree.groups();
-        let workers = self.wave_workers.min(groups);
-        let mut own = self.scratch.take_buf::<T>(gsize, scratch_role::OWN);
-        let mut acc = self.scratch.take_buf::<T>(gsize, scratch_role::INBOX);
-        let mut group_out = self.scratch.take_buf::<T>(groups, scratch_role::GROUP_OUT);
-
-        let Network {
-            tree,
-            topo,
-            model,
-            sizes,
-            ledger,
-            stats,
-            rel_stats,
-            wave,
-            phase,
-            phases,
-            lane,
-            lanes,
-            share,
-            audit,
-            hists,
-            hist_hot,
-            fanin,
-            wave_bits,
-            wave_vals,
-            wave_sent,
-            ..
-        } = self;
-        let phase = *phase;
-        let lane = *lane;
-        let go = tree.group_order();
-        let offs = tree.group_offsets();
-        let gparent = tree.group_parent();
-
-        // Prefetch contributions into group-major order (sequential: the
-        // slot array is exclusively borrowed) and zero the send records.
-        for (j, &u) in go.iter().enumerate() {
-            own[j] = contributions[u.index()].take();
-        }
-        fanin.clear();
-        fanin.resize(gsize, 0);
-        wave_bits.clear();
-        wave_bits.resize(gsize, 0);
-        wave_vals.clear();
-        wave_vals.resize(gsize, 0);
-        wave_sent.clear();
-        wave_sent.resize(gsize, false);
-
-        // Chunk boundaries: worker `k` starts at the first group whose
-        // node offset reaches `k/workers` of the nodes, so chunks are
-        // contiguous runs of whole groups with balanced node counts.
-        let bounds: Vec<usize> = (0..=workers)
-            .map(|k| offs.partition_point(|&o| (o as usize) < k * gsize / workers))
-            .collect();
-
-        std::thread::scope(|s| {
-            let mut own_rest = &mut own[..];
-            let mut acc_rest = &mut acc[..];
-            let mut fan_rest = &mut fanin[..];
-            let mut bits_rest = &mut wave_bits[..];
-            let mut vals_rest = &mut wave_vals[..];
-            let mut sent_rest = &mut wave_sent[..];
-            let mut gout_rest = &mut group_out[..];
-            for w in 0..workers {
-                let (g0, g1) = (bounds[w], bounds[w + 1]);
-                if g0 == g1 {
-                    continue;
-                }
-                let base = offs[g0] as usize;
-                let len = offs[g1] as usize - base;
-                let (own_c, r) = own_rest.split_at_mut(len);
-                own_rest = r;
-                let (acc_c, r) = acc_rest.split_at_mut(len);
-                acc_rest = r;
-                let (fan_c, r) = fan_rest.split_at_mut(len);
-                fan_rest = r;
-                let (bits_c, r) = bits_rest.split_at_mut(len);
-                bits_rest = r;
-                let (vals_c, r) = vals_rest.split_at_mut(len);
-                vals_rest = r;
-                let (sent_c, r) = sent_rest.split_at_mut(len);
-                sent_rest = r;
-                let (gout_c, r) = gout_rest.split_at_mut(g1 - g0);
-                gout_rest = r;
-                let ids = &go[base..base + len];
-                let gp = &gparent[base..base + len];
-                let goffs = &offs[g0..=g1];
-                let sizes: &MessageSizes = sizes;
-                s.spawn(move || {
-                    let mut g_local = 0usize;
-                    for j in 0..len {
-                        // Group tops are each group's last node, so the
-                        // current group advances at run boundaries.
-                        while base + j >= goffs[g_local + 1] as usize {
-                            g_local += 1;
-                        }
-                        let from_children = acc_c[j].take();
-                        let own_p = own_c[j].take();
-                        let merged_in = fan_c[j] + own_p.is_some() as u32;
-                        let combined = match (from_children, own_p) {
-                            (Some(mut a), Some(b)) => {
-                                a.merge(b);
-                                Some(a)
-                            }
-                            (Some(a), None) => Some(a),
-                            (None, Some(b)) => Some(b),
-                            (None, None) => None,
-                        };
-                        let Some(mut payload) = combined else {
-                            continue;
-                        };
-                        prune(ids[j], &mut payload);
-                        bits_c[j] = payload.payload_bits(sizes);
-                        vals_c[j] = payload.value_count() as u32;
-                        fan_c[j] = merged_in;
-                        sent_c[j] = true;
-                        let p = gp[j];
-                        if p == u32::MAX {
-                            // Parent is the root: this is the group top.
-                            gout_c[g_local] = Some(payload);
-                        } else {
-                            let pl = p as usize - base;
-                            fan_c[pl] += 1;
-                            match &mut acc_c[pl] {
-                                Some(existing) => existing.merge(payload),
-                                None => acc_c[pl] = Some(payload),
-                            }
-                        }
-                    }
-                });
-            }
-        });
-
-        // Phase B: sequential replay of every send's accounting, in exact
-        // wave-slot order (the root run is last and sends nothing).
-        let order = tree.bottom_up();
-        let parent_slot = tree.parent_slots();
-        let level_offsets = tree.level_offsets();
-        let w2g = tree.wave_to_group();
-        let tx_coef = model.tx_coef(topo.radio_range());
-        let rx_coef = model.rx_coef();
-        for lvl in 0..tree.levels() - 1 {
-            let start = level_offsets[lvl] as usize;
-            let end = level_offsets[lvl + 1] as usize;
-            let depth = tree.depth(order[start]) as u64;
-            for pos in start..end {
-                let j = w2g[pos] as usize;
-                if !wave_sent[j] {
-                    continue;
-                }
-                let u = order[pos];
-                wave.senders += 1;
-                record_hot(hist_hot, hists, pos, HistKind::HopDepth, depth);
-                record_hot(hist_hot, hists, pos, HistKind::FanIn, fanin[j] as u64);
-                let bits = wave_bits[j];
-                let parent = order[parent_slot[pos] as usize];
-                stats.values += wave_vals[j] as u64;
-                // Shared-frame state advances here, in the sequential
-                // accounting replay — never on worker threads — so worker
-                // counts cannot perturb it.
-                let (fragments, total_bits) = if share.enabled {
-                    SharedWave::frame(&mut share.up[u.index()], bits, sizes)
-                } else {
-                    sizes.fragment(bits)
-                };
-                let tx = total_bits as f64 * tx_coef;
-                let rx = total_bits as f64 * rx_coef;
-                ledger.charge_tx(u, tx);
-                ledger.charge(parent, rx);
-                stats.messages += fragments;
-                stats.bits += total_bits;
-                phases.charge(phase, fragments, total_bits, tx + rx);
-                lanes.charge(lane, phase, fragments, total_bits, tx + rx);
-                audit.record(
-                    phase,
-                    TxKind::Data,
-                    u,
-                    parent,
-                    fragments,
-                    total_bits,
-                    tx,
-                    rx,
-                );
-                if share.enabled {
-                    for _ in 0..fragments {
-                        record_hot(
-                            hist_hot,
-                            hists,
-                            pos,
-                            HistKind::MsgBits,
-                            total_bits / fragments.max(1),
-                        );
-                    }
-                } else {
-                    for frag_bits in sizes.fragment_bits(bits) {
-                        record_hot(hist_hot, hists, pos, HistKind::MsgBits, frag_bits);
-                    }
-                }
-                record_hot(hist_hot, hists, pos, HistKind::Retries, 0);
-                rel_stats.delivered += 1;
-            }
-        }
-
-        // Root merge in reverse group order (see the method docs), then
-        // the root's single prune, as in the sequential engine.
-        let mut result: Option<T> = None;
-        for g in (0..groups).rev() {
-            if let Some(payload) = group_out[g].take() {
-                match result.as_mut() {
-                    Some(existing) => existing.merge(payload),
-                    None => result = Some(payload),
-                }
-            }
-        }
-        if let Some(p) = result.as_mut() {
-            prune(NodeId::ROOT, p);
-        }
-        self.scratch.put_buf(own, scratch_role::OWN);
-        self.scratch.put_buf(acc, scratch_role::INBOX);
-        self.scratch.put_buf(group_out, scratch_role::GROUP_OUT);
-        result
+        self.convergecast_with(|u| contributions[u.index()].take(), prune)
     }
 
     /// Floods a payload of `payload_bits` bits from the root to every node.
@@ -1673,48 +1258,31 @@ impl Network {
     /// caller-owned bitset (cleared and resized in place), so repeated
     /// waves perform no heap allocation.
     pub fn broadcast_into(&mut self, payload_bits: u64, received: &mut NodeBits) {
-        self.stats.broadcasts += 1;
-        let n = self.len();
-        let (fragments, total_bits) = self.sizes.fragment(payload_bits);
-        received.reset(n);
+        let wire = self.wire();
+        self.books.stats.broadcasts += 1;
+        received.reset(self.len());
         received.set(NodeId::ROOT.index());
 
         // Split field borrows, as in `convergecast_with`: traversal and
-        // child lookups read the tree in place while the ledger/stats/loss
-        // are mutated — no per-node clone of the children list.
+        // child lookups read the tree in place while the books and the
+        // loss stream are mutated — no per-node clone of the children list.
         let Network {
             tree,
-            topo,
-            model,
-            sizes,
-            ledger,
-            stats,
+            books,
             loss,
             reliability,
-            rel_stats,
             phase,
-            phases,
-            lane,
-            lanes,
             share,
-            audit,
-            hists,
-            hist_hot,
-            recorder,
             ..
         } = self;
         let phase = *phase;
-        let lane = *lane;
-        let wave_span = recorder.start();
-        let round = audit.round();
+        let wave_span = books.recorder.start();
+        let round = books.audit.round();
         let order = tree.bottom_up();
-        // Every transmitter sends the same payload over the same range, so
-        // the per-link energies are wave constants — hoisting them (and the
-        // `powf` inside `tx_energy`) is bit-exact.
-        let tx = model.tx_energy(total_bits, topo.radio_range());
-        let rx = model.rx_energy(total_bits);
-        // Shared frames apply to lossless broadcasts only (per-fragment
-        // loss draws must see the solo fragment stream).
+        // Every transmitter sends the same payload, so its solo framing is
+        // a wave constant. Shared frames apply to lossless broadcasts only
+        // (per-fragment loss draws must see the solo fragment stream).
+        let solo = wire.sizes.fragment(payload_bits);
         let sharing = share.enabled && loss.is_none();
         // Walk the wave slots in reverse (parents before children, the
         // top-down order): histogram blocks and CSR child lists are then
@@ -1724,75 +1292,20 @@ impl Network {
             if !received.get(u.index()) || tree.is_leaf(u) {
                 continue;
             }
-            // Per-transmitter marginal cost under sharing; the hoisted wave
-            // constants otherwise (the disabled path is byte-identical).
-            let (fragments, total_bits, tx, rx) = if sharing {
-                let (f, b) = SharedWave::frame(&mut share.down[u.index()], payload_bits, sizes);
-                (
-                    f,
-                    b,
-                    model.tx_energy(b, topo.radio_range()),
-                    model.rx_energy(b),
-                )
-            } else {
-                (fragments, total_bits, tx, rx)
-            };
+            let shared = sharing
+                .then(|| SharedWave::frame(&mut share.down[u.index()], payload_bits, &wire.sizes));
+            let (fragments, bits) = shared.unwrap_or(solo);
+            let (tx, rx) = wire.energy(bits);
             // One radio transmission reaches all children (§5.1.4: receivers
             // pay because the schedule tells them when to listen). Broadcast
             // frames are unacknowledged, as in 802.15.4; reliability comes
             // from the repair passes below.
-            ledger.charge_tx(u, tx);
-            stats.messages += fragments;
-            stats.bits += total_bits;
-            phases.charge(phase, fragments, total_bits, tx);
-            lanes.charge(lane, phase, fragments, total_bits, tx);
-            if sharing {
-                for _ in 0..fragments {
-                    record_hot(
-                        hist_hot,
-                        hists,
-                        pos,
-                        HistKind::MsgBits,
-                        total_bits / fragments.max(1),
-                    );
-                }
-            } else {
-                for frag_bits in sizes.fragment_bits(payload_bits) {
-                    record_hot(hist_hot, hists, pos, HistKind::MsgBits, frag_bits);
-                }
-            }
-            record_hot(
-                hist_hot,
-                hists,
-                pos,
-                HistKind::HopDepth,
-                tree.depth(u) as u64,
-            );
-            audit.record(
-                phase,
-                TxKind::BroadcastTx,
-                u,
-                u,
-                fragments,
-                total_bits,
-                tx,
-                0.0,
-            );
+            books.charge(phase, TxKind::BroadcastTx, u, u, fragments, bits, tx, 0.0);
+            books.hists.frames(pos, &wire.sizes, payload_bits, shared);
+            let depth = tree.depth(u) as u64;
+            books.hists.record(pos, HistKind::HopDepth, depth);
             for &c in tree.children(u) {
-                ledger.charge(c, rx);
-                // Bits were already counted once at the transmitter.
-                phases.charge(phase, 0, 0, rx);
-                lanes.charge(lane, phase, 0, 0, rx);
-                audit.record(
-                    phase,
-                    TxKind::BroadcastRx,
-                    u,
-                    c,
-                    fragments,
-                    total_bits,
-                    0.0,
-                    rx,
-                );
+                books.charge(phase, TxKind::BroadcastRx, u, c, fragments, bits, 0.0, rx);
                 let arrived = match loss {
                     // Each 802.15.4 frame is lost independently and the
                     // child needs every fragment. No short-circuit: every
@@ -1808,11 +1321,12 @@ impl Network {
 
         // Repair passes: a parent holding the payload re-offers it to
         // children that missed it as an ARQ-protected unicast (the missing
-        // link-layer ACK tells the parent who is short). Children repaired
-        // early in a pass repair their own children later in the same pass,
-        // since top_down() visits parents before children.
+        // link-layer ACK tells the parent who is short), charged as
+        // reliability traffic. Children repaired early in a pass repair
+        // their own children later in the same pass, since the reverse
+        // wave order visits parents before children.
         if loss.is_some() {
-            let arq = reliability.max_retries;
+            let recovery = Phase::Recovery;
             for _ in 0..reliability.recovery_passes {
                 let mut repaired_any = false;
                 for pos in (0..order.len()).rev() {
@@ -1824,24 +1338,11 @@ impl Network {
                         if received.get(c.index()) {
                             continue;
                         }
-                        // Repair re-offers are reliability traffic.
                         let arrived = send_over_link(
-                            topo,
-                            model,
-                            sizes,
-                            ledger,
-                            stats,
-                            rel_stats,
+                            books,
                             loss,
-                            Phase::Recovery,
-                            phases,
-                            lane,
-                            lanes,
-                            audit,
-                            hists,
-                            hist_hot,
-                            recorder,
-                            arq,
+                            &wire,
+                            recovery,
                             u,
                             pos,
                             c,
@@ -1850,7 +1351,7 @@ impl Network {
                         );
                         if arrived {
                             received.set(c.index());
-                            rel_stats.recovered += 1;
+                            books.rel.recovered += 1;
                             repaired_any = true;
                         }
                     }
@@ -1860,7 +1361,7 @@ impl Network {
                 }
             }
         }
-        recorder.end("broadcast", 0, round, wave_span);
+        books.recorder.end("broadcast", 0, round, wave_span);
     }
 }
 
@@ -2580,6 +2081,90 @@ mod tests {
             assert_eq!(*b, book.get(lane as u32), "lane {lane}");
         }
         // And the energy audit still reconciles under sharing.
+        let report = EnergyAuditor::verify(&net);
+        assert!(report.is_clean(), "{:?}", report.discrepancies);
+    }
+
+    #[test]
+    fn every_charge_kind_books_alike_in_stats_phases_lanes_and_audit() {
+        // One audited two-lane run through every send path: lossless
+        // shared-frame waves, then lossy ARQ data with ACKs, recovery
+        // climbs and broadcast repairs, with duty-cycle idle charges every
+        // round and a rebuild's beacon wave near the end.
+        let run = |duty_milli: u32| {
+            let mut net = line_network(6);
+            net.set_audit(true);
+            net.set_shared_frames(true);
+            net.set_duty_cycle(duty_milli);
+            let mut buf = NodeBits::new();
+            let mut rounds = |net: &mut Network, n: usize| {
+                for _ in 0..n {
+                    for lane in [0, 1] {
+                        net.set_lane(lane);
+                        net.set_phase(Phase::Validation);
+                        net.convergecast(one_value);
+                        net.set_phase(Phase::Refinement);
+                        net.broadcast_into(64, &mut buf);
+                    }
+                    net.end_round();
+                }
+            };
+            rounds(&mut net, 3);
+            net.set_loss(Some(LossModel::new(0.4, 23)));
+            net.set_reliability(ReliabilityConfig::recovering(1, 3));
+            rounds(&mut net, 20);
+            net.dynamics_rebuild(None);
+            rounds(&mut net, 2);
+            net
+        };
+        let net = run(100);
+        // Idle listening is not traffic: the duty cycle moves no message
+        // and no bit, only joules.
+        assert_eq!(*net.stats(), *run(0).stats());
+
+        let events = net.audit_log().events();
+        for kind in [
+            TxKind::Data,
+            TxKind::Ack,
+            TxKind::BroadcastTx,
+            TxKind::BroadcastRx,
+            TxKind::Idle,
+        ] {
+            assert!(events.iter().any(|e| e.kind == kind), "{}", kind.name());
+        }
+        assert!(events.iter().any(|e| e.phase == Phase::Rebuild));
+        // On a line, node i's parent is i - 1: recovery data flowing up is
+        // a stranded payload's climb, flowing down a broadcast repair.
+        let recovery = |up: bool| {
+            events.iter().any(|e| {
+                e.phase == Phase::Recovery && e.kind == TxKind::Data && (e.src.0 > e.dst.0) == up
+            })
+        };
+        assert!(recovery(true), "a stranded payload climbed");
+        assert!(recovery(false), "a broadcast repair re-offered");
+        for lane in [0, 1] {
+            assert!(events.iter().any(|e| e.lane == lane), "lane {lane}");
+        }
+
+        // Traffic stats equal the sum over phases and the sum over lanes.
+        let stats = *net.stats();
+        let phases = net.phases();
+        assert_eq!(phases.messages().iter().sum::<u64>(), stats.messages);
+        assert_eq!(phases.bits().iter().sum::<u64>(), stats.bits);
+        let book = net.lane_book();
+        assert_eq!(book.len(), 2);
+        let lane_total = |counts: fn(&PhaseBreakdown) -> [u64; Phase::COUNT]| -> u64 {
+            book.breakdowns().iter().flat_map(counts).sum()
+        };
+        assert_eq!(lane_total(PhaseBreakdown::messages), stats.messages);
+        assert_eq!(lane_total(PhaseBreakdown::bits), stats.bits);
+        // Independently of the booking rule, every data frame on air — and
+        // nothing else — is one `MsgBits` sample.
+        let msg_bits = net.histograms().total();
+        assert_eq!(msg_bits.get(HistKind::MsgBits).count(), stats.messages);
+        // The live lane book is the audit-log replay, bit for bit.
+        let replayed = crate::audit::lane_breakdowns(net.audit_log(), book.len());
+        assert_eq!(replayed, book.breakdowns());
         let report = EnergyAuditor::verify(&net);
         assert!(report.is_clean(), "{:?}", report.discrepancies);
     }

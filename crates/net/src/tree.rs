@@ -15,10 +15,9 @@ use crate::topology::{NodeId, Topology};
 /// struct-of-arrays wave index the network engine runs on (DESIGN.md
 /// §3.3g): children in one flat CSR array (each parent's children
 /// contiguous), the bottom-up order with its equal-depth runs delimited by
-/// [`RoutingTree::level_offsets`], the id → wave-position permutation, and
-/// a root-subtree grouping that within-wave worker threads use to claim
-/// disjoint contiguous ranges. All of it is derived once per tree build;
-/// the wave engines never chase `Vec<Vec<…>>` pointers.
+/// [`RoutingTree::level_offsets`], the id → wave-position permutation and
+/// each position's parent position. All of it is derived once per tree
+/// build; the wave engines never chase `Vec<Vec<…>>` pointers.
 #[derive(Debug, Clone)]
 pub struct RoutingTree {
     parent: Vec<Option<NodeId>>,
@@ -42,16 +41,6 @@ pub struct RoutingTree {
     /// Wave position of each node's parent, aligned with `bottom_up`
     /// (`u32::MAX` for the root's own entry).
     parent_slot: Vec<u32>,
-    /// Non-root tree nodes regrouped so each root subtree is contiguous
-    /// (groups in `children(root)` order, bottom-up order within a group).
-    group_order: Vec<NodeId>,
-    /// Group `g` is `group_order[group_offsets[g] .. group_offsets[g + 1]]`.
-    group_offsets: Vec<u32>,
-    /// Wave position (into `bottom_up[..len - 1]`) → `group_order` index.
-    wave_to_group: Vec<u32>,
-    /// `group_order` index → parent's `group_order` index (`u32::MAX` when
-    /// the parent is the root — the node is its group's subtree root).
-    group_parent: Vec<u32>,
 }
 
 impl RoutingTree {
@@ -252,9 +241,9 @@ impl RoutingTree {
 
     /// Flattens the constructor state into the struct-of-arrays form every
     /// wave runs on: CSR children, the id → wave-slot permutation, level
-    /// runs, per-position parent slots, and the root-subtree grouping.
-    /// Shared by all three constructors so the invariants hold for built,
-    /// repaired, and hand-made trees alike.
+    /// runs and per-position parent slots. Shared by all three
+    /// constructors so the invariants hold for built, repaired, and
+    /// hand-made trees alike.
     fn finish(
         parent: Vec<Option<NodeId>>,
         children: Vec<Vec<NodeId>>,
@@ -291,58 +280,6 @@ impl RoutingTree {
             .map(|&u| parent[u.index()].map_or(u32::MAX, |p| wave_slot[p.index()]))
             .collect();
 
-        // Root-subtree grouping: group g = the subtree of children(root)[g].
-        // Every non-root tree node inherits its parent's group (parents
-        // come earlier in top-down order, so one pass settles it).
-        let roots = &children[0];
-        let g_count = roots.len();
-        let mut group_of = vec![u32::MAX; n];
-        for (g, &c) in roots.iter().enumerate() {
-            group_of[c.index()] = g as u32;
-        }
-        for &u in bottom_up.iter().rev().skip(1) {
-            if group_of[u.index()] == u32::MAX {
-                let p = parent[u.index()].expect("non-root tree node has parent");
-                group_of[u.index()] = group_of[p.index()];
-            }
-        }
-
-        // Counting sort by group, stable in bottom-up order: each group is
-        // contiguous and internally children-before-parents, so a worker
-        // owning a group range can aggregate it independently while the
-        // within-group merge order stays exactly the sequential one.
-        let gsize = bottom_up.len().saturating_sub(1);
-        let mut group_offsets = vec![0u32; g_count + 1];
-        for &u in &bottom_up[..gsize] {
-            group_offsets[group_of[u.index()] as usize + 1] += 1;
-        }
-        for g in 0..g_count {
-            group_offsets[g + 1] += group_offsets[g];
-        }
-        let mut cursor: Vec<u32> = group_offsets[..g_count].to_vec();
-        let mut group_order = vec![NodeId::ROOT; gsize];
-        let mut wave_to_group = vec![0u32; gsize];
-        let mut group_slot = vec![u32::MAX; n];
-        for (pos, &u) in bottom_up[..gsize].iter().enumerate() {
-            let g = group_of[u.index()] as usize;
-            let j = cursor[g];
-            cursor[g] += 1;
-            group_order[j as usize] = u;
-            wave_to_group[pos] = j;
-            group_slot[u.index()] = j;
-        }
-        let group_parent: Vec<u32> = group_order
-            .iter()
-            .map(|&u| {
-                let p = parent[u.index()].expect("grouped node has parent");
-                if p.is_root() {
-                    u32::MAX
-                } else {
-                    group_slot[p.index()]
-                }
-            })
-            .collect();
-
         RoutingTree {
             parent,
             children_flat,
@@ -352,10 +289,6 @@ impl RoutingTree {
             wave_slot,
             level_offsets,
             parent_slot,
-            group_order,
-            group_offsets,
-            wave_to_group,
-            group_parent,
         }
     }
 
@@ -450,37 +383,6 @@ impl RoutingTree {
     /// `parent()` and re-permuting per node.
     pub(crate) fn parent_slots(&self) -> &[u32] {
         &self.parent_slot
-    }
-
-    /// Number of root subtrees (= `children(root).len()`): the unit of
-    /// within-wave parallelism.
-    pub(crate) fn groups(&self) -> usize {
-        self.group_offsets.len() - 1
-    }
-
-    /// Non-root tree nodes, each root subtree contiguous, bottom-up order
-    /// within a subtree. Group `g` spans
-    /// `group_order[group_offsets[g] .. group_offsets[g + 1]]`.
-    pub(crate) fn group_order(&self) -> &[NodeId] {
-        &self.group_order
-    }
-
-    /// Group boundaries into [`RoutingTree::group_order`].
-    pub(crate) fn group_offsets(&self) -> &[u32] {
-        &self.group_offsets
-    }
-
-    /// Wave position → group-order index, aligned with
-    /// `bottom_up[..tree_size() - 1]`.
-    pub(crate) fn wave_to_group(&self) -> &[u32] {
-        &self.wave_to_group
-    }
-
-    /// Group-order index → parent's group-order index (`u32::MAX` when the
-    /// parent is the root). Parents live in the same group as their
-    /// children, so workers owning whole groups never write across ranges.
-    pub(crate) fn group_parent(&self) -> &[u32] {
-        &self.group_parent
     }
 
     /// Nodes in parents-before-children order (starts at the root).
@@ -753,45 +655,6 @@ mod tests {
             match tree.parent(u) {
                 Some(p) => assert_eq!(ps[pos] as usize, tree.wave_slot(p).unwrap()),
                 None => assert_eq!(ps[pos], u32::MAX),
-            }
-        }
-        // Groups partition the non-root nodes by root subtree, each group
-        // contiguous, children-before-parents within a group, groups in
-        // children(root) order.
-        let go = tree.group_order();
-        let offs = tree.group_offsets();
-        assert_eq!(tree.groups(), tree.children(NodeId::ROOT).len());
-        assert_eq!(go.len(), t.saturating_sub(1));
-        let mut seen = vec![false; tree.len()];
-        for (g, &top) in tree.children(NodeId::ROOT).iter().enumerate() {
-            let range = offs[g] as usize..offs[g + 1] as usize;
-            let mut mask = vec![false; tree.len()];
-            tree.mark_subtree(top, &mut mask);
-            assert_eq!(
-                range.len(),
-                mask.iter().filter(|&&b| b).count(),
-                "group {g} must cover exactly its subtree"
-            );
-            for &u in &go[range] {
-                assert!(mask[u.index()], "node {u} leaked into group {g}");
-                for &c in tree.children(u) {
-                    assert!(seen[c.index()], "child {c} after parent {u} in group");
-                }
-                seen[u.index()] = true;
-            }
-        }
-        // wave_to_group and group_parent are consistent cross-indexes.
-        let wg = tree.wave_to_group();
-        for (pos, &u) in bu[..t - 1].iter().enumerate() {
-            assert_eq!(go[wg[pos] as usize], u);
-        }
-        let gp = tree.group_parent();
-        for (j, &u) in go.iter().enumerate() {
-            let p = tree.parent(u).unwrap();
-            if p.is_root() {
-                assert_eq!(gp[j], u32::MAX);
-            } else {
-                assert_eq!(go[gp[j] as usize], p);
             }
         }
     }

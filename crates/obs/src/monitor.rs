@@ -12,11 +12,11 @@
 //!
 //! **Watchdog determinism contract.** Every watchdog is evaluated inside
 //! [`Monitor::end_round`], from values the engine produced in its
-//! sequential accounting replay (lane books, plan-cache counters, served
-//! answers). Those values are bit-identical at any within-wave worker
-//! count, so the health-event stream — kinds, rounds, slots, payload
-//! values — is too. No wall-clock, no sampling, no cross-slot iteration
-//! order beyond ascending slot index. Each watchdog *latches* per
+//! deterministic accounting (lane books, plan-cache counters, served
+//! answers). Those values are reproducible bit for bit, so the
+//! health-event stream — kinds, rounds, slots, payload values — is too.
+//! No wall-clock, no sampling, no cross-slot iteration order beyond
+//! ascending slot index. Each watchdog *latches* per
 //! `(slot, kind)`: it fires on the first round boundary where its
 //! condition holds and stays quiet afterwards, so the event stream is
 //! bounded by `slots × kinds` and trivially replayable (the fuzzer

@@ -256,11 +256,10 @@ pub struct SimulationConfig {
     /// branch per tap point and keeps the hot path allocation-free.
     /// Telemetry histograms are always on regardless of this flag.
     pub telemetry: bool,
-    /// Worker threads *within* each run's convergecast waves (on top of the
-    /// per-run parallelism of [`crate::parallel`]): disjoint root subtrees
-    /// are aggregated concurrently and all accounting is replayed in the
-    /// sequential wave order, so results are bit-identical at any value.
-    /// `1` (the default) runs waves on the caller's thread.
+    /// Ignored: every run's waves execute on the run's own thread
+    /// (parallelism is per run, see [`crate::parallel`]). Within-run wave
+    /// workers were removed because they never ran faster than one
+    /// thread; the field stays so existing configurations keep compiling.
     pub wave_workers: usize,
     /// Dynamic-world processes (mobility, churn, drift, duty cycle).
     /// `None` — and `Some` with every knob at zero — is the static world

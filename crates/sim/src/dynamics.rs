@@ -28,9 +28,8 @@
 //! every gated legacy draw (loss seed, failure seed), and only when a
 //! non-static [`DynamicsConfig`] is present — so static worlds draw
 //! nothing and replay their historical streams byte-identically. All
-//! dynamics decisions happen on the caller's thread between rounds; the
-//! within-wave worker count never observes them, which keeps dynamic
-//! worlds bit-identical at 1/2/8 wave workers.
+//! dynamics decisions happen on the run's thread between rounds, never
+//! inside a wave.
 
 use wsn_data::{Rng, WaypointWalk};
 use wsn_net::{LossDrift, Network, NodeId, Point, Topology};

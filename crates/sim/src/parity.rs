@@ -2,11 +2,10 @@
 //! simulation run produces.
 //!
 //! The struct-of-arrays wave engine (DESIGN.md §3.3g) promises bit-for-bit
-//! identical results to the original per-node engine — at any
-//! [`SimulationConfig::wave_workers`] count. That contract is enforced by
-//! replaying the pinned fuzz corpus through [`scenario_digest`] and
-//! comparing against a golden file generated by the pre-refactor engine
-//! (`crates/check/tests/engine_parity.rs`).
+//! identical results to the original per-node engine. That contract is
+//! enforced by replaying the pinned fuzz corpus through
+//! [`scenario_digest`] and comparing against a golden file generated by
+//! the pre-refactor engine (`crates/check/tests/engine_parity.rs`).
 //!
 //! The digest covers three layers, each rendered without any float
 //! formatting ambiguity (`f64` values print as their raw bit patterns):
@@ -198,14 +197,9 @@ pub fn config_digest(cfg: &SimulationConfig, kind: AlgorithmKind) -> String {
 
 /// Digest of one corpus scenario under every [`PARITY_SET`] algorithm plus
 /// the two approximate sketch protocols at the scenario's own (ε,
-/// capacity), at the given within-wave worker count. The golden file is
-/// generated at `wave_workers = 1`; the determinism contract says the
-/// digest is independent of `wave_workers`.
-pub fn scenario_digest(scenario: &Scenario, wave_workers: usize) -> String {
-    let cfg = SimulationConfig {
-        wave_workers,
-        ..scenario.to_config()
-    };
+/// capacity).
+pub fn scenario_digest(scenario: &Scenario) -> String {
+    let cfg = scenario.to_config();
     let mut out = String::new();
     for kind in PARITY_SET {
         out.push_str(&config_digest(&cfg, kind));
@@ -227,9 +221,8 @@ pub fn scenario_digest(scenario: &Scenario, wave_workers: usize) -> String {
 /// Digest of a serve run: every query's `(round, answer)` stream, its
 /// per-lane phase charges (bit patterns), the workload aggregates and the
 /// full audit log — everything the multi-query determinism contract
-/// covers. Byte-identical at any `wave_workers`, with or without a
-/// transient admitted-then-retired query touching the surviving lanes
-/// (in unshared mode).
+/// covers. A transient admitted-then-retired query leaves the surviving
+/// lanes byte-identical (in unshared mode).
 pub fn serve_digest(
     cfg: &SimulationConfig,
     initial: &[crate::service::ServeQuery],
@@ -337,12 +330,12 @@ mod tests {
 
     #[test]
     fn digest_is_reproducible() {
-        assert_eq!(scenario_digest(&tiny(), 1), scenario_digest(&tiny(), 1));
+        assert_eq!(scenario_digest(&tiny()), scenario_digest(&tiny()));
     }
 
     #[test]
     fn digest_sees_every_layer() {
-        let d = scenario_digest(&tiny(), 1);
+        let d = scenario_digest(&tiny());
         assert!(d.contains("alg TAG run 0"));
         assert!(d.contains("alg GK run 0"));
         assert!(d.contains("alg QD run 0"));
@@ -359,14 +352,14 @@ mod tests {
     #[test]
     fn digest_distinguishes_scenarios() {
         let other = Scenario { seed: 12, ..tiny() };
-        assert_ne!(scenario_digest(&tiny(), 1), scenario_digest(&other, 1));
+        assert_ne!(scenario_digest(&tiny()), scenario_digest(&other));
     }
 
     #[test]
     fn rebuild_line_appears_only_in_dynamic_worlds() {
         // Static worlds must keep pre-dynamics golden bytes: no rebuild
         // line, phase vectors printed at legacy width.
-        let stat = scenario_digest(&tiny(), 1);
+        let stat = scenario_digest(&tiny());
         assert!(!stat.contains("  rebuild "));
         let dynamic = Scenario {
             mobility_milli: 250,
@@ -374,12 +367,7 @@ mod tests {
             duty_milli: 100,
             ..tiny()
         };
-        let d = scenario_digest(&dynamic, 1);
+        let d = scenario_digest(&dynamic);
         assert!(d.contains("  rebuild count="));
-        assert_eq!(
-            d,
-            scenario_digest(&dynamic, 2),
-            "dynamic digests must be independent of wave workers"
-        );
     }
 }

@@ -154,7 +154,6 @@ pub fn run_once_capture(
     // recorder, which only reads the wall clock.
     net.set_audit(cfg.audit);
     net.set_telemetry(cfg.telemetry);
-    net.set_wave_workers(cfg.wave_workers);
     if let Some(p) = cfg.loss {
         net.set_loss(Some(LossModel::new(p, rng.next_u64())));
     }
@@ -301,7 +300,6 @@ pub fn run_until_death(
     let query = QueryConfig::phi(cfg.phi, n, dataset.range_min(), dataset.range_max());
     let mut alg = kind.build(query, &cfg.sizes);
     let mut net = Network::new(topo, tree, cfg.radio, cfg.sizes);
-    net.set_wave_workers(cfg.wave_workers);
     if let Some(p) = cfg.loss {
         net.set_loss(Some(LossModel::new(p, rng.next_u64())));
     }

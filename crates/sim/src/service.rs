@@ -274,9 +274,8 @@ pub fn serve_capture(
 /// decision, and never touches the [`Network`]. A monitored run therefore
 /// produces the *byte-identical* [`ServeReport`], audit log and digest of
 /// an unmonitored one — pinned by `crates/sim/tests/serve.rs` — and,
-/// because everything it observes comes from the sequentially-replayed
-/// accounting, its health-event stream is itself bit-identical at any
-/// `wave_workers` count.
+/// because everything it observes comes from the deterministic lane
+/// books, its health-event stream is itself reproducible bit for bit.
 pub fn serve_monitored(
     cfg: &SimulationConfig,
     initial: &[ServeQuery],
@@ -298,7 +297,6 @@ pub fn serve_monitored(
     let mut net = Network::new(topo, tree, cfg.radio, cfg.sizes);
     net.set_audit(cfg.audit);
     net.set_telemetry(cfg.telemetry);
-    net.set_wave_workers(cfg.wave_workers);
     if let Some(p) = cfg.loss {
         net.set_loss(Some(LossModel::new(p, rng.next_u64())));
     }

@@ -2,11 +2,10 @@
 //! link drift and duty-cycled radios, checked end to end — oracle
 //! exactness where the world stays reliable, bit-exact audit replay with
 //! nonzero rebuild joules where it does not, histogram↔traffic
-//! reconciliation, and wave-worker digest parity under rebuilds.
+//! reconciliation.
 
 use wsn_net::obs::HistKind;
 use wsn_net::Phase;
-use wsn_sim::parity::{scenario_digest, serve_digest};
 use wsn_sim::runner::{run_experiment_threads, AREA};
 use wsn_sim::{AlgorithmKind, DataSource, DynamicsConfig, Scenario, SimulationConfig};
 
@@ -147,47 +146,6 @@ fn drifting_lossy_worlds_audit_cleanly() {
     assert_eq!(agg.audit_discrepancies, 0);
     assert_eq!(agg.rebuilds, 0.0, "drift retunes loss, never the tree");
     assert_telemetry_reconciles(&agg, &cfg);
-}
-
-#[test]
-fn run_digests_are_wave_worker_independent_under_dynamics() {
-    // The determinism contract extended to dynamic worlds: dynamics
-    // decisions happen between rounds on the caller's thread, so the
-    // full-battery digest is byte-identical at 1, 2 and 8 wave workers.
-    let s = Scenario {
-        mobility_milli: 250,
-        churn_milli: 50,
-        duty_milli: 100,
-        ..base()
-    };
-    let one = scenario_digest(&s, 1);
-    assert_eq!(one, scenario_digest(&s, 2), "1 vs 2 wave workers");
-    assert_eq!(one, scenario_digest(&s, 8), "1 vs 8 wave workers");
-    assert!(
-        one.contains("rebuild count="),
-        "dynamic digests pin rebuilds"
-    );
-}
-
-#[test]
-fn serve_digests_are_wave_worker_independent_under_dynamics() {
-    let s = Scenario {
-        queries: 5,
-        mobility_milli: 250,
-        churn_milli: 50,
-        ..base()
-    };
-    let workload = s.workload();
-    let digest_at = |workers: usize| {
-        let cfg = SimulationConfig {
-            wave_workers: workers,
-            ..s.to_config()
-        };
-        serve_digest(&cfg, &workload, &[], true)
-    };
-    let one = digest_at(1);
-    assert_eq!(one, digest_at(2), "1 vs 2 wave workers");
-    assert_eq!(one, digest_at(8), "1 vs 8 wave workers");
 }
 
 #[test]

@@ -1,10 +1,11 @@
-//! Multi-query service determinism (DESIGN.md §3.3i): the serve runner's
-//! full output — every query's answer stream, its per-lane phase charges,
-//! and the audit log — is byte-identical at any within-wave worker count,
-//! and a transient query (admitted then retired mid-run) leaves the
-//! surviving queries' answers and ledger charges bit-identical in solo
-//! framing (under shared framing the transient's piggybacked frames
-//! legitimately change the survivors' marginal accounting).
+//! Multi-query service determinism (DESIGN.md §3.3i): monitoring never
+//! perturbs the serve runner's full output — every query's answer stream,
+//! its per-lane phase charges, and the audit log — its health events are
+//! the same whichever worker threads execute the runs, and a transient query
+//! (admitted then retired mid-run) leaves the surviving queries' answers
+//! and ledger charges bit-identical in solo framing (under shared framing
+//! the transient's piggybacked frames legitimately change the survivors'
+//! marginal accounting).
 
 use wsn_net::obs::{HealthKind, MonitorConfig};
 use wsn_sim::parity::{serve_digest, serve_report_digest};
@@ -39,11 +40,8 @@ fn scenario() -> Scenario {
     }
 }
 
-fn cfg(wave_workers: usize) -> SimulationConfig {
-    SimulationConfig {
-        wave_workers,
-        ..scenario().to_config()
-    }
+fn cfg() -> SimulationConfig {
+    scenario().to_config()
 }
 
 fn transient_events() -> Vec<ServeEvent> {
@@ -58,22 +56,6 @@ fn transient_events() -> Vec<ServeEvent> {
         },
         ServeEvent::Retire { round: 7, slot: 5 },
     ]
-}
-
-#[test]
-fn serve_is_byte_identical_at_any_wave_worker_count() {
-    let workload = scenario().workload();
-    let events = transient_events();
-    for shared in [false, true] {
-        let golden = serve_digest(&cfg(1), &workload, &events, shared);
-        for workers in [2usize, 8] {
-            assert_eq!(
-                golden,
-                serve_digest(&cfg(workers), &workload, &events, shared),
-                "shared={shared}: digest diverged at {workers} wave workers"
-            );
-        }
-    }
 }
 
 /// Monitoring "fully enabled": every watchdog armed, tight recorder.
@@ -93,17 +75,23 @@ fn monitoring_and_flight_recorder_never_perturb_the_digest() {
     let workload = scenario().workload();
     let events = transient_events();
     let mc = full_monitoring();
-    for workers in [1usize, 8] {
-        let plain = serve_digest(&cfg(workers), &workload, &events, true);
+    for shared in [false, true] {
+        let plain = serve_digest(&cfg(), &workload, &events, shared);
         let (report, monitor, net) =
-            serve_monitored(&cfg(workers), &workload, &events, true, 0, Some(&mc));
+            serve_monitored(&cfg(), &workload, &events, shared, 0, Some(&mc));
         assert_eq!(
             plain,
             serve_report_digest(&report, &net),
-            "monitoring changed the digest at {workers} wave workers"
+            "shared={shared}: monitoring changed the digest"
         );
         let m = monitor.expect("monitor attached");
         assert!(!m.recorder().is_empty(), "flight recorder was recording");
+        assert!(
+            m.events()
+                .iter()
+                .any(|e| matches!(e.kind, HealthKind::BudgetOverrun { .. })),
+            "shared={shared}: the 1 µJ budget must overrun"
+        );
     }
 }
 
@@ -112,23 +100,28 @@ fn health_events_land_on_the_same_rounds_and_slots_at_any_worker_count() {
     let workload = scenario().workload();
     let events = transient_events();
     let mc = full_monitoring();
+    // Four monitored runs, executed on 1, 2 and 8 run-level worker threads.
     let run = |workers: usize| {
-        let (_, monitor, _) =
-            serve_monitored(&cfg(workers), &workload, &events, false, 0, Some(&mc));
-        monitor.expect("monitor attached").events().to_vec()
+        wsn_sim::parallel::map_indexed(4, workers, |r| {
+            let (_, monitor, _) =
+                serve_monitored(&cfg(), &workload, &events, false, r as u32, Some(&mc));
+            monitor.expect("monitor attached").events().to_vec()
+        })
     };
     let golden = run(1);
-    assert!(
-        golden
-            .iter()
-            .any(|e| matches!(e.kind, HealthKind::BudgetOverrun { .. })),
-        "the 1 µJ budget must overrun"
-    );
+    for (r, stream) in golden.iter().enumerate() {
+        assert!(
+            stream
+                .iter()
+                .any(|e| matches!(e.kind, HealthKind::BudgetOverrun { .. })),
+            "run {r}: the 1 µJ budget must overrun"
+        );
+    }
     for workers in [2usize, 8] {
         assert_eq!(
             golden,
             run(workers),
-            "health events diverged at {workers} wave workers"
+            "health events diverged at {workers} worker threads"
         );
     }
 }
@@ -136,8 +129,8 @@ fn health_events_land_on_the_same_rounds_and_slots_at_any_worker_count() {
 #[test]
 fn a_transient_query_leaves_the_survivors_bit_identical() {
     let workload = scenario().workload();
-    let baseline = serve(&cfg(1), &workload, &[], false, 0);
-    let perturbed = serve(&cfg(1), &workload, &transient_events(), false, 0);
+    let baseline = serve(&cfg(), &workload, &[], false, 0);
+    let perturbed = serve(&cfg(), &workload, &transient_events(), false, 0);
 
     assert_eq!(perturbed.queries.len(), baseline.queries.len() + 1);
     let transient = &perturbed.queries[workload.len()];

@@ -50,55 +50,35 @@ echo "    accounting checks, must be clean)"
 
 echo "==> dynamic-world smoke (200 fresh scenarios drawn over the mobility/"
 echo "    churn/drift/duty classes plus a mobile churning duty-cycled audit"
-echo "    run: must reconcile bit-exactly and replay byte-identically at"
-echo "    1 vs 4 wave threads)"
+echo "    run that must reconcile bit-exactly)"
 ./target/release/simulate fuzz --scenarios 200 --seed 555
 ./target/release/simulate --algorithm IQ --nodes 60 --rounds 20 --runs 2 \
-    --mobility --churn --duty --seed 17 --audit
-./target/release/simulate --algorithm IQ --nodes 60 --rounds 20 --runs 2 \
-    --mobility --churn --drift --duty --loss 0.2 --retries 2 --seed 17 \
-    --wave-threads 1 --capture "$tmp/dyn1.jsonl"
-./target/release/simulate --algorithm IQ --nodes 60 --rounds 20 --runs 2 \
-    --mobility --churn --drift --duty --loss 0.2 --retries 2 --seed 17 \
-    --wave-threads 4 --capture "$tmp/dyn4.jsonl"
-./target/release/simulate diff "$tmp/dyn1.jsonl" "$tmp/dyn4.jsonl" \
-    | grep -q '^identical'
+    --mobility --churn --drift --duty --loss 0.2 --retries 2 --seed 17 --audit
 
 echo "==> serve smoke (16-query continuous service + mid-run admit/retire:"
-echo "    audit must reconcile, digests byte-identical at 1 vs 4 wave threads)"
+echo "    audit must reconcile, the shared-frame digest must be clean)"
 ./target/release/simulate serve --queries 16 --rounds 12 --seed 99 \
     --admit 4:250 --retire 8:16 --audit
 ./target/release/simulate serve --queries 16 --rounds 12 --seed 99 --shared \
-    --admit 4:250 --retire 8:16 --digest --wave-threads 1 > "$tmp/serve1.txt"
-./target/release/simulate serve --queries 16 --rounds 12 --seed 99 --shared \
-    --admit 4:250 --retire 8:16 --digest --wave-threads 4 > "$tmp/serve4.txt"
-cmp "$tmp/serve1.txt" "$tmp/serve4.txt"
-grep -q 'discrepancies=0$' "$tmp/serve1.txt"
+    --admit 4:250 --retire 8:16 --digest > "$tmp/serve.txt"
+grep -q 'discrepancies=0$' "$tmp/serve.txt"
 
 echo "==> monitor smoke (80-node/48-round/16-query monitored serve: zero"
-echo "    perturbation of the digest at 1/2/8 wave threads, a 1 mJ budget"
-echo "    raises BudgetOverrun deterministically with exit 1, and the"
-echo "    flight-recorder JSONL parses)"
+echo "    perturbation of the digest, a 1 mJ budget raises BudgetOverrun with"
+echo "    exit 1, and the flight-recorder JSONL records it)"
 ./target/release/simulate serve --queries 16 --nodes 80 --rounds 48 --seed 7 \
-    --shared --digest --wave-threads 1 > "$tmp/mon-off.txt"
-for w in 1 2 8; do
-    ./target/release/simulate serve --queries 16 --nodes 80 --rounds 48 --seed 7 \
-        --shared --digest --monitor --budget-mj 1 --wave-threads "$w" \
-        > "$tmp/mon-on$w.txt"
-    cmp "$tmp/mon-off.txt" "$tmp/mon-on$w.txt"
-done
-for w in 1 2 8; do
-    if ./target/release/simulate serve --queries 16 --nodes 80 --rounds 48 \
-        --seed 7 --shared --budget-mj 1 --wave-threads "$w" \
-        --health-json "$tmp/health$w.jsonl" > "$tmp/mon-run$w.txt"; then
-        echo "monitor smoke: expected exit 1 from the 1 mJ budget overrun" >&2
-        exit 1
-    fi
-    grep -q 'kind=budget_overrun' "$tmp/mon-run$w.txt"
-done
-cmp "$tmp/health1.jsonl" "$tmp/health2.jsonl"
-cmp "$tmp/health1.jsonl" "$tmp/health8.jsonl"
-grep -q '"type":"health".*"kind":"budget_overrun"' "$tmp/health1.jsonl"
+    --shared --digest > "$tmp/mon-off.txt"
+./target/release/simulate serve --queries 16 --nodes 80 --rounds 48 --seed 7 \
+    --shared --digest --monitor --budget-mj 1 > "$tmp/mon-on.txt"
+cmp "$tmp/mon-off.txt" "$tmp/mon-on.txt"
+if ./target/release/simulate serve --queries 16 --nodes 80 --rounds 48 \
+    --seed 7 --shared --budget-mj 1 \
+    --health-json "$tmp/health.jsonl" > "$tmp/mon-run.txt"; then
+    echo "monitor smoke: expected exit 1 from the 1 mJ budget overrun" >&2
+    exit 1
+fi
+grep -q 'kind=budget_overrun' "$tmp/mon-run.txt"
+grep -q '"type":"health".*"kind":"budget_overrun"' "$tmp/health.jsonl"
 
 echo "==> bench regression gate (opt-in: set CI_BENCH_REGRESS=1; re-times"
 echo "    the harness benches and diffs medians against BENCH_baseline.json)"
@@ -113,7 +93,11 @@ echo "==> scale smoke (10k-node HBC throughput under a wall-clock budget)"
 # 1-core reference box; 60 s is ~100x headroom for slow CI hardware);
 # the outer timeout(1) additionally converts a hang into a hard failure.
 timeout --signal=KILL 120 \
-    ./target/release/simulate scale --nodes 10000 --rounds 200 \
-    --wave-threads 2 --budget-secs 60
+    ./target/release/simulate scale --nodes 10000 --rounds 200 --budget-secs 60
+
+echo "==> benchmark package (builds and tests wsnbench against the changed"
+echo "    crates, so a library change that breaks the benchmark fails here)"
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline \
+    --manifest-path wsnbench/Cargo.toml
 
 echo "ci.sh: all gates passed"
