@@ -54,6 +54,8 @@ pub mod geometry;
 pub mod loss;
 pub mod message;
 pub mod network;
+#[cfg(test)]
+mod reference;
 pub mod reliability;
 pub mod splitmix;
 pub mod topology;

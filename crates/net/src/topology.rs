@@ -40,17 +40,24 @@ impl std::fmt::Display for NodeId {
 pub struct Topology {
     positions: Vec<Point>,
     radio_range: f64,
-    /// Adjacency lists of the disk graph (symmetric, no self loops).
-    neighbors: Vec<Vec<NodeId>>,
+    /// CSR adjacency of the disk graph (symmetric, no self loops): the
+    /// neighbours of node `i` are `adj[offs[i] .. offs[i + 1]]`, ascending.
+    offs: Vec<u32>,
+    adj: Vec<NodeId>,
 }
 
 impl Topology {
     /// Builds the disk graph over `positions` with radio range
     /// `radio_range` (meters). `positions\[0\]` is the root.
     ///
-    /// Uses a uniform grid spatial index so construction is roughly
-    /// `O(n · d)` where `d` is the average neighborhood size, instead of
-    /// the naive `O(n²)`.
+    /// Runs in `O(n · d)` (`d` the average neighbourhood size) over flat
+    /// arrays, with a constant number of allocations (DESIGN.md §3.3g):
+    /// a counting-sort cell grid finds each node's candidates, a
+    /// branch-free scan keeps the half-edges `i < j` within range, and two
+    /// counting-sort sweeps emit every neighbour list in ascending id order
+    /// without sorting one. Non-finite coordinates are legal: such nodes
+    /// are clamped into edge cells, and the distance test alone decides
+    /// their links.
     ///
     /// # Panics
     /// Panics if fewer than two positions are given or the range is not
@@ -59,54 +66,14 @@ impl Topology {
         assert!(positions.len() >= 2, "need a root and at least one sensor");
         assert!(radio_range > 0.0, "radio range must be positive");
 
-        let n = positions.len();
-        let mut neighbors: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-
-        // Grid index with cell size = radio range: all neighbors of a node
-        // lie in its own or one of the 8 surrounding cells.
-        let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
-        for p in &positions {
-            min_x = min_x.min(p.x);
-            min_y = min_y.min(p.y);
-        }
-        let cell = radio_range;
-        let key = |p: &Point| -> (i64, i64) {
-            (
-                ((p.x - min_x) / cell).floor() as i64,
-                ((p.y - min_y) / cell).floor() as i64,
-            )
-        };
-        let mut grid: std::collections::HashMap<(i64, i64), Vec<u32>> =
-            std::collections::HashMap::new();
-        for (i, p) in positions.iter().enumerate() {
-            grid.entry(key(p)).or_default().push(i as u32);
-        }
-
-        let range_sq = radio_range * radio_range;
-        for (i, p) in positions.iter().enumerate() {
-            let (cx, cy) = key(p);
-            for dx in -1..=1 {
-                for dy in -1..=1 {
-                    let Some(bucket) = grid.get(&(cx + dx, cy + dy)) else {
-                        continue;
-                    };
-                    for &j in bucket {
-                        if (j as usize) > i && positions[j as usize].dist_sq(p) <= range_sq {
-                            neighbors[i].push(NodeId(j));
-                            neighbors[j as usize].push(NodeId(i as u32));
-                        }
-                    }
-                }
-            }
-        }
-        for adj in &mut neighbors {
-            adj.sort_unstable();
-        }
-
+        let grid = CellGrid::new(&positions, radio_range);
+        let (up, half) = grid.upper_neighbors(radio_range * radio_range);
+        let (offs, adj) = symmetric_csr(&up, &half);
         Topology {
             positions,
             radio_range,
-            neighbors,
+            offs,
+            adj,
         }
     }
 
@@ -135,9 +102,10 @@ impl Topology {
         self.positions[id.index()]
     }
 
-    /// Physical neighbors of `id` in the disk graph.
+    /// Physical neighbors of `id` in the disk graph, in ascending id order.
     pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
-        &self.neighbors[id.index()]
+        let i = id.index();
+        &self.adj[self.offs[i] as usize..self.offs[i + 1] as usize]
     }
 
     /// Returns `true` iff every node can reach the root over physical links
@@ -169,6 +137,184 @@ impl Topology {
     pub fn sensor_ids(&self) -> impl Iterator<Item = NodeId> {
         (1..self.len() as u32).map(NodeId)
     }
+}
+
+/// Groups the ids `0..len` by `key` with one counting sort: group `g` is
+/// `items[offs[g] .. offs[g + 1]]`, in ascending id order; ids keyed `None`
+/// are left out. Builds the cell grid here and every routing tree's CSR
+/// children.
+pub(crate) fn group_ids(
+    len: usize,
+    groups: usize,
+    key: impl Fn(usize) -> Option<usize>,
+) -> (Vec<u32>, Vec<NodeId>) {
+    let mut offs = vec![0u32; groups + 1];
+    for i in 0..len {
+        if let Some(g) = key(i) {
+            offs[g] += 1;
+        }
+    }
+    // Inclusive prefix sums put each group's end in its own entry; filling
+    // backwards then walks every entry down to its group's start.
+    let mut total = 0u32;
+    for o in &mut offs {
+        total += *o;
+        *o = total;
+    }
+    let mut items = vec![NodeId::ROOT; total as usize];
+    for i in (0..len).rev() {
+        if let Some(g) = key(i) {
+            offs[g] -= 1;
+            items[offs[g] as usize] = NodeId(i as u32);
+        }
+    }
+    (offs, items)
+}
+
+/// The nodes counting-sorted into a uniform grid of square cells whose side
+/// is at least `ρ`, so every neighbour of a node lies in its own cell or an
+/// adjacent one. Cell `c = row · cols + col` holds
+/// `ids[start[c] .. start[c + 1]]`, with the coordinates alongside in
+/// `xs`/`ys`; the cells of one row are contiguous, so a 3×3 block is three
+/// runs.
+struct CellGrid {
+    cols: usize,
+    rows: usize,
+    start: Vec<u32>,
+    ids: Vec<NodeId>,
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+}
+
+impl CellGrid {
+    /// Sides `max(ρ, extent / ⌈√n⌉)` over the finite bounding box keep the
+    /// grid at most `(⌈√n⌉ + 1)²` cells for any spread. The `1e-9` slack
+    /// keeps two nodes at distance `ρ` in adjacent cells despite rounding
+    /// in the cell arithmetic.
+    fn new(positions: &[Point], radio_range: f64) -> CellGrid {
+        let n = positions.len();
+        let (x0, wx) = finite_span(positions.iter().map(|p| p.x));
+        let (y0, wy) = finite_span(positions.iter().map(|p| p.y));
+        let side = (n as f64).sqrt().ceil();
+        let inv = 1.0 / (radio_range.max(wx.max(wy) / side) * (1.0 + 1e-9));
+        // `as usize` saturates (NaN → 0), so `min` clamps non-finite
+        // coordinates into the edge cells.
+        let (cols, rows) = ((wx * inv) as usize + 1, (wy * inv) as usize + 1);
+        let cell_of = |i: usize| {
+            let p = positions[i];
+            let col = (((p.x - x0) * inv) as usize).min(cols - 1);
+            let row = (((p.y - y0) * inv) as usize).min(rows - 1);
+            Some(row * cols + col)
+        };
+        let (start, ids) = group_ids(n, cols * rows, cell_of);
+        let xs = ids.iter().map(|id| positions[id.index()].x).collect();
+        let ys = ids.iter().map(|id| positions[id.index()].y).collect();
+        CellGrid {
+            cols,
+            rows,
+            start,
+            ids,
+            xs,
+            ys,
+        }
+    }
+
+    /// Every half-edge `i < j` with `dist²(i, j) ≤ range_sq`: node `i`'s
+    /// upper neighbours are `half[up[i].0 .. up[i].1]`, in grid order.
+    ///
+    /// The scan is branch-free: each candidate is written unconditionally
+    /// and the write position advances by `(j > i) & in_range`.
+    fn upper_neighbors(&self, range_sq: f64) -> (Vec<(u32, u32)>, Vec<NodeId>) {
+        let n = self.ids.len();
+        let mut up = vec![(0u32, 0u32); n];
+        let mut half = vec![NodeId::ROOT; 8 * n];
+        let mut k = 0usize;
+        for row in 0..self.rows {
+            let block_rows = row.saturating_sub(1)..(row + 2).min(self.rows);
+            for col in 0..self.cols {
+                let (c0, c1) = (col.saturating_sub(1), (col + 2).min(self.cols));
+                let run = |r: usize| {
+                    self.start[r * self.cols + c0] as usize..self.start[r * self.cols + c1] as usize
+                };
+                let span: usize = block_rows.clone().map(|r| run(r).len()).sum();
+                let cell = row * self.cols + col;
+                for s in self.start[cell] as usize..self.start[cell + 1] as usize {
+                    let (i, x, y) = (self.ids[s], self.xs[s], self.ys[s]);
+                    if half.len() < k + span {
+                        let len = (k + span).max(2 * half.len());
+                        assert!(len <= u32::MAX as usize / 2, "disk graph too dense");
+                        half.resize(len, NodeId::ROOT);
+                    }
+                    let from = k;
+                    for r in block_rows.clone() {
+                        let t = run(r);
+                        for ((&j, &xj), &yj) in self.ids[t.clone()]
+                            .iter()
+                            .zip(&self.xs[t.clone()])
+                            .zip(&self.ys[t])
+                        {
+                            let (dx, dy) = (xj - x, yj - y);
+                            half[k] = j;
+                            k += usize::from((j > i) & (dx * dx + dy * dy <= range_sq));
+                        }
+                    }
+                    up[i.index()] = (from as u32, k as u32);
+                }
+            }
+        }
+        half.truncate(k);
+        (up, half)
+    }
+}
+
+/// `(min, max − min)` of the finite values, `(0, 0)` when there are none.
+fn finite_span(values: impl Iterator<Item = f64>) -> (f64, f64) {
+    let (lo, hi) = values
+        .filter(|v| v.is_finite())
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+            (lo.min(v), hi.max(v))
+        });
+    if lo <= hi {
+        (lo, hi - lo)
+    } else {
+        (0.0, 0.0)
+    }
+}
+
+/// Turns the half-edges into symmetric CSR lists, each in ascending id
+/// order, with two counting-sort sweeps. Sweeping `i` ascending and
+/// pushing `i` into each upper neighbour's list fills every list's lower
+/// neighbours, ascending; sweeping each `j` ascending over its now-sorted
+/// lower list and pushing `j` into those lists then appends every list's
+/// upper neighbours, ascending.
+fn symmetric_csr(up: &[(u32, u32)], half: &[NodeId]) -> (Vec<u32>, Vec<NodeId>) {
+    let n = up.len();
+    let mut offs = vec![0u32; n + 1];
+    for (i, &(from, to)) in up.iter().enumerate() {
+        offs[i + 1] += to - from;
+    }
+    for j in half {
+        offs[j.index() + 1] += 1;
+    }
+    for i in 0..n {
+        offs[i + 1] += offs[i];
+    }
+    let mut adj = vec![NodeId::ROOT; offs[n] as usize];
+    let mut fill = offs[..n].to_vec();
+    for (i, &(from, to)) in up.iter().enumerate() {
+        for j in &half[from as usize..to as usize] {
+            adj[fill[j.index()] as usize] = NodeId(i as u32);
+            fill[j.index()] += 1;
+        }
+    }
+    for j in 0..n {
+        for at in offs[j] as usize..fill[j] as usize {
+            let i = adj[at].index();
+            adj[fill[i] as usize] = NodeId(j as u32);
+            fill[i] += 1;
+        }
+    }
+    (offs, adj)
 }
 
 #[cfg(test)]
@@ -238,6 +384,21 @@ mod tests {
                 .collect();
             expect.sort_unstable();
             assert_eq!(topo.neighbors(NodeId(i as u32)), expect.as_slice());
+        }
+    }
+
+    #[test]
+    fn degenerate_layouts_keep_the_grid_at_o_n_cells() {
+        for (what, positions, range) in crate::reference::degenerate_layouts() {
+            let n = positions.len();
+            let side = (n as f64).sqrt().ceil() as usize;
+            let grid = CellGrid::new(&positions, range);
+            assert!(
+                grid.cols * grid.rows <= (side + 1) * (side + 1),
+                "{what}: {}×{} cells for {n} nodes",
+                grid.cols,
+                grid.rows
+            );
         }
     }
 

@@ -7,7 +7,7 @@
 //! count with Euclidean distance as the tie-breaker, which makes tree
 //! construction deterministic for a given topology.
 
-use crate::topology::{NodeId, Topology};
+use crate::topology::{group_ids, NodeId, Topology};
 
 /// A routing tree over a [`Topology`], rooted at [`NodeId::ROOT`].
 ///
@@ -22,8 +22,8 @@ use crate::topology::{NodeId, Topology};
 pub struct RoutingTree {
     parent: Vec<Option<NodeId>>,
     /// CSR children: the children of `id` are
-    /// `children_flat[child_offsets[id] .. child_offsets[id + 1]]`, in the
-    /// same per-parent order the nested representation had.
+    /// `children_flat[child_offsets[id] .. child_offsets[id + 1]]`, in
+    /// ascending id order.
     children_flat: Vec<NodeId>,
     child_offsets: Vec<u32>,
     depth: Vec<u32>,
@@ -44,69 +44,27 @@ pub struct RoutingTree {
 }
 
 impl RoutingTree {
-    /// Builds the shortest-path tree of `topo` rooted at the sink.
+    /// Builds the shortest-path tree of `topo` rooted at the sink: the
+    /// [`RoutingTree::spanning_alive`] tree of an all-alive mask.
     ///
     /// # Errors
     /// Returns `Err` with the set of unreachable nodes if the physical graph
     /// is partitioned (the paper assumes this never happens, but callers on
     /// random placements need to detect and resample).
     pub fn shortest_path_tree(topo: &Topology) -> Result<Self, Vec<NodeId>> {
-        let n = topo.len();
-        let mut parent: Vec<Option<NodeId>> = vec![None; n];
-        let mut depth = vec![u32::MAX; n];
-        let mut order = Vec::with_capacity(n);
-
-        depth[0] = 0;
-        let mut frontier = vec![NodeId::ROOT];
-        order.push(NodeId::ROOT);
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for &v in topo.neighbors(u) {
-                    if depth[v.index()] == u32::MAX {
-                        depth[v.index()] = depth[u.index()] + 1;
-                        parent[v.index()] = Some(u);
-                        next.push(v);
-                    } else if depth[v.index()] == depth[u.index()] + 1 {
-                        // Tie-break on Euclidean distance for determinism
-                        // and shorter (cheaper) links.
-                        let cur = parent[v.index()].expect("tie implies parent set");
-                        let d_cur = topo.position(v).dist(&topo.position(cur));
-                        let d_new = topo.position(v).dist(&topo.position(u));
-                        if d_new < d_cur {
-                            parent[v.index()] = Some(u);
-                        }
-                    }
-                }
-            }
-            next.sort_unstable();
-            next.dedup();
-            order.extend_from_slice(&next);
-            frontier = next;
+        let (tree, unreachable) = RoutingTree::spanning_alive(topo, &vec![true; topo.len()]);
+        if unreachable.is_empty() {
+            // On a 1-sensor network the BFS order is the whole tree, so a
+            // mismatch would silently drop the only measurement.
+            debug_assert_eq!(
+                tree.tree_size(),
+                topo.len(),
+                "BFS order must cover the graph"
+            );
+            Ok(tree)
+        } else {
+            Err(unreachable)
         }
-
-        let unreachable: Vec<NodeId> = topo
-            .node_ids()
-            .filter(|id| depth[id.index()] == u32::MAX)
-            .collect();
-        if !unreachable.is_empty() {
-            return Err(unreachable);
-        }
-        // Connectivity and the BFS order must agree — on a 1-sensor network
-        // this is the whole tree, so a mismatch would silently drop the
-        // only measurement.
-        debug_assert_eq!(order.len(), n, "BFS order must cover the connected graph");
-
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for id in topo.node_ids().skip(1) {
-            let p = parent[id.index()].expect("non-root has parent");
-            children[p.index()].push(id);
-        }
-
-        let mut bottom_up = order;
-        bottom_up.reverse();
-
-        Ok(RoutingTree::finish(parent, children, depth, bottom_up))
     }
 
     /// Rebuilds the shortest-path tree over the *surviving* disk graph
@@ -116,6 +74,13 @@ impl RoutingTree {
     /// are returned as the orphan list (never an error — a partitioned
     /// survivor graph is an expected runtime condition, unlike a
     /// partitioned deployment).
+    ///
+    /// The BFS visits each level in ascending id order. A node's parent is
+    /// the first one of the previous level to reach it, replaced only by a
+    /// strictly closer one (Euclidean tie-break, deterministic and cheaper
+    /// links); the squared distance to the current parent is cached, so
+    /// square roots are taken only when a candidate is strictly closer
+    /// squared — exact, as `sqrt` is monotone.
     ///
     /// Dead and orphaned nodes keep their slots (the tree stays
     /// full-length) but have no parent, no children, depth `u32::MAX`, and
@@ -132,54 +97,49 @@ impl RoutingTree {
         assert!(alive[0], "the sink cannot fail");
         let mut parent: Vec<Option<NodeId>> = vec![None; n];
         let mut depth = vec![u32::MAX; n];
+        let mut parent_dist_sq = vec![0.0f64; n];
+        // The visit order doubles as the BFS queue: `order[head..]` is the
+        // level being expanded, and the next level is sorted once complete.
         let mut order = Vec::with_capacity(n);
-
         depth[0] = 0;
-        let mut frontier = vec![NodeId::ROOT];
         order.push(NodeId::ROOT);
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            for &u in &frontier {
+        let mut head = 0;
+        while head < order.len() {
+            let level_end = order.len();
+            for k in head..level_end {
+                let u = order[k];
+                let (pu, d) = (topo.position(u), depth[u.index()] + 1);
                 for &v in topo.neighbors(u) {
-                    if !alive[v.index()] {
+                    let i = v.index();
+                    if !alive[i] {
                         continue;
                     }
-                    if depth[v.index()] == u32::MAX {
-                        depth[v.index()] = depth[u.index()] + 1;
-                        parent[v.index()] = Some(u);
-                        next.push(v);
-                    } else if depth[v.index()] == depth[u.index()] + 1 {
-                        // Same tie-break as `shortest_path_tree`: prefer the
-                        // geometrically closer parent, deterministically.
-                        let cur = parent[v.index()].expect("tie implies parent set");
-                        let d_cur = topo.position(v).dist(&topo.position(cur));
-                        let d_new = topo.position(v).dist(&topo.position(u));
-                        if d_new < d_cur {
-                            parent[v.index()] = Some(u);
+                    if depth[i] == u32::MAX {
+                        depth[i] = d;
+                        parent[i] = Some(u);
+                        parent_dist_sq[i] = topo.position(v).dist_sq(&pu);
+                        order.push(v);
+                    } else if depth[i] == d {
+                        let new = topo.position(v).dist_sq(&pu);
+                        let cur = parent_dist_sq[i];
+                        if new < cur && new.sqrt() < cur.sqrt() {
+                            parent[i] = Some(u);
+                            parent_dist_sq[i] = new;
                         }
                     }
                 }
             }
-            next.sort_unstable();
-            next.dedup();
-            order.extend_from_slice(&next);
-            frontier = next;
+            order[level_end..].sort_unstable();
+            head = level_end;
         }
 
         let orphans: Vec<NodeId> = topo
             .node_ids()
             .filter(|id| alive[id.index()] && depth[id.index()] == u32::MAX)
             .collect();
-
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for &id in order.iter().skip(1) {
-            let p = parent[id.index()].expect("connected non-root has parent");
-            children[p.index()].push(id);
-        }
-
+        let children = group_ids(n, n, |i| parent[i].map(NodeId::index));
         let mut bottom_up = order;
         bottom_up.reverse();
-
         (
             RoutingTree::finish(parent, children, depth, bottom_up),
             orphans,
@@ -200,30 +160,27 @@ impl RoutingTree {
         if n == 0 || parent[0].is_some() {
             return Err(vec![NodeId::ROOT]);
         }
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        let mut bad = Vec::new();
-        for (i, p) in parent.iter().enumerate().skip(1) {
-            match p {
-                Some(p) if p.index() < n && p.index() != i => {
-                    children[p.index()].push(NodeId(i as u32));
-                }
-                _ => bad.push(NodeId(i as u32)),
-            }
-        }
+        let bad: Vec<NodeId> = (1..n)
+            .filter(|&i| !matches!(parent[i], Some(p) if p.index() < n && p.index() != i))
+            .map(|i| NodeId(i as u32))
+            .collect();
         if !bad.is_empty() {
             return Err(bad);
         }
         // BFS from the root assigns depths and detects unreachable nodes
         // (which is what a cycle reduces to).
+        let children = group_ids(n, n, |i| parent[i].map(NodeId::index));
+        let (offs, kids) = (&children.0, &children.1);
         let mut depth = vec![u32::MAX; n];
         depth[0] = 0;
-        let mut order = vec![NodeId::ROOT];
+        let mut order = Vec::with_capacity(n);
+        order.push(NodeId::ROOT);
         let mut head = 0usize;
         while head < order.len() {
-            let u = order[head];
+            let u = order[head].index();
             head += 1;
-            for &c in &children[u.index()] {
-                depth[c.index()] = depth[u.index()] + 1;
+            for &c in &kids[offs[u] as usize..offs[u + 1] as usize] {
+                depth[c.index()] = depth[u] + 1;
                 order.push(c);
             }
         }
@@ -239,26 +196,19 @@ impl RoutingTree {
         Ok(RoutingTree::finish(parent, children, depth, bottom_up))
     }
 
-    /// Flattens the constructor state into the struct-of-arrays form every
-    /// wave runs on: CSR children, the id → wave-slot permutation, level
-    /// runs and per-position parent slots. Shared by all three
-    /// constructors so the invariants hold for built, repaired, and
-    /// hand-made trees alike.
+    /// Completes the struct-of-arrays form every wave runs on from the
+    /// constructor state — the CSR children (one counting sort over the
+    /// parent pointers, so each parent's children are in ascending id
+    /// order) — with the id → wave-slot permutation, level runs and
+    /// per-position parent slots. Shared by all three constructors so the
+    /// invariants hold for built, repaired, and hand-made trees alike.
     fn finish(
         parent: Vec<Option<NodeId>>,
-        children: Vec<Vec<NodeId>>,
+        (child_offsets, children_flat): (Vec<u32>, Vec<NodeId>),
         depth: Vec<u32>,
         bottom_up: Vec<NodeId>,
     ) -> RoutingTree {
         let n = parent.len();
-
-        let mut child_offsets = Vec::with_capacity(n + 1);
-        let mut children_flat = Vec::with_capacity(n.saturating_sub(1));
-        for kids in &children {
-            child_offsets.push(children_flat.len() as u32);
-            children_flat.extend_from_slice(kids);
-        }
-        child_offsets.push(children_flat.len() as u32);
 
         let mut wave_slot = vec![u32::MAX; n];
         for (pos, &u) in bottom_up.iter().enumerate() {
@@ -523,6 +473,26 @@ mod tests {
         for i in 1..6u32 {
             assert_eq!(tree.parent(NodeId(i)), Some(NodeId(i - 1)));
         }
+    }
+
+    #[test]
+    fn tie_break_compares_rounded_distances() {
+        // Node 3 hears nodes 1 and 2 one level up at squared distances
+        // 2 + 2⁻⁵¹ and 2, whose square roots round to the same f64: the
+        // strict `<` on the distances keeps the first parent.
+        let positions = vec![
+            Point::new(2.2, 2.2),
+            Point::new(1.0, 1.0 + f64::EPSILON),
+            Point::new(1.0, 1.0),
+            Point::new(0.0, 0.0),
+        ];
+        let topo = Topology::build(positions, 1.8);
+        let p = |i: u32| topo.position(NodeId(i));
+        assert!(p(3).dist_sq(&p(2)) < p(3).dist_sq(&p(1)));
+        assert_eq!(p(3).dist(&p(2)), p(3).dist(&p(1)));
+        let tree = RoutingTree::shortest_path_tree(&topo).unwrap();
+        assert_eq!(tree.depth(NodeId(3)), 2);
+        assert_eq!(tree.parent(NodeId(3)), Some(NodeId(1)));
     }
 
     #[test]

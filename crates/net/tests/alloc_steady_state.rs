@@ -114,3 +114,37 @@ fn steady_state_rounds_do_not_allocate() {
         "steady-state rounds must not touch the heap"
     );
 }
+
+/// A mobility rebuild — re-deriving the disk graph from moved positions
+/// and installing a freshly spanned routing tree with its beacon wave —
+/// must cost a constant number of allocations, independent of `n`: the
+/// flat constructors allocate a fixed set of arrays, never one per node.
+#[test]
+fn rebuild_allocations_do_not_grow_with_the_node_count() {
+    for side in [14usize, 32] {
+        let mut net = grid_network(side);
+        let mut slots: Vec<Option<Count>> = vec![None; net.len()];
+        let mut mask = NodeBits::new();
+        round(&mut net, &mut slots, &mut mask);
+        // Every sensor drifts by a node-dependent sub-spacing offset.
+        let moved: Vec<Point> = (0..side * side)
+            .map(|i| {
+                let wobble = (i % 7) as f64 * 0.5;
+                Point::new(
+                    (i % side) as f64 * 8.0 + wobble,
+                    (i / side) as f64 * 8.0 - wobble,
+                )
+            })
+            .collect();
+
+        let before = allocations();
+        let topo = Topology::build(moved, 12.0);
+        net.dynamics_rebuild(Some(topo));
+        let spent = allocations() - before;
+        assert!(
+            spent <= 64,
+            "{side}x{side} rebuild made {spent} allocations"
+        );
+        round(&mut net, &mut slots, &mut mask);
+    }
+}

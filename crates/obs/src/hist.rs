@@ -297,14 +297,41 @@ impl NodeHistograms {
 
     /// Rearranges the slots in place so that slot `new` afterwards holds
     /// what slot `map(new)` held before. `map` must be a permutation of
-    /// `0..len`. This is how the network engine keeps its histograms in
-    /// wave order (contiguous along the convergecast hot path) while still
-    /// presenting node-id order at its API boundary — and re-keys them when
-    /// a tree repair changes the wave order.
+    /// `0..len` (checked in debug builds). This is how the network engine
+    /// keeps its histograms in wave order (contiguous along the
+    /// convergecast hot path) while still presenting node-id order at its
+    /// API boundary — and re-keys them when a tree repair changes the wave
+    /// order.
+    ///
+    /// Follows the permutation's cycles, moving each block once and holding
+    /// one block aside per cycle, instead of copying all of them.
     pub fn reindex(&mut self, map: impl Fn(usize) -> usize) {
-        let old = self.nodes.clone();
-        for (new, set) in self.nodes.iter_mut().enumerate() {
-            *set = old[map(new)];
+        let n = self.nodes.len();
+        debug_assert!(
+            {
+                let mut hit = vec![false; n];
+                (0..n).all(|i| map(i) < n && !std::mem::replace(&mut hit[map(i)], true))
+            },
+            "reindex map is not a permutation of 0..{n}"
+        );
+        let mut done = vec![false; n];
+        for first in 0..n {
+            if done[first] {
+                continue;
+            }
+            let held = self.nodes[first];
+            let mut at = first;
+            loop {
+                done[at] = true;
+                let from = map(at);
+                // In a permutation only the cycle's first slot is done here.
+                if done[from] {
+                    self.nodes[at] = held;
+                    break;
+                }
+                self.nodes[at] = self.nodes[from];
+                at = from;
+            }
         }
     }
 
@@ -481,6 +508,29 @@ mod tests {
         assert_eq!(nh.node(1).get(HistKind::MsgBits).sum(), 4);
         assert_eq!(nh.node(2).get(HistKind::MsgBits).sum(), 1);
         assert_eq!(nh.total().get(HistKind::MsgBits).count(), 3);
+    }
+
+    #[test]
+    fn reindex_follows_every_cycle_of_a_permutation() {
+        // Cycles of length 1, 2 and 4: (0)(1 2)(3 4 5 6).
+        let map = [0usize, 2, 1, 4, 5, 6, 3];
+        let mut nh = NodeHistograms::new(map.len());
+        for i in 0..map.len() {
+            nh.record(i, HistKind::FanIn, i as u64);
+        }
+        nh.reindex(|i| map[i]);
+        for (new, &old) in map.iter().enumerate() {
+            assert_eq!(nh.node(new).get(HistKind::FanIn).sum(), old as u64);
+            assert_eq!(nh.node(new).get(HistKind::FanIn).count(), 1);
+        }
+        NodeHistograms::new(0).reindex(|i| i);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not a permutation")]
+    fn reindex_rejects_a_non_permutation_in_debug_builds() {
+        NodeHistograms::new(3).reindex(|_| 1);
     }
 
     #[test]

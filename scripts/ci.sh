@@ -100,4 +100,18 @@ echo "    crates, so a library change that breaks the benchmark fails here)"
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline \
     --manifest-path wsnbench/Cargo.toml
 
+echo "==> benchmark digests (every workload's seed-1 reference units must"
+echo "    reproduce its sim_digest in tests/bench_digests.txt)"
+while read -r workload want; do
+    case "$workload" in '' | '#'*) continue ;; esac
+    got="$(CARGO_TARGET_DIR=.bench_build cargo run --quiet --release --offline \
+        --manifest-path wsnbench/Cargo.toml -- --workload "$workload" --seed 1 \
+        --seconds 0 --trace 0 < /dev/null | awk '$1 == "sim_digest" { print $2 }')"
+    if [ "$got" != "$want" ]; then
+        echo "benchmark digest mismatch on $workload: got '$got', want $want" >&2
+        exit 1
+    fi
+    echo "    $workload $got"
+done < tests/bench_digests.txt
+
 echo "ci.sh: all gates passed"
