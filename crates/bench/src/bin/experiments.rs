@@ -10,81 +10,61 @@
 
 use std::time::Instant;
 
+use wsn_bench::cli::{usage_error, Argv};
 use wsn_sim::experiments::{self, run_sweep_threads};
 use wsn_sim::report::{
     render_ablation, render_ablation_with_error, render_table, render_xi_trace, Indicator,
 };
 
-fn print_usage() {
-    eprintln!(
-        "usage: experiments [--quick] [--threads N] \
-                [--figure fig4|fig6|fig7|fig8|fig9|fig10|loss|reliability|adaptive|phi|lcllcmp|exactcmp|sketch|dynamics|sampling|serve|ablation]"
-    );
-}
+/// Every figure id, in the order a full run regenerates them.
+const FIGURES: [&str; 17] = [
+    "fig4",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "loss",
+    "reliability",
+    "adaptive",
+    "phi",
+    "lcllcmp",
+    "exactcmp",
+    "sketch",
+    "dynamics",
+    "sampling",
+    "serve",
+    "ablation",
+];
+
+const USAGE: &str = "usage: experiments [--quick] [--threads N] \
+                [--figure fig4|fig6|fig7|fig8|fig9|fig10|loss|reliability|adaptive|phi|lcllcmp|exactcmp|sketch|dynamics|sampling|serve|ablation]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
     let mut figure: Option<String> = None;
     let mut threads = wsn_sim::parallel::thread_count();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut argv = Argv::new(std::env::args().skip(1).collect(), USAGE);
+    while let Some(flag) = argv.next() {
+        match flag.as_str() {
             "--quick" => quick = true,
             "--threads" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) => threads = n.max(1),
-                    None => {
-                        print_usage();
-                        std::process::exit(2);
-                    }
-                }
+                threads = argv
+                    .parse::<usize>(&flag, "a thread count", |_| true)
+                    .max(1)
             }
-            "--figure" => {
-                i += 1;
-                match args.get(i) {
-                    Some(f) => figure = Some(f.clone()),
-                    None => {
-                        print_usage();
-                        std::process::exit(2);
-                    }
-                }
-            }
+            "--figure" => figure = Some(argv.value(&flag)),
             "--help" | "-h" => {
-                print_usage();
+                eprintln!("{USAGE}");
                 return;
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                print_usage();
-                std::process::exit(2);
-            }
+            other => argv.fail(format!("unknown argument: {other}")),
         }
-        i += 1;
     }
 
-    let wanted: Vec<String> = match &figure {
-        Some(f) => vec![f.clone()],
-        None => vec![
-            "fig4".into(),
-            "fig6".into(),
-            "fig7".into(),
-            "fig8".into(),
-            "fig9".into(),
-            "fig10".into(),
-            "loss".into(),
-            "reliability".into(),
-            "adaptive".into(),
-            "phi".into(),
-            "lcllcmp".into(),
-            "exactcmp".into(),
-            "sketch".into(),
-            "dynamics".into(),
-            "sampling".into(),
-            "serve".into(),
-            "ablation".into(),
-        ],
+    let wanted: Vec<&str> = match &figure {
+        Some(f) => vec![f.as_str()],
+        None => FIGURES.to_vec(),
     };
 
     for id in wanted {
@@ -161,9 +141,8 @@ fn main() {
                 trace.len()
             );
         } else {
-            let Some(sweep) = experiments::by_id(&id, quick) else {
-                eprintln!("unknown figure id: {id}");
-                std::process::exit(2);
+            let Some(sweep) = experiments::by_id(id, quick) else {
+                usage_error(format!("unknown figure id: {id}"), USAGE);
             };
             eprintln!("running {} on {threads} thread(s) …", sweep.id);
             let results = run_sweep_threads(&sweep, threads);

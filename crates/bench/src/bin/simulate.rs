@@ -16,13 +16,18 @@
 //! ```
 
 use std::io::Write;
+use std::str::FromStr;
 
+use cqp_core::service::{QuerySpec, Service};
+use wsn_bench::cli::{usage_error, Argv};
 use wsn_bench::json::Json;
 use wsn_data::pressure::{PressureConfig, RangeSetting};
 use wsn_data::synthetic::SyntheticConfig;
+use wsn_net::EnergyAuditor;
 use wsn_sim::config::{AlgorithmKind, DatasetSpec, SimulationConfig};
 use wsn_sim::metrics::AggregatedMetrics;
 use wsn_sim::runner::run_experiment_threads;
+use wsn_sim::{ServeEvent, World};
 
 #[derive(Debug)]
 struct Args {
@@ -54,6 +59,13 @@ struct Args {
     capture: Option<String>,
     metrics_out: Option<String>,
     threads: usize,
+}
+
+impl Args {
+    /// True when a traced-run artifact was asked for.
+    fn traced(&self) -> bool {
+        self.csv.is_some() || self.events.is_some() || self.capture.is_some()
+    }
 }
 
 impl Default for Args {
@@ -91,50 +103,26 @@ impl Default for Args {
     }
 }
 
-fn algorithm_by_name(name: &str) -> Option<AlgorithmKind> {
-    let all = [
-        AlgorithmKind::Tag,
-        AlgorithmKind::Pos,
-        AlgorithmKind::LcllH,
-        AlgorithmKind::LcllS,
-        AlgorithmKind::LcllR,
-        AlgorithmKind::Hbc,
-        AlgorithmKind::HbcNb,
-        AlgorithmKind::Iq,
-        AlgorithmKind::Adaptive,
-        AlgorithmKind::Gk,
-        // Sketch family at the default ε = 0.1 and derived capacity; pick
-        // other operating points through the library API.
-        AlgorithmKind::QDigest { eps_milli: 100 },
-        AlgorithmKind::GkSink {
-            eps_milli: 100,
-            capacity: 0,
-        },
-    ];
-    all.into_iter()
-        .find(|a| a.name().eq_ignore_ascii_case(name))
-}
-
-/// Reads the value of the flag at `argv[*i]` (advancing `i` past it) and
-/// rejects it unless `ok` holds — at the CLI boundary, because the library
-/// asserts on such values much deeper and would panic. `domain` names the
-/// accepted values in the error.
-fn checked<T>(argv: &[String], i: &mut usize, domain: &str, ok: fn(&T) -> bool) -> Result<T, String>
-where
-    T: std::str::FromStr + std::fmt::Display,
-    T::Err: std::fmt::Display,
-{
-    let flag = &argv[*i];
-    *i += 1;
-    let raw = argv
-        .get(*i)
-        .ok_or_else(|| format!("{flag} needs a value"))?;
-    let v: T = raw.parse().map_err(|e| format!("{flag}: {e}"))?;
-    if !ok(&v) {
-        return Err(format!("{flag}: {v} is not {domain}"));
-    }
-    Ok(v)
-}
+/// Every protocol the CLI runs, in `--all` order. The sketch family sits
+/// at the default ε = 0.1 and derived capacity; pick other operating
+/// points through the library API.
+const ALGORITHMS: [AlgorithmKind; 12] = [
+    AlgorithmKind::Tag,
+    AlgorithmKind::Pos,
+    AlgorithmKind::LcllH,
+    AlgorithmKind::LcllS,
+    AlgorithmKind::LcllR,
+    AlgorithmKind::Hbc,
+    AlgorithmKind::HbcNb,
+    AlgorithmKind::Iq,
+    AlgorithmKind::Adaptive,
+    AlgorithmKind::Gk,
+    AlgorithmKind::QDigest { eps_milli: 100 },
+    AlgorithmKind::GkSink {
+        eps_milli: 100,
+        capacity: 0,
+    },
+];
 
 const POSITIVE: &str = "a positive integer";
 const UNIT: &str = "a fraction in [0, 1]";
@@ -143,90 +131,74 @@ fn in_unit(p: &f64) -> bool {
     (0.0..=1.0).contains(p)
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: Vec<String>) -> Args {
     let mut args = Args::default();
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |argv: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let mut argv = Argv::new(argv, USAGE);
+    while let Some(flag) = argv.next() {
+        match flag.as_str() {
             "--algorithm" | "-a" => {
-                let name = value(&argv, &mut i, "--algorithm")?;
+                let name = argv.value(&flag);
+                let kind = ALGORITHMS
+                    .into_iter()
+                    .find(|a| a.name().eq_ignore_ascii_case(&name));
                 args.algorithm =
-                    Some(algorithm_by_name(&name).ok_or(format!("unknown algorithm {name}"))?);
+                    Some(kind.unwrap_or_else(|| argv.fail(format!("unknown algorithm {name}"))));
             }
             "--all" => args.all = true,
-            "--nodes" | "-n" => args.nodes = checked(&argv, &mut i, POSITIVE, |&n| n > 0)?,
-            "--rounds" => args.rounds = checked(&argv, &mut i, POSITIVE, |&n| n > 0)?,
-            "--runs" => args.runs = checked(&argv, &mut i, POSITIVE, |&n| n > 0)?,
-            "--phi" => args.phi = checked(&argv, &mut i, UNIT, in_unit)?,
+            "--nodes" | "-n" => args.nodes = argv.parse(&flag, POSITIVE, |&n| n > 0),
+            "--rounds" => args.rounds = argv.parse(&flag, POSITIVE, |&n| n > 0),
+            "--runs" => args.runs = argv.parse(&flag, POSITIVE, |&n| n > 0),
+            "--phi" => args.phi = argv.parse(&flag, UNIT, in_unit),
             "--rho" => {
                 let domain = "a positive finite radio range";
-                args.rho = checked(&argv, &mut i, domain, |r: &f64| r.is_finite() && *r > 0.0)?
+                args.rho = argv.parse(&flag, domain, |r: &f64| r.is_finite() && *r > 0.0)
             }
-            "--period" => args.period = checked(&argv, &mut i, POSITIVE, |&t| t > 0)?,
+            "--period" => args.period = argv.parse(&flag, POSITIVE, |&t| t > 0),
             "--noise" => {
                 let domain = "a percentage in [0, 100]";
-                args.noise = checked(&argv, &mut i, domain, |p| (0.0..=100.0).contains(p))?
+                args.noise = argv.parse(&flag, domain, |p| (0.0..=100.0).contains(p))
             }
-            "--dataset" => args.dataset = value(&argv, &mut i, "--dataset")?,
-            "--skip" => args.skip = checked(&argv, &mut i, POSITIVE, |&s| s > 0)?,
-            "--range" => args.range = value(&argv, &mut i, "--range")?,
-            "--loss" => args.loss = Some(checked(&argv, &mut i, UNIT, in_unit)?),
-            "--retries" => {
-                args.retries = value(&argv, &mut i, "--retries")?
-                    .parse()
-                    .map_err(|e| format!("--retries: {e}"))?
-            }
-            "--recovery" => {
-                args.recovery = value(&argv, &mut i, "--recovery")?
-                    .parse()
-                    .map_err(|e| format!("--recovery: {e}"))?
-            }
-            "--node-failures" => args.node_failures = Some(checked(&argv, &mut i, UNIT, in_unit)?),
+            "--dataset" => args.dataset = argv.value(&flag),
+            "--skip" => args.skip = argv.parse(&flag, POSITIVE, |&s| s > 0),
+            "--range" => args.range = argv.value(&flag),
+            "--loss" => args.loss = Some(argv.parse(&flag, UNIT, in_unit)),
+            "--retries" => args.retries = argv.parse(&flag, "a retry count", |_| true),
+            "--recovery" => args.recovery = argv.parse(&flag, "a pass count", |_| true),
+            "--node-failures" => args.node_failures = Some(argv.parse(&flag, UNIT, in_unit)),
             "--mobility" => args.mobility = true,
             "--churn" => args.churn = true,
             "--drift" => args.drift = true,
             "--duty" => args.duty = true,
             "--audit" => args.audit = true,
-            "--seed" => {
-                args.seed = value(&argv, &mut i, "--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--csv" => args.csv = Some(value(&argv, &mut i, "--csv")?),
-            "--json" => args.json = Some(value(&argv, &mut i, "--json")?),
-            "--events" => args.events = Some(value(&argv, &mut i, "--events")?),
-            "--capture" => args.capture = Some(value(&argv, &mut i, "--capture")?),
-            "--metrics-out" => args.metrics_out = Some(value(&argv, &mut i, "--metrics-out")?),
-            "--threads" => {
-                args.threads = value(&argv, &mut i, "--threads")?
-                    .parse::<usize>()
-                    .map(|n| n.max(1))
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
+            "--seed" => args.seed = argv.parse(&flag, "a seed", |_| true),
+            "--csv" => args.csv = Some(argv.value(&flag)),
+            "--json" => args.json = Some(argv.value(&flag)),
+            "--events" => args.events = Some(argv.value(&flag)),
+            "--capture" => args.capture = Some(argv.value(&flag)),
+            "--metrics-out" => args.metrics_out = Some(argv.value(&flag)),
+            "--threads" => args.threads = parse_threads(&mut argv, &flag),
             "--help" | "-h" => {
-                print_usage();
+                eprintln!("{USAGE}");
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown argument {other}")),
+            other => argv.fail(format!("unknown argument {other}")),
         }
-        i += 1;
     }
     if args.algorithm.is_none() && !args.all {
-        return Err("pass --algorithm <name> or --all".into());
+        argv.fail("pass --algorithm <name> or --all");
     }
-    Ok(args)
+    if args.all && args.traced() {
+        argv.fail("--csv/--events/--capture trace one --algorithm, not --all");
+    }
+    args
 }
 
-fn print_usage() {
-    eprintln!(
-        "usage: simulate (--algorithm TAG|POS|LCLL-H|LCLL-S|LCLL-R|HBC|HBC-nb|IQ|Adaptive|GK|QD|GKS | --all)
+/// A `--threads` value: any count, 0 meaning 1.
+fn parse_threads(argv: &mut Argv, flag: &str) -> usize {
+    argv.parse::<usize>(flag, "a thread count", |_| true).max(1)
+}
+
+const USAGE: &str = "usage: simulate (--algorithm TAG|POS|LCLL-H|LCLL-S|LCLL-R|HBC|HBC-nb|IQ|Adaptive|GK|QD|GKS | --all)
                 [--nodes N] [--rounds R] [--runs K] [--phi F] [--rho M]
                 [--dataset synthetic|pressure|walk|regime] [--period T] [--noise PSI]
                 [--skip S] [--range optimistic|pessimistic]
@@ -245,6 +217,9 @@ fn print_usage() {
                       [--monitor] [--budget-mj X] [--health-json FILE]
                       [--metrics-out FILE] [--status-every N]
        simulate bench-diff BASELINE.json CURRENT.json [--tolerance X]
+
+Every unknown flag, missing value or value outside its domain prints this
+text and exits with status 2.
 
 --audit replays every recorded transmission through the energy auditor and
 prints the per-phase energy breakdown; any ledger discrepancy makes the
@@ -265,7 +240,10 @@ Telemetry exporters (one traced run, like --csv): --events writes a
 Chrome-trace/Perfetto JSON span timeline, --capture writes a JSONL
 packet-level capture, --metrics-out writes a Prometheus-style text dump
 (with the full aggregated experiment instead when no traced-run flag is
-given). `simulate diff` compares two captures and reports the first
+given). A traced run replays run 0 of the batch experiment, honouring
+every world flag above; its --csv has one bits_<phase> column per
+protocol phase (they sum to bits), and --audit verifies its audit log
+(exit 1 on a discrepancy). `simulate diff` compares two captures and reports the first
 divergent frame (exit 0 identical, 1 divergent, 2 on bad input).
 
 `simulate fuzz` runs the wsn-check invariant fuzzer: N seeded scenarios
@@ -283,7 +261,8 @@ one shared network, compiled into per-round traffic plans with execution
 dedup and — under --shared — piggybacked frame packing. --admit/--retire
 change the query set mid-run; --audit prints the per-lane charge table;
 --digest prints the byte-exact parity digest. Exit 0 clean, 1 on any
-audit discrepancy.
+audit discrepancy, 2 on bad usage — including an --admit into a full
+(64-query) service or a --retire of a slot not active at its round.
 
 Serve monitoring: any of --monitor/--budget-mj/--health-json/
 --metrics-out/--status-every attaches the observability monitor (never
@@ -299,31 +278,27 @@ median slowed past the tolerance band (default 0.5 = 50%).
 `simulate scale` is the engine-throughput smoke gate: it runs R full HBC
 rounds on an N-node constant-density world (the `scale` bench workload),
 prints the wall clock and per-round cost, and exits 1 when the run
-exceeds the --budget-secs wall-clock budget (default: no budget).
+exceeds the --budget-secs wall-clock budget (positive and finite;
+default: no budget).
 --threads parallelizes across runs; results are bit-identical at any
-setting."
-    );
+setting.";
+
+/// Reads an input file; an unreadable one is a usage error.
+fn read_input(path: &str) -> String {
+    std::fs::read_to_string(path)
+        .unwrap_or_else(|e| usage_error(format!("reading {path}: {e}"), USAGE))
 }
 
 /// `simulate diff a.jsonl b.jsonl` — parse two packet captures and report
 /// the first divergent frame, or "identical". Exit code 0 when identical,
 /// 1 on divergence, 2 on unreadable/malformed input.
 fn run_diff(paths: &[String]) -> ! {
-    use wsn_net::obs::capture::parse_jsonl;
     let [path_a, path_b] = paths else {
-        eprintln!("error: diff takes exactly two capture files");
-        print_usage();
-        std::process::exit(2);
+        usage_error("diff takes exactly two capture files", USAGE);
     };
-    let load = |path: &String| -> Vec<wsn_net::obs::PacketRecord> {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: reading {path}: {e}");
-            std::process::exit(2);
-        });
-        parse_jsonl(&text).unwrap_or_else(|e| {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(2);
-        })
+    let load = |path: &String| {
+        wsn_net::obs::capture::parse_jsonl(&read_input(path))
+            .unwrap_or_else(|e| usage_error(format!("{path}: {e}"), USAGE))
     };
     let (a, b) = (load(path_a), load(path_b));
     let d = wsn_net::obs::diff(&a, &b);
@@ -346,40 +321,23 @@ fn run_diff(paths: &[String]) -> ! {
 /// regression gate: compare two `BENCH_results.json` files cell by cell
 /// and fail when any shared cell's median slowed past the tolerance band
 /// (default 50%). Exit 0 clean, 1 on regression, 2 on bad input.
-fn run_bench_diff(argv: &[String]) -> ! {
-    let fail = |msg: String| -> ! {
-        eprintln!("error: {msg}");
-        print_usage();
-        std::process::exit(2);
-    };
+fn run_bench_diff(argv: Vec<String>) -> ! {
     let mut tolerance = wsn_bench::regress::DEFAULT_TOLERANCE;
-    let mut paths: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let mut paths = Vec::new();
+    let mut argv = Argv::new(argv, USAGE);
+    while let Some(arg) = argv.next() {
+        match arg.as_str() {
             "--tolerance" => {
-                i += 1;
-                tolerance = match argv.get(i).map(|v| v.parse::<f64>()) {
-                    Some(Ok(t)) if t >= 0.0 => t,
-                    _ => fail("--tolerance needs a non-negative fraction".into()),
-                };
+                tolerance = argv.parse(&arg, "a non-negative fraction", |t: &f64| *t >= 0.0)
             }
-            _ => paths.push(&argv[i]),
+            _ => paths.push(arg),
         }
-        i += 1;
     }
-    let [baseline_path, current_path] = paths[..] else {
-        fail("bench-diff takes exactly two results files".into());
+    let [baseline_path, current_path] = &paths[..] else {
+        argv.fail("bench-diff takes exactly two results files");
     };
-    let load = |path: &String| -> Json {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: reading {path}: {e}");
-            std::process::exit(2);
-        });
-        Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(2);
-        })
+    let load = |path: &String| {
+        Json::parse(&read_input(path)).unwrap_or_else(|e| argv.fail(format!("{path}: {e}")))
     };
     let cmp = wsn_bench::regress::compare(&load(baseline_path), &load(current_path), tolerance);
     print!("{}", cmp.render(tolerance));
@@ -394,50 +352,22 @@ fn run_bench_diff(argv: &[String]) -> ! {
 /// `--repro '<line>'` replays a single repro line instead of fuzzing.
 /// `--corpus FILE` replays every pinned line before the campaign and
 /// appends the shrunk repro of any new failure to the file.
-fn run_fuzz(argv: &[String]) -> ! {
+fn run_fuzz(argv: Vec<String>) -> ! {
     let mut scenarios: u64 = 100;
     let mut seed: u64 = 42;
-    let mut threads: usize = wsn_sim::parallel::thread_count();
+    let mut threads = wsn_sim::parallel::thread_count();
     let mut corpus: Option<String> = None;
     let mut repro: Option<String> = None;
-    let fail = |msg: String| -> ! {
-        eprintln!("error: {msg}");
-        print_usage();
-        std::process::exit(2);
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        let value = |i: &mut usize, flag: &str| -> String {
-            *i += 1;
-            match argv.get(*i) {
-                Some(v) => v.clone(),
-                None => fail(format!("{flag} needs a value")),
-            }
-        };
-        match argv[i].as_str() {
-            "--scenarios" => {
-                scenarios = match value(&mut i, "--scenarios").parse() {
-                    Ok(n) => n,
-                    Err(e) => fail(format!("--scenarios: {e}")),
-                }
-            }
-            "--seed" => {
-                seed = match value(&mut i, "--seed").parse() {
-                    Ok(n) => n,
-                    Err(e) => fail(format!("--seed: {e}")),
-                }
-            }
-            "--threads" => {
-                threads = match value(&mut i, "--threads").parse::<usize>() {
-                    Ok(n) => n.max(1),
-                    Err(e) => fail(format!("--threads: {e}")),
-                }
-            }
-            "--corpus" => corpus = Some(value(&mut i, "--corpus")),
-            "--repro" => repro = Some(value(&mut i, "--repro")),
-            other => fail(format!("unknown fuzz argument {other}")),
+    let mut argv = Argv::new(argv, USAGE);
+    while let Some(flag) = argv.next() {
+        match flag.as_str() {
+            "--scenarios" => scenarios = argv.parse(&flag, "a scenario count", |_| true),
+            "--seed" => seed = argv.parse(&flag, "a seed", |_| true),
+            "--threads" => threads = parse_threads(&mut argv, &flag),
+            "--corpus" => corpus = Some(argv.value(&flag)),
+            "--repro" => repro = Some(argv.value(&flag)),
+            other => argv.fail(format!("unknown fuzz argument {other}")),
         }
-        i += 1;
     }
 
     // Violations are *reported*, not crashed on: silence the default
@@ -446,10 +376,8 @@ fn run_fuzz(argv: &[String]) -> ! {
     std::panic::set_hook(Box::new(|_| {}));
 
     if let Some(line) = repro {
-        let scenario = match wsn_check::parse_line(&line) {
-            Ok(s) => s,
-            Err(e) => fail(format!("--repro: {e}")),
-        };
+        let scenario =
+            wsn_check::parse_line(&line).unwrap_or_else(|e| argv.fail(format!("--repro: {e}")));
         let report = wsn_check::check(&scenario);
         if report.violations.is_empty() {
             println!("repro: clean");
@@ -464,14 +392,8 @@ fn run_fuzz(argv: &[String]) -> ! {
 
     let mut exit_code = 0;
     if let Some(path) = &corpus {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => fail(format!("reading {path}: {e}")),
-        };
-        let entries = match wsn_check::corpus_entries(&text) {
-            Ok(e) => e,
-            Err(e) => fail(format!("{path}: {e}")),
-        };
+        let entries = wsn_check::corpus_entries(&read_input(path))
+            .unwrap_or_else(|e| argv.fail(format!("{path}: {e}")));
         let mut regressed = 0usize;
         for (line, scenario) in &entries {
             let report = wsn_check::check(scenario);
@@ -524,58 +446,25 @@ fn run_fuzz(argv: &[String]) -> ! {
 /// as the `scale` bench family) and fail when the wall clock exceeds the
 /// budget. Exit 0 within budget, 1 over budget, 2 on bad usage. CI wraps
 /// this in `timeout(1)` as a belt-and-suspenders hang guard.
-fn run_scale(argv: &[String]) -> ! {
+fn run_scale(argv: Vec<String>) -> ! {
     use std::time::Instant;
 
     let mut nodes: usize = 10_000;
     let mut rounds: u32 = 200;
     let mut seed: u64 = 0x5CA1E;
     let mut budget_secs: Option<f64> = None;
-    let fail = |msg: String| -> ! {
-        eprintln!("error: {msg}");
-        print_usage();
-        std::process::exit(2);
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        let value = |i: &mut usize, flag: &str| -> String {
-            *i += 1;
-            match argv.get(*i) {
-                Some(v) => v.clone(),
-                None => fail(format!("{flag} needs a value")),
-            }
-        };
-        match argv[i].as_str() {
-            "--nodes" => {
-                nodes = match value(&mut i, "--nodes").parse() {
-                    Ok(n) => n,
-                    Err(e) => fail(format!("--nodes: {e}")),
-                }
-            }
-            "--rounds" => {
-                rounds = match value(&mut i, "--rounds").parse() {
-                    Ok(n) => n,
-                    Err(e) => fail(format!("--rounds: {e}")),
-                }
-            }
-            "--seed" => {
-                seed = match value(&mut i, "--seed").parse() {
-                    Ok(n) => n,
-                    Err(e) => fail(format!("--seed: {e}")),
-                }
-            }
+    let mut argv = Argv::new(argv, USAGE);
+    while let Some(flag) = argv.next() {
+        match flag.as_str() {
+            "--nodes" => nodes = argv.parse(&flag, POSITIVE, |&n| n > 0),
+            "--rounds" => rounds = argv.parse(&flag, POSITIVE, |&n| n > 0),
+            "--seed" => seed = argv.parse(&flag, "a seed", |_| true),
             "--budget-secs" => {
-                budget_secs = match value(&mut i, "--budget-secs").parse() {
-                    Ok(t) => Some(t),
-                    Err(e) => fail(format!("--budget-secs: {e}")),
-                }
+                let domain = "a positive finite number of seconds";
+                budget_secs = Some(argv.parse(&flag, domain, |t: &f64| t.is_finite() && *t > 0.0))
             }
-            other => fail(format!("unknown scale argument {other}")),
+            other => argv.fail(format!("unknown scale argument {other}")),
         }
-        i += 1;
-    }
-    if nodes == 0 || rounds == 0 {
-        fail("scale needs --nodes >= 1 and --rounds >= 1".into());
     }
 
     let built = Instant::now();
@@ -670,45 +559,25 @@ fn write_file(path: &str, text: &str) -> Result<(), String> {
         .map_err(|e| format!("writing {path}: {e}"))
 }
 
-/// Runs one fully-instrumented run (the same world-building the runner
-/// does, retrying placement until connected) and emits whichever artifacts
+/// Runs one fully-instrumented run — run 0 of the batch experiment, the
+/// same [`World`] with every world flag — and emits whichever artifacts
 /// were requested: `--csv` per-round trace, `--events` Chrome-trace span
 /// timeline, `--capture` JSONL packet capture, `--metrics-out` Prometheus
-/// dump of the run's telemetry histograms and traffic totals.
-fn traced_run(args: &Args, cfg: &SimulationConfig) -> Result<(), String> {
-    use wsn_data::Rng;
-    use wsn_net::Network;
-
-    let kind = args
-        .algorithm
-        .ok_or("--csv/--events/--capture need --algorithm")?;
-    // Replay exactly run 0 of the experiment the runner would execute:
-    // same (seed, run-index) mixing, same placement-retry loop, same
-    // world — `runner::build_world` is the single implementation.
-    let mut rng = Rng::seed_from_u64(cfg.seed ^ 1);
-    let (mut dataset, topo, tree) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        wsn_sim::runner::build_world(cfg, &mut rng)
-    }))
-    .map_err(|_| "could not find a connected placement".to_string())?;
-    let mut net = Network::new(topo, tree, cfg.radio, cfg.sizes);
+/// dump of the run's telemetry histograms and traffic totals. Under
+/// `--audit` it then verifies the run's audit log.
+fn traced_run(args: &Args, cfg: &SimulationConfig, kind: AlgorithmKind) -> Result<(), String> {
     // The packet capture rides on the audit log; spans need the
     // recorder. Only pay for what was asked.
-    net.set_audit(cfg.audit || args.capture.is_some());
-    net.set_telemetry(cfg.telemetry || args.events.is_some());
-    let query = cqp_core::QueryConfig::phi(
-        cfg.phi,
-        dataset.sensor_count(),
-        dataset.range_min(),
-        dataset.range_max(),
-    );
-    let mut alg = kind.build(query, &cfg.sizes);
-    let trace = wsn_sim::trace::trace_run(
-        &mut net,
-        alg.as_mut(),
-        dataset.as_mut(),
-        cfg.rounds,
-        query.k,
-    );
+    let cfg = SimulationConfig {
+        audit: cfg.audit || args.capture.is_some(),
+        telemetry: cfg.telemetry || args.events.is_some(),
+        ..cfg.clone()
+    };
+    let mut world = std::panic::catch_unwind(|| World::new(&cfg, 0))
+        .map_err(|_| "could not find a connected placement".to_string())?;
+    let mut alg = kind.build(world.query(cfg.phi), &cfg.sizes);
+    let trace = wsn_sim::trace::trace_run(&mut world, alg.as_mut(), cfg.rounds, cfg.phi);
+    let net = world.net();
     if let Some(path) = &args.csv {
         write_file(path, &wsn_sim::trace::to_csv(&trace))?;
         eprintln!("wrote {} rounds to {path}", trace.len());
@@ -744,7 +613,19 @@ fn traced_run(args: &Args, cfg: &SimulationConfig) -> Result<(), String> {
         write_file(path, &dump.finish())?;
         eprintln!("wrote telemetry metrics to {path}");
     }
+    if args.audit {
+        audit_verdict(EnergyAuditor::verify(net).discrepancies.len() as u64);
+    }
     Ok(())
+}
+
+/// Prints the energy-audit verdict and exits 1 on any ledger discrepancy.
+fn audit_verdict(discrepancies: u64) {
+    if discrepancies > 0 {
+        eprintln!("energy audit FAILED: {discrepancies} ledger discrepancies");
+        std::process::exit(1);
+    }
+    eprintln!("energy audit passed: every ledger charge reconciled bit-exactly");
 }
 
 /// Appends the four telemetry histograms of a [`wsn_net::obs::HistogramSet`] to a
@@ -808,6 +689,69 @@ fn metrics_json(m: &AggregatedMetrics) -> Json {
     ])
 }
 
+/// A `ROUND:VALUE` pair: the argument of serve's `--admit` and `--retire`.
+struct RoundPair(u32, u32);
+
+impl FromStr for RoundPair {
+    type Err = String;
+
+    fn from_str(raw: &str) -> Result<RoundPair, String> {
+        match raw.split_once(':').map(|(a, b)| (a.parse(), b.parse())) {
+            Some((Ok(round), Ok(value))) => Ok(RoundPair(round, value)),
+            _ => Err(format!("expected ROUND:VALUE, got `{raw}`")),
+        }
+    }
+}
+
+/// Replays the admits and retires that fall inside a `rounds`-round run
+/// through a [`Service`], in the order `serve_monitored` applies them
+/// (`initial` queries first, then each round's events as given), and
+/// names the first one the service cannot take: an admit into a full
+/// service or a retire of a slot that is not active.
+fn check_schedule(initial: usize, events: &[ServeEvent], rounds: u32) -> Result<(), String> {
+    let round_of = |e: &ServeEvent| match *e {
+        ServeEvent::Admit { round, .. } | ServeEvent::Retire { round, .. } => round,
+    };
+    let mut schedule: Vec<ServeEvent> = events
+        .iter()
+        .copied()
+        .filter(|e| round_of(e) < rounds)
+        .collect();
+    schedule.sort_by_key(round_of);
+    let mut svc = Service::new();
+    let spec = QuerySpec {
+        algo: 0,
+        phi_milli: 0,
+        eps_milli: 0,
+        epoch: 1,
+    };
+    for _ in 0..initial {
+        svc.admit(spec);
+    }
+    for ev in schedule {
+        match ev {
+            ServeEvent::Admit { round, query } => {
+                if svc.active_count() == Service::MAX_QUERIES {
+                    return Err(format!(
+                        "--admit {round}:{}: the service is already full ({} queries)",
+                        query.phi_milli,
+                        Service::MAX_QUERIES
+                    ));
+                }
+                svc.admit(spec);
+            }
+            ServeEvent::Retire { round, slot } => {
+                if svc.retire(slot as usize).is_none() {
+                    return Err(format!(
+                        "--retire {round}:{slot}: slot {slot} is not active at round {round}"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// `simulate serve` — the continuous multi-query service: admits the
 /// standard `Scenario::workload` battery (mixed protocols, φ including
 /// both boundaries, mixed epochs) over one shared network, optionally
@@ -815,8 +759,8 @@ fn metrics_json(m: &AggregatedMetrics) -> Json {
 /// lane charges plus the shared-plan aggregates. `--digest` prints the
 /// byte-exact parity digest instead.
 /// Exit 0 clean, 1 on any audit discrepancy, 2 on bad usage.
-fn run_serve(argv: &[String]) -> ! {
-    use wsn_sim::{DataSource, Scenario, ServeEvent, ServeQuery};
+fn run_serve(argv: Vec<String>) -> ! {
+    use wsn_sim::{DataSource, Scenario, ServeQuery};
 
     let mut queries: u32 = 16;
     let mut nodes: usize = 24;
@@ -833,98 +777,47 @@ fn run_serve(argv: &[String]) -> ! {
     let mut metrics_out: Option<String> = None;
     let mut status_every: u32 = 0;
     let mut events: Vec<ServeEvent> = Vec::new();
-    let fail = |msg: String| -> ! {
-        eprintln!("error: {msg}");
-        print_usage();
-        std::process::exit(2);
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        let value = |i: &mut usize, flag: &str| -> String {
-            *i += 1;
-            match argv.get(*i) {
-                Some(v) => v.clone(),
-                None => fail(format!("{flag} needs a value")),
-            }
-        };
-        let pair = |raw: &str, flag: &str| -> (u32, u32) {
-            match raw.split_once(':').map(|(a, b)| (a.parse(), b.parse())) {
-                Some((Ok(a), Ok(b))) => (a, b),
-                _ => fail(format!("{flag}: expected ROUND:VALUE, got `{raw}`")),
-            }
-        };
-        match argv[i].as_str() {
+    let mut argv = Argv::new(argv, USAGE);
+    while let Some(flag) = argv.next() {
+        match flag.as_str() {
             "--queries" => {
-                queries = match value(&mut i, "--queries").parse::<u32>() {
-                    Ok(n) if (1..=64).contains(&n) => n,
-                    Ok(n) => fail(format!("--queries: {n} outside 1..=64")),
-                    Err(e) => fail(format!("--queries: {e}")),
-                }
+                queries = argv.parse(&flag, "an integer in 1..=64", |n| (1..=64).contains(n))
             }
-            "--nodes" => {
-                nodes = match value(&mut i, "--nodes").parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => fail("--nodes needs a positive integer".into()),
-                }
-            }
-            "--rounds" => {
-                rounds = match value(&mut i, "--rounds").parse::<u32>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => fail("--rounds needs a positive integer".into()),
-                }
-            }
-            "--phi" => {
-                phi_milli = match value(&mut i, "--phi").parse::<f64>() {
-                    Ok(p) if (0.0..=1.0).contains(&p) => (p * 1000.0).round() as u32,
-                    _ => fail("--phi needs a fraction in [0, 1]".into()),
-                }
-            }
-            "--seed" => {
-                seed = match value(&mut i, "--seed").parse() {
-                    Ok(n) => n,
-                    Err(e) => fail(format!("--seed: {e}")),
-                }
-            }
+            "--nodes" => nodes = argv.parse(&flag, POSITIVE, |&n| n > 0),
+            "--rounds" => rounds = argv.parse(&flag, POSITIVE, |&n| n > 0),
+            "--phi" => phi_milli = (argv.parse(&flag, UNIT, in_unit) * 1000.0).round() as u32,
+            "--seed" => seed = argv.parse(&flag, "a seed", |_| true),
             "--shared" => shared = true,
             "--digest" => digest = true,
             "--audit" => audit_table = true,
-            "--json" => json = Some(value(&mut i, "--json")),
+            "--json" => json = Some(argv.value(&flag)),
             "--monitor" => monitor_on = true,
             "--budget-mj" => {
-                budget_mj = match value(&mut i, "--budget-mj").parse::<f64>() {
-                    Ok(mj) if mj > 0.0 => Some(mj),
-                    _ => fail("--budget-mj needs a positive number of millijoules".into()),
-                }
+                let domain = "a positive number of millijoules";
+                budget_mj = Some(argv.parse(&flag, domain, |mj: &f64| *mj > 0.0))
             }
-            "--health-json" => health_json = Some(value(&mut i, "--health-json")),
-            "--metrics-out" => metrics_out = Some(value(&mut i, "--metrics-out")),
-            "--status-every" => {
-                status_every = match value(&mut i, "--status-every").parse::<u32>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => fail("--status-every needs a positive round interval".into()),
-                }
-            }
+            "--health-json" => health_json = Some(argv.value(&flag)),
+            "--metrics-out" => metrics_out = Some(argv.value(&flag)),
+            "--status-every" => status_every = argv.parse(&flag, POSITIVE, |&n| n > 0),
             "--admit" => {
-                let (round, phi) = pair(&value(&mut i, "--admit"), "--admit");
-                if phi > 1000 {
-                    fail(format!("--admit: φ‰ {phi} outside 0..=1000"));
-                }
-                events.push(ServeEvent::Admit {
-                    round,
-                    query: ServeQuery {
-                        algorithm: AlgorithmKind::Tag,
-                        phi_milli: phi,
-                        epoch: 1,
-                    },
-                });
+                let domain = "ROUND:PHI_MILLI with PHI_MILLI at most 1000";
+                let RoundPair(round, phi) = argv.parse(&flag, domain, |p: &RoundPair| p.1 <= 1000);
+                let query = ServeQuery {
+                    algorithm: AlgorithmKind::Tag,
+                    phi_milli: phi,
+                    epoch: 1,
+                };
+                events.push(ServeEvent::Admit { round, query });
             }
             "--retire" => {
-                let (round, slot) = pair(&value(&mut i, "--retire"), "--retire");
+                let RoundPair(round, slot) = argv.parse(&flag, "ROUND:SLOT", |_| true);
                 events.push(ServeEvent::Retire { round, slot });
             }
-            other => fail(format!("unknown serve argument {other}")),
+            other => argv.fail(format!("unknown serve argument {other}")),
         }
-        i += 1;
+    }
+    if let Err(e) = check_schedule(queries as usize, &events, rounds) {
+        argv.fail(e);
     }
 
     let sc = Scenario {
@@ -1133,40 +1026,23 @@ fn run_serve(argv: &[String]) -> ! {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("diff") {
-        run_diff(&argv[1..]);
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    match argv.first().map(String::as_str) {
+        Some("diff") => run_diff(&argv[1..]),
+        Some("bench-diff") => run_bench_diff(argv.split_off(1)),
+        Some("serve") => run_serve(argv.split_off(1)),
+        Some("fuzz") => run_fuzz(argv.split_off(1)),
+        Some("scale") => run_scale(argv.split_off(1)),
+        _ => {}
     }
-    if argv.first().map(String::as_str) == Some("bench-diff") {
-        run_bench_diff(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("serve") {
-        run_serve(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("fuzz") {
-        run_fuzz(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("scale") {
-        run_scale(&argv[1..]);
-    }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            print_usage();
-            std::process::exit(2);
-        }
-    };
-    let cfg = match build_config(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = parse_args(argv);
+    let cfg = build_config(&args).unwrap_or_else(|e| usage_error(e, USAGE));
 
-    if args.csv.is_some() || args.events.is_some() || args.capture.is_some() {
-        if let Err(e) = traced_run(&args, &cfg) {
+    if args.traced() {
+        let kind = args
+            .algorithm
+            .expect("validated: traced runs name one algorithm");
+        if let Err(e) = traced_run(&args, &cfg, kind) {
             eprintln!("error: {e}");
             std::process::exit(1);
         }
@@ -1174,23 +1050,7 @@ fn main() {
     }
 
     let kinds: Vec<AlgorithmKind> = if args.all {
-        vec![
-            AlgorithmKind::Tag,
-            AlgorithmKind::Pos,
-            AlgorithmKind::LcllH,
-            AlgorithmKind::LcllS,
-            AlgorithmKind::LcllR,
-            AlgorithmKind::Hbc,
-            AlgorithmKind::HbcNb,
-            AlgorithmKind::Iq,
-            AlgorithmKind::Adaptive,
-            AlgorithmKind::Gk,
-            AlgorithmKind::QDigest { eps_milli: 100 },
-            AlgorithmKind::GkSink {
-                eps_milli: 100,
-                capacity: 0,
-            },
-        ]
+        ALGORITHMS.to_vec()
     } else {
         vec![args.algorithm.expect("validated")]
     };
@@ -1320,10 +1180,6 @@ fn main() {
         );
     }
     if args.audit {
-        if discrepancies > 0 {
-            eprintln!("energy audit FAILED: {discrepancies} ledger discrepancies");
-            std::process::exit(1);
-        }
-        eprintln!("energy audit passed: every ledger charge reconciled bit-exactly");
+        audit_verdict(discrepancies);
     }
 }

@@ -9,9 +9,10 @@
 //!   representative simulation cells and the protocol-level hot paths and
 //!   merge their numbers into `BENCH_results.json`.
 //!
-//! This library crate holds the bench harness and re-exports the pieces
-//! the entry points share.
+//! This library crate holds the bench harness, the binaries' one flag
+//! parser ([`cli`]) and re-exports the pieces the entry points share.
 
+pub mod cli;
 pub mod harness;
 pub mod json;
 pub mod regress;

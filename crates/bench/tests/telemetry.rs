@@ -5,34 +5,28 @@
 
 use wsn_bench::json::Json;
 use wsn_net::obs::{self, capture, HistKind};
-use wsn_net::{MessageSizes, Network, Point, RadioModel, RoutingTree, Topology};
-use wsn_sim::config::AlgorithmKind;
+use wsn_net::Network;
+use wsn_sim::config::{AlgorithmKind, SimulationConfig};
 use wsn_sim::trace::trace_run;
+use wsn_sim::World;
 
 /// Builds a small connected world and runs IQ over it for `rounds` rounds
 /// with the audit log and span recorder on, returning the network for
 /// inspection.
 fn telemetered_run(seed: u64, rounds: u32) -> Network {
-    use wsn_data::{Dataset, Rng};
-    let n = 60;
-    let mut rng = Rng::seed_from_u64(seed);
-    let raw = wsn_data::placement::uniform(n, 200.0, 200.0, &mut rng);
-    let positions: Vec<Point> = raw.iter().map(|&(x, y)| Point::new(x, y)).collect();
-    let topo = Topology::build(positions, 60.0);
-    let tree = RoutingTree::shortest_path_tree(&topo).expect("connected at this density");
-    let mut net = Network::new(topo, tree, RadioModel::default(), MessageSizes::default());
-    net.set_audit(true);
-    net.set_telemetry(true);
-    let mut ds = wsn_data::synthetic::SyntheticDataset::generate(
-        wsn_data::synthetic::SyntheticConfig::default(),
-        &raw[1..],
-        &mut rng,
-    );
-    let query = cqp_core::QueryConfig::median(n, ds.range_min(), ds.range_max());
-    let mut alg = AlgorithmKind::Iq.build(query, &MessageSizes::default());
-    let trace = trace_run(&mut net, alg.as_mut(), &mut ds, rounds, query.k);
+    let cfg = SimulationConfig {
+        sensor_count: 60,
+        radio_range: 60.0,
+        seed,
+        audit: true,
+        telemetry: true,
+        ..SimulationConfig::default()
+    };
+    let mut world = World::new(&cfg, 0);
+    let mut alg = AlgorithmKind::Iq.build(world.query(0.5), &cfg.sizes);
+    let trace = trace_run(&mut world, alg.as_mut(), rounds, 0.5);
     assert_eq!(trace.len(), rounds as usize);
-    net
+    world.into_net()
 }
 
 #[test]

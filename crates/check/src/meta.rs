@@ -13,18 +13,17 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use cqp_core::protocol::QueryConfig;
-use wsn_data::Rng;
-use wsn_net::Network;
-use wsn_sim::runner::build_world;
-use wsn_sim::{AlgorithmKind, Scenario, Value};
+use wsn_sim::{AlgorithmKind, Scenario, SimulationConfig, Value, World};
 
 /// The answer stream of `kind` on run 0 of `scenario`, with every round's
 /// measurement vector transformed by `v_i ↦ a·v_{(i+rot) mod n} + b`
 /// before the protocol sees it (`a = 1, b = 0, rot = 0` is the identity).
 ///
-/// Only meaningful for reliable worlds: the network is built without loss
-/// or failure models, so the protocol consumes no link randomness and the
-/// stream is a pure function of `(scenario, kind, a, b, rot)`.
+/// Only meaningful for reliable worlds: those install no loss or failure
+/// model, and the world is built unaudited and static (duty cycles and
+/// drift never change a reliable world's answers), so the protocol
+/// consumes no link randomness and the stream is a pure function of
+/// `(scenario, kind, a, b, rot)`.
 ///
 /// Returns `Err` with the panic payload if the protocol panics.
 pub fn answers(
@@ -35,29 +34,30 @@ pub fn answers(
     rot: usize,
 ) -> Result<Vec<Value>, String> {
     assert!(a > 0, "metamorphic affine maps need a positive slope");
-    let cfg = scenario.to_config();
+    let cfg = SimulationConfig {
+        audit: false,
+        dynamics: None,
+        ..scenario.to_config()
+    };
     catch_unwind(AssertUnwindSafe(|| {
-        // Run-0 seed convention of `runner::run_once`: seed ^ (0·γ + 1).
-        let mut rng = Rng::seed_from_u64(cfg.seed ^ 1);
-        let (mut dataset, topo, tree) = build_world(&cfg, &mut rng);
-        let n = dataset.sensor_count();
-        let query = QueryConfig::phi(
-            cfg.phi,
-            n,
-            a * dataset.range_min() + b,
-            a * dataset.range_max() + b,
-        );
+        let mut world = World::new(&cfg, 0);
+        let n = world.sensor_count();
+        let query = world.query(cfg.phi);
+        let query = QueryConfig {
+            range_min: a * query.range_min + b,
+            range_max: a * query.range_max + b,
+            ..query
+        };
         let mut alg = kind.build(query, &cfg.sizes);
-        let mut net = Network::new(topo, tree, cfg.radio, cfg.sizes);
-        let mut raw = vec![0 as Value; n];
         let mut transformed = vec![0 as Value; n];
         let mut out = Vec::with_capacity(cfg.rounds as usize);
         for t in 0..cfg.rounds {
-            dataset.sample_round(t, &mut raw);
+            world.begin_round(t);
+            let raw = world.values();
             for i in 0..n {
                 transformed[i] = a * raw[(i + rot) % n] + b;
             }
-            out.push(alg.round(&mut net, &transformed));
+            out.push(alg.round(world.net_mut(), &transformed));
         }
         out
     }))

@@ -11,6 +11,8 @@
 //!
 //! * [`config`] — simulation parameters (Table 2 defaults),
 //! * [`dynamics`] — mobility, churn, link drift and duty-cycled radios,
+//! * [`world`] — one seeded world per run: seeding, model installs, the
+//!   round start and the oracle,
 //! * [`runner`] — a single run and multi-run aggregation,
 //! * [`metrics`] — the measured indicators,
 //! * [`experiments`] — the pre-configured sweeps behind every figure,
@@ -34,6 +36,7 @@ pub mod runner;
 pub mod scenario;
 pub mod service;
 pub mod trace;
+pub mod world;
 
 pub use config::{AlgorithmKind, DatasetSpec, DynamicsConfig, SimulationConfig};
 pub use metrics::{AggregatedMetrics, RunMetrics};
@@ -42,6 +45,7 @@ pub use scenario::{DataSource, Scenario};
 pub use service::{
     serve, serve_capture, serve_monitored, QueryReport, ServeEvent, ServeQuery, ServeReport,
 };
+pub use world::World;
 
 /// A sensor measurement.
 pub type Value = wsn_net::Value;

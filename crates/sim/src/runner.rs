@@ -4,11 +4,11 @@ use cqp_core::protocol::QueryConfig;
 use wsn_data::som::som_placement;
 use wsn_data::walks::{RandomWalkDataset, RegimeDataset};
 use wsn_data::{Dataset, PressureDataset, Rng, SyntheticDataset};
-use wsn_net::loss::LossModel;
-use wsn_net::{EnergyAuditor, FailureModel, Network, NodeId, Point, RoutingTree, Topology};
+use wsn_net::{EnergyAuditor, Network, Point, RoutingTree, Topology};
 
 use crate::config::{AlgorithmKind, DatasetSpec, SimulationConfig};
 use crate::metrics::{AggregatedMetrics, RunMetrics};
+use crate::world::World;
 use crate::Value;
 
 /// Deployment area used by all experiments (§5.1.2: 200 m × 200 m).
@@ -18,10 +18,9 @@ pub const AREA: f64 = 200.0;
 pub const MAX_PLACEMENT_ATTEMPTS: u32 = 200;
 
 /// Builds dataset + connected topology + routing tree for one run,
-/// re-drawing disconnected placements. Public so out-of-crate harnesses
-/// (the `simulate` traced-run path, the `wsn-check` metamorphic battery)
-/// replay *exactly* the world the runner would build for a given
-/// `(config, rng)` instead of approximating it.
+/// re-drawing disconnected placements. [`World::new`] builds every run's
+/// world through it; it stays public so harnesses can time world
+/// construction on its own.
 ///
 /// # Panics
 /// Panics when no connected placement is found within
@@ -136,103 +135,26 @@ pub fn run_once_capture(
     builder: ProtocolBuilder<'_>,
     run_index: u32,
 ) -> (RunMetrics, Network) {
-    let mut rng = Rng::seed_from_u64(
-        cfg.seed
-            ^ (run_index as u64)
-                .wrapping_mul(0x9E3779B97F4A7C15)
-                .wrapping_add(1),
-    );
-    let (mut dataset, topo, tree) = build_world(cfg, &mut rng);
-    let n = dataset.sensor_count();
-    assert_eq!(n + 1, topo.len(), "dataset and topology disagree");
+    let mut world = World::new(cfg, run_index);
+    let n = world.sensor_count();
+    let mut alg = builder(world.query(cfg.phi), &cfg.sizes);
 
-    let query = QueryConfig::phi(cfg.phi, n, dataset.range_min(), dataset.range_max());
-    let mut alg = builder(query, &cfg.sizes);
-    let mut net = Network::new(topo, tree, cfg.radio, cfg.sizes);
-    // The audit log is a pure observer (no RNG draws, no charges), so
-    // enabling it cannot change any other metric; likewise the span
-    // recorder, which only reads the wall clock.
-    net.set_audit(cfg.audit);
-    net.set_telemetry(cfg.telemetry);
-    if let Some(p) = cfg.loss {
-        net.set_loss(Some(LossModel::new(p, rng.next_u64())));
-    }
-    net.set_reliability(cfg.reliability);
-    // Drawn only when failures are on, so reliable/lossy runs keep the
-    // exact RNG streams (and therefore results) they had without the
-    // failure extension.
-    if let Some(pf) = cfg.node_failure {
-        net.set_failures(Some(FailureModel::new(pf, rng.next_u64())));
-    }
-    // The dynamics stream forks last, after every gated legacy draw, and
-    // only for non-static configs — so legacy worlds replay their exact
-    // historical streams.
-    let mut dynamics = crate::dynamics::init(cfg.dynamics.as_ref(), cfg.loss, &mut net, &mut rng);
-    // Churn and mobility change which sensors can contribute, so the
-    // oracle must judge against the reachable population (like failures).
-    let moving_population = cfg
-        .dynamics
-        .as_ref()
-        .is_some_and(|d| d.churn > 0.0 || d.mobility_step > 0.0);
-
-    let mut values = vec![0 as Value; n];
-    let mut reachable = Vec::new();
     let mut exact_rounds = 0u32;
     let mut rank_error_sum = 0u64;
     let mut max_rank_error = 0u64;
     for t in 0..cfg.rounds {
-        net.fail_round();
-        if let Some(d) = dynamics.as_mut() {
-            if d.apply(t, &mut net) {
-                alg.topology_changed();
-            }
+        if world.begin_round(t) {
+            alg.topology_changed();
         }
-        dataset.sample_round(t, &mut values);
-        let answer = alg.round(&mut net, &values);
-        // Under node failures the ground truth is what a clairvoyant
-        // observer of the *surviving, connected* network would report: dead
-        // and cut-off sensors cannot contribute to any answer.
-        let err = if cfg.node_failure.is_some() {
-            reachable.clear();
-            reachable.extend(
-                (1..=n)
-                    .filter(|&i| net.is_reachable(NodeId(i as u32)))
-                    .map(|i| values[i - 1]),
-            );
-            let m = reachable.len() as u64;
-            if m == 0 {
-                0
-            } else {
-                let k = (cfg.phi * m as f64).ceil() as u64;
-                rank_error(&reachable, answer, k.clamp(1, m))
-            }
-        } else if moving_population {
-            // Same clairvoyant-reachable oracle, but with the protocol's
-            // own rank convention (`rank_of_phi`, floor-based): on a
-            // connected mobile world the reachable set is all of `values`
-            // and `k` reduces exactly to `query.k`, so exactness under
-            // rebuilds is genuinely asserted rather than excused.
-            reachable.clear();
-            reachable.extend(
-                (1..=n)
-                    .filter(|&i| net.is_reachable(NodeId(i as u32)))
-                    .map(|i| values[i - 1]),
-            );
-            if reachable.is_empty() {
-                0
-            } else {
-                let k = cqp_core::rank::rank_of_phi(cfg.phi, reachable.len());
-                rank_error(&reachable, answer, k)
-            }
-        } else {
-            rank_error(&values, answer, query.k)
-        };
+        let answer = world.round(alg.as_mut());
+        let err = world.rank_error(cfg.phi, answer);
         if err == 0 {
             exact_rounds += 1;
         }
         rank_error_sum += err;
         max_rank_error = max_rank_error.max(err);
     }
+    let net = world.into_net();
 
     let (audit_events, audit_discrepancies) = if cfg.audit {
         let report = EnergyAuditor::verify(&net);
@@ -289,35 +211,14 @@ pub fn run_until_death(
     run_index: u32,
     max_rounds: u32,
 ) -> Option<u32> {
-    let mut rng = Rng::seed_from_u64(
-        cfg.seed
-            ^ (run_index as u64)
-                .wrapping_mul(0x9E3779B97F4A7C15)
-                .wrapping_add(1),
-    );
-    let (mut dataset, topo, tree) = build_world(cfg, &mut rng);
-    let n = dataset.sensor_count();
-    let query = QueryConfig::phi(cfg.phi, n, dataset.range_min(), dataset.range_max());
-    let mut alg = kind.build(query, &cfg.sizes);
-    let mut net = Network::new(topo, tree, cfg.radio, cfg.sizes);
-    if let Some(p) = cfg.loss {
-        net.set_loss(Some(LossModel::new(p, rng.next_u64())));
-    }
-    net.set_reliability(cfg.reliability);
-    if let Some(pf) = cfg.node_failure {
-        net.set_failures(Some(FailureModel::new(pf, rng.next_u64())));
-    }
-    let mut dynamics = crate::dynamics::init(cfg.dynamics.as_ref(), cfg.loss, &mut net, &mut rng);
-    let mut values = vec![0 as Value; n];
+    let mut world = World::new(cfg, run_index);
+    let mut alg = kind.build(world.query(cfg.phi), &cfg.sizes);
     for t in 0..max_rounds {
-        net.fail_round();
-        if let Some(d) = dynamics.as_mut() {
-            if d.apply(t, &mut net) {
-                alg.topology_changed();
-            }
+        if world.begin_round(t) {
+            alg.topology_changed();
         }
-        dataset.sample_round(t % cfg.rounds.max(1), &mut values);
-        alg.round(&mut net, &values);
+        world.round(alg.as_mut());
+        let net = world.net();
         if net.ledger().max_sensor_consumption() > net.model().initial_energy {
             return Some(t + 1);
         }

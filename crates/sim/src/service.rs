@@ -23,18 +23,13 @@
 //! round with `finish_round`, giving one ledger snapshot and one
 //! shared-frame window per simulated round regardless of workload size.
 
-use cqp_core::protocol::QueryConfig;
 use cqp_core::service::{QuerySpec, Service};
 use cqp_core::ContinuousQuantile;
-use wsn_data::Rng;
-use wsn_net::loss::LossModel;
 use wsn_net::obs::{Monitor, MonitorConfig};
-use wsn_net::{
-    lane_breakdowns, EnergyAuditor, FailureModel, Network, NodeId, Phase, PhaseBreakdown,
-};
+use wsn_net::{lane_breakdowns, EnergyAuditor, MessageSizes, Network, Phase, PhaseBreakdown};
 
 use crate::config::{AlgorithmKind, SimulationConfig};
-use crate::runner::{build_world, rank_error};
+use crate::world::World;
 use crate::Value;
 
 /// One continuous query of a serve workload.
@@ -190,44 +185,97 @@ fn spec_of(q: &ServeQuery, admit_round: u32) -> QuerySpec {
 struct Instance {
     spec: QuerySpec,
     alg: Box<dyn ContinuousQuantile>,
-    /// Answer of the current round, if this instance already executed.
-    answer: Option<Value>,
 }
 
 struct SlotState {
     query: ServeQuery,
     report_index: usize,
-    baseline: PhaseCounters_Baseline,
+    /// The lane's charges at admission, so slot reuse still yields honest
+    /// per-query deltas.
+    baseline: PhaseBreakdown,
 }
 
-/// Lane-charge snapshot at admission, so slot reuse still yields honest
-/// per-query deltas.
-#[derive(Clone, Copy, Default)]
-#[allow(non_camel_case_types)]
-struct PhaseCounters_Baseline {
-    messages: [u64; Phase::COUNT],
-    bits: [u64; Phase::COUNT],
-    joules: [f64; Phase::COUNT],
+/// The active query set of a serve run: the planner's slots, the protocol
+/// instances behind them, one report per admitted query and the optional
+/// monitor that mirrors them.
+struct Registry {
+    svc: Service,
+    instances: Vec<Instance>,
+    slots: Vec<Option<SlotState>>,
+    reports: Vec<QueryReport>,
+    monitor: Option<Monitor>,
 }
 
-fn baseline_of(b: &PhaseBreakdown) -> PhaseCounters_Baseline {
-    PhaseCounters_Baseline {
-        messages: b.messages(),
-        bits: b.bits(),
-        joules: b.joules(),
+impl Registry {
+    /// Registers `q` at `round`, reusing a matching instance (dedup).
+    fn admit(&mut self, round: u32, q: ServeQuery, world: &World, sizes: &MessageSizes) {
+        let spec = spec_of(&q, round);
+        let slot = self.svc.admit(spec);
+        let index = match self.instances.iter().position(|i| i.spec == spec) {
+            Some(index) => index,
+            None => {
+                let alg = q.algorithm.build(world.query(q.phi()), sizes);
+                self.instances.push(Instance { spec, alg });
+                self.instances.len() - 1
+            }
+        };
+        let tolerance = self.instances[index]
+            .alg
+            .rank_tolerance(world.sensor_count() as u64);
+        if slot >= self.slots.len() {
+            self.slots.resize_with(slot + 1, || None);
+        }
+        self.slots[slot] = Some(SlotState {
+            query: q,
+            report_index: self.reports.len(),
+            baseline: world.net().lane_book().get(slot as u32),
+        });
+        if let Some(m) = self.monitor.as_mut() {
+            let name = q.algorithm.name();
+            m.register(slot as u32, round, name, q.phi_milli, q.epoch, tolerance);
+        }
+        self.reports.push(QueryReport {
+            slot: slot as u32,
+            query: q,
+            admitted: round,
+            answers: Vec::new(),
+            exact_rounds: 0,
+            rank_error_sum: 0,
+            max_rank_error: 0,
+            rank_tolerance: tolerance,
+            charges: PhaseBreakdown::default(),
+        });
+    }
+
+    /// Vacates `slot`, closing its report's lane delta.
+    fn retire(&mut self, slot: u32, world: &World) {
+        let spec = self.svc.retire(slot as usize);
+        if let Some(state) = self.slots.get_mut(slot as usize).and_then(Option::take) {
+            let now = world.net().lane_book().get(slot);
+            self.reports[state.report_index].charges = delta_of(&now, &state.baseline);
+        }
+        if let Some(m) = self.monitor.as_mut() {
+            m.retire(slot);
+        }
+        if let Some(spec) = spec {
+            // Drop the instance only when no active slot still references
+            // it (followers keep it alive).
+            if !self.svc.active().any(|(_, s)| *s == spec) {
+                self.instances.retain(|i| i.spec != spec);
+            }
+        }
     }
 }
 
-fn delta_of(now: &PhaseBreakdown, base: &PhaseCounters_Baseline) -> PhaseBreakdown {
+fn delta_of(now: &PhaseBreakdown, base: &PhaseBreakdown) -> PhaseBreakdown {
     let mut out = PhaseBreakdown::default();
-    let (msgs, bits, joules) = (now.messages(), now.bits(), now.joules());
     for phase in Phase::ALL {
-        let i = phase.index();
+        let (now, base) = (now.get(phase), base.get(phase));
         out.charge(
             phase,
-            msgs[i] - base.messages[i],
-            bits[i] - base.bits[i],
-            joules[i] - base.joules[i],
+            now.messages - base.messages,
+            now.bits - base.bits,
+            now.joules - base.joules,
         );
     }
     out
@@ -236,9 +284,8 @@ fn delta_of(now: &PhaseBreakdown, base: &PhaseCounters_Baseline) -> PhaseBreakdo
 /// Runs a serve workload: `initial` queries admitted at round 0 (slots in
 /// order), `events` applied at the start of their rounds (in the order
 /// given), `shared` enabling frame packing across the round's waves.
-/// World construction, seeding and the per-run RNG stream are identical
-/// to [`crate::runner::run_once_capture`], so a single-query workload
-/// replays exactly the world of a solo run.
+/// It drives the same [`World`] as [`crate::runner::run_once_capture`],
+/// so a single-query workload replays exactly the world of a solo run.
 pub fn serve(
     cfg: &SimulationConfig,
     initial: &[ServeQuery],
@@ -284,240 +331,85 @@ pub fn serve_monitored(
     run_index: u32,
     monitor_cfg: Option<&MonitorConfig>,
 ) -> (ServeReport, Option<Monitor>, Network) {
-    let mut rng = Rng::seed_from_u64(
-        cfg.seed
-            ^ (run_index as u64)
-                .wrapping_mul(0x9E3779B97F4A7C15)
-                .wrapping_add(1),
-    );
-    let (mut dataset, topo, tree) = build_world(cfg, &mut rng);
-    let n = dataset.sensor_count();
-    let (range_min, range_max) = (dataset.range_min(), dataset.range_max());
+    let mut world = World::new(cfg, run_index);
+    world.net_mut().set_shared_frames(shared);
+    world.net_mut().set_round_hold(true);
 
-    let mut net = Network::new(topo, tree, cfg.radio, cfg.sizes);
-    net.set_audit(cfg.audit);
-    net.set_telemetry(cfg.telemetry);
-    if let Some(p) = cfg.loss {
-        net.set_loss(Some(LossModel::new(p, rng.next_u64())));
-    }
-    net.set_reliability(cfg.reliability);
-    if let Some(pf) = cfg.node_failure {
-        net.set_failures(Some(FailureModel::new(pf, rng.next_u64())));
-    }
-    // Forked after the gated legacy draws, exactly like the solo runner,
-    // so a single-query serve of a dynamic world replays its solo run.
-    let mut dynamics = crate::dynamics::init(cfg.dynamics.as_ref(), cfg.loss, &mut net, &mut rng);
-    let moving_population = cfg
-        .dynamics
-        .as_ref()
-        .is_some_and(|d| d.churn > 0.0 || d.mobility_step > 0.0);
-    net.set_shared_frames(shared);
-    net.set_round_hold(true);
-
-    let mut svc = Service::new();
-    let mut instances: Vec<Instance> = Vec::new();
-    let mut slots: Vec<Option<SlotState>> = Vec::new();
-    let mut reports: Vec<QueryReport> = Vec::new();
-    let mut monitor: Option<Monitor> = monitor_cfg.map(|c| Monitor::new(*c));
-
-    let admit = |round: u32,
-                 q: ServeQuery,
-                 svc: &mut Service,
-                 instances: &mut Vec<Instance>,
-                 slots: &mut Vec<Option<SlotState>>,
-                 reports: &mut Vec<QueryReport>,
-                 monitor: &mut Option<Monitor>,
-                 net: &Network| {
-        let spec = spec_of(&q, round);
-        let slot = svc.admit(spec);
-        if !instances.iter().any(|i| i.spec == spec) {
-            let query = QueryConfig::phi(q.phi(), n, range_min, range_max);
-            instances.push(Instance {
-                spec,
-                alg: q.algorithm.build(query, &cfg.sizes),
-                answer: None,
-            });
-        }
-        let tolerance = instances
-            .iter()
-            .find(|i| i.spec == spec)
-            .map(|i| i.alg.rank_tolerance(n as u64))
-            .unwrap_or(0);
-        if slot >= slots.len() {
-            slots.resize_with(slot + 1, || None);
-        }
-        slots[slot] = Some(SlotState {
-            query: q,
-            report_index: reports.len(),
-            baseline: baseline_of(&net.lane_book().get(slot as u32)),
-        });
-        if let Some(m) = monitor.as_mut() {
-            m.register(
-                slot as u32,
-                round,
-                q.algorithm.name(),
-                q.phi_milli,
-                q.epoch,
-                tolerance,
-            );
-        }
-        reports.push(QueryReport {
-            slot: slot as u32,
-            query: q,
-            admitted: round,
-            answers: Vec::new(),
-            exact_rounds: 0,
-            rank_error_sum: 0,
-            max_rank_error: 0,
-            rank_tolerance: tolerance,
-            charges: PhaseBreakdown::default(),
-        });
+    let mut reg = Registry {
+        svc: Service::new(),
+        instances: Vec::new(),
+        slots: Vec::new(),
+        reports: Vec::new(),
+        monitor: monitor_cfg.map(|c| Monitor::new(*c)),
     };
-
     for &q in initial {
-        admit(
-            0,
-            q,
-            &mut svc,
-            &mut instances,
-            &mut slots,
-            &mut reports,
-            &mut monitor,
-            &net,
-        );
+        reg.admit(0, q, &world, &cfg.sizes);
     }
 
-    let mut values = vec![0 as Value; n];
-    let mut reachable: Vec<Value> = Vec::new();
     let mut executions = 0u64;
     let mut served = 0u64;
 
     for t in 0..cfg.rounds {
-        for ev in events.iter().filter(|e| match e {
-            ServeEvent::Admit { round, .. } | ServeEvent::Retire { round, .. } => *round == t,
-        }) {
+        for ev in events {
             match *ev {
-                ServeEvent::Admit { query, .. } => {
-                    admit(
-                        t,
-                        query,
-                        &mut svc,
-                        &mut instances,
-                        &mut slots,
-                        &mut reports,
-                        &mut monitor,
-                        &net,
-                    );
+                ServeEvent::Admit { round, query } if round == t => {
+                    reg.admit(t, query, &world, &cfg.sizes)
                 }
-                ServeEvent::Retire { slot, .. } => {
-                    let spec = svc.retire(slot as usize);
-                    if let Some(state) = slots.get_mut(slot as usize).and_then(Option::take) {
-                        let now = net.lane_book().get(slot);
-                        reports[state.report_index].charges = delta_of(&now, &state.baseline);
-                    }
-                    if let Some(m) = monitor.as_mut() {
-                        m.retire(slot);
-                    }
-                    if let Some(spec) = spec {
-                        // Drop the instance only when no active slot
-                        // still references it (followers keep it alive).
-                        let orphaned = !svc.active().any(|(_, s)| *s == spec);
-                        if orphaned {
-                            instances.retain(|i| i.spec != spec);
-                        }
-                    }
-                }
+                ServeEvent::Retire { round, slot } if round == t => reg.retire(slot, &world),
+                _ => {}
             }
         }
 
-        net.fail_round();
-        if let Some(d) = dynamics.as_mut() {
-            if d.apply(t, &mut net) {
-                for inst in instances.iter_mut() {
-                    inst.alg.topology_changed();
-                }
+        if world.begin_round(t) {
+            for inst in reg.instances.iter_mut() {
+                inst.alg.topology_changed();
             }
         }
-        dataset.sample_round(t, &mut values);
         // Any tree change — failure repair or dynamics rebuild — must
         // invalidate cached traffic plans.
-        let rel = net.reliability_stats();
-        let plan = svc.plan(t, rel.repairs + rel.rebuilds);
+        let rel = world.net().reliability_stats();
+        let plan = reg.svc.plan(t, rel.repairs + rel.rebuilds);
 
-        for inst in instances.iter_mut() {
-            inst.answer = None;
-        }
         for group in &plan.groups {
-            let spec = *svc.get(group.leader).expect("planned slot is active");
-            net.set_lane(group.leader as u32);
-            let inst = instances
+            let spec = *reg.svc.get(group.leader).expect("planned slot is active");
+            world.net_mut().set_lane(group.leader as u32);
+            let inst = reg
+                .instances
                 .iter_mut()
                 .find(|i| i.spec == spec)
                 .expect("active spec has an instance");
-            let answer = inst.alg.round(&mut net, &values);
-            inst.answer = Some(answer);
+            let answer = world.round(inst.alg.as_mut());
             executions += 1;
 
             for &slot in std::iter::once(&group.leader).chain(&group.followers) {
                 served += 1;
-                let Some(state) = slots[slot].as_ref() else {
+                let Some(state) = reg.slots[slot].as_ref() else {
                     continue;
                 };
-                let report = &mut reports[state.report_index];
+                let report = &mut reg.reports[state.report_index];
                 report.answers.push((t, answer));
-                let err = if cfg.node_failure.is_some() {
-                    reachable.clear();
-                    reachable.extend(
-                        (1..=n)
-                            .filter(|&i| net.is_reachable(NodeId(i as u32)))
-                            .map(|i| values[i - 1]),
-                    );
-                    let m = reachable.len() as u64;
-                    if m == 0 {
-                        0
-                    } else {
-                        let k = (state.query.phi() * m as f64).ceil() as u64;
-                        rank_error(&reachable, answer, k.clamp(1, m))
-                    }
-                } else if moving_population {
-                    // Reachable-set oracle with the protocol's own floor
-                    // rank convention (see the solo runner).
-                    reachable.clear();
-                    reachable.extend(
-                        (1..=n)
-                            .filter(|&i| net.is_reachable(NodeId(i as u32)))
-                            .map(|i| values[i - 1]),
-                    );
-                    if reachable.is_empty() {
-                        0
-                    } else {
-                        let k = cqp_core::rank::rank_of_phi(state.query.phi(), reachable.len());
-                        rank_error(&reachable, answer, k)
-                    }
-                } else {
-                    let query = QueryConfig::phi(state.query.phi(), n, range_min, range_max);
-                    rank_error(&values, answer, query.k)
-                };
+                let err = world.rank_error(state.query.phi(), answer);
                 if err == 0 {
                     report.exact_rounds += 1;
                 }
                 report.rank_error_sum += err;
                 report.max_rank_error = report.max_rank_error.max(err);
-                if let Some(m) = monitor.as_mut() {
+                if let Some(m) = reg.monitor.as_mut() {
                     m.observe_answer(slot as u32, t, err, slot == group.leader);
                 }
             }
         }
-        net.finish_round();
+        world.net_mut().finish_round();
 
         // Round boundary: feed the monitor each active lane's cumulative
         // charges since admission (the same delta the final report uses)
         // and let the watchdogs evaluate. Pure reads — the engine never
         // sees the monitor.
-        if let Some(m) = monitor.as_mut() {
-            for (slot, entry) in slots.iter().enumerate() {
+        if let Some(m) = reg.monitor.as_mut() {
+            for (slot, entry) in reg.slots.iter().enumerate() {
                 if let Some(state) = entry {
-                    let delta = delta_of(&net.lane_book().get(slot as u32), &state.baseline);
+                    let now = world.net().lane_book().get(slot as u32);
+                    let delta = delta_of(&now, &state.baseline);
                     m.observe_lane(
                         slot as u32,
                         delta.total_joules(),
@@ -526,15 +418,16 @@ pub fn serve_monitored(
                     );
                 }
             }
-            m.end_round(t, svc.cache().hits, svc.cache().misses);
+            m.end_round(t, reg.svc.cache().hits, reg.svc.cache().misses);
         }
     }
 
     // Close out still-active queries' lane deltas.
-    for (slot, entry) in slots.iter().enumerate() {
+    let net = world.into_net();
+    for (slot, entry) in reg.slots.iter().enumerate() {
         if let Some(state) = entry {
             let now = net.lane_book().get(slot as u32);
-            reports[state.report_index].charges = delta_of(&now, &state.baseline);
+            reg.reports[state.report_index].charges = delta_of(&now, &state.baseline);
         }
     }
 
@@ -564,23 +457,23 @@ pub fn serve_monitored(
     let stats = net.stats();
     // Cover every admitted slot, not just charged lanes — a follower that
     // free-rode for its whole life still gets an (all-zero) lane.
-    let lanes: Vec<PhaseBreakdown> = (0..net.lane_book().len().max(svc.slot_count()))
+    let lanes: Vec<PhaseBreakdown> = (0..net.lane_book().len().max(reg.svc.slot_count()))
         .map(|l| net.lane_book().get(l as u32))
         .collect();
     let report = ServeReport {
-        queries: reports,
+        queries: reg.reports,
         rounds: cfg.rounds,
         total_bits: stats.bits,
         total_messages: stats.messages,
         executions,
         served,
-        plan_hits: svc.cache().hits,
-        plan_misses: svc.cache().misses,
+        plan_hits: reg.svc.cache().hits,
+        plan_misses: reg.svc.cache().misses,
         audit_events,
         audit_discrepancies,
         lanes,
     };
-    (report, monitor, net)
+    (report, reg.monitor, net)
 }
 
 #[cfg(test)]

@@ -1,21 +1,27 @@
-//! Per-round instrumentation: run any protocol over a dataset and record
-//! what happened each round — the raw series behind time plots like
-//! Figure 4 — with CSV export.
+//! Per-round instrumentation: run any protocol over a [`World`] and
+//! record what happened each round — the raw series behind time plots
+//! like Figure 4 — with CSV export.
+
+use std::fmt::Write as _;
 
 use cqp_core::ContinuousQuantile;
-use wsn_data::Dataset;
-use wsn_net::{Network, Phase};
+use wsn_net::{Network, Phase, TrafficStats};
 
+use crate::world::World;
 use crate::Value;
 
-/// One round of a traced run.
+/// One round of a traced run. A round spans [`World::begin_round`] as well
+/// as the protocol round, so failure repairs and rebuild beacons count in
+/// the round they happen in.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundRecord {
     /// Round index `t`.
     pub round: u32,
     /// The answer the protocol produced.
     pub quantile: Value,
-    /// The oracle's k-th value (equal to `quantile` absent loss).
+    /// The oracle's k-th value ([`World::oracle`]): equal to `quantile`
+    /// exactly when the round's rank error is 0 — including rounds where
+    /// nobody is reachable, which the oracle excuses.
     pub truth: Value,
     /// Messages transmitted in this round.
     pub messages: u64,
@@ -30,40 +36,37 @@ pub struct RoundRecord {
     /// Largest measurement this round.
     pub max: Value,
     /// Bits on air in this round per protocol phase, indexed by
-    /// [`Phase::index`] (init, validation, refinement, recovery, other).
+    /// [`Phase::index`] (every phase of [`Phase::ALL`]); they sum to
+    /// `bits`.
     pub phase_bits: [u64; Phase::COUNT],
 }
 
-/// Runs `alg` over `dataset` for `rounds` rounds on `net`, recording every
-/// round. The protocol keeps running even when its answer diverges from
-/// the oracle (loss experiments), so the trace shows the divergence.
+/// Runs `alg` for `rounds` rounds of `world`, recording every round and
+/// judging each answer as the `phi`-quantile. The protocol keeps running
+/// even when its answer diverges from the oracle (loss experiments), so
+/// the trace shows the divergence.
 pub fn trace_run(
-    net: &mut Network,
+    world: &mut World,
     alg: &mut dyn ContinuousQuantile,
-    dataset: &mut dyn Dataset,
     rounds: u32,
-    k: u64,
+    phi: f64,
 ) -> Vec<RoundRecord> {
-    let n = dataset.sensor_count();
-    let mut values = vec![0 as Value; n];
-    let mut out = Vec::with_capacity(rounds as usize);
-    let mut prev_stats = *net.stats();
-    let mut prev_hotspot = net.ledger().max_sensor_consumption();
-    let mut prev_phase_bits = net.phases().bits();
-    for t in 0..rounds {
-        dataset.sample_round(t, &mut values);
-        let quantile = alg.round(net, &values);
-        let truth = cqp_core::rank::kth_smallest(&values, k);
-        let stats = *net.stats();
+    let totals = |net: &Network| -> (TrafficStats, f64, [u64; Phase::COUNT]) {
         let hotspot = net.ledger().max_sensor_consumption();
-        let phase_bits = net.phases().bits();
-        let mut delta = [0u64; Phase::COUNT];
-        for (d, (now, before)) in delta
-            .iter_mut()
-            .zip(phase_bits.iter().zip(prev_phase_bits.iter()))
-        {
-            *d = now - before;
+        (*net.stats(), hotspot, net.phases().bits())
+    };
+    let mut out = Vec::with_capacity(rounds as usize);
+    let (mut prev_stats, mut prev_hotspot, mut prev_phase_bits) = totals(world.net());
+    for t in 0..rounds {
+        if world.begin_round(t) {
+            alg.topology_changed();
         }
+        let quantile = world.round(alg);
+        let truth = world.oracle(phi).map_or(quantile, |(population, k)| {
+            cqp_core::rank::kth_smallest(population, k)
+        });
+        let (stats, hotspot, phase_bits) = totals(world.net());
+        let values = world.values();
         out.push(RoundRecord {
             round: t,
             quantile,
@@ -76,7 +79,7 @@ pub fn trace_run(
             // rather than panicking on a degenerate (but legal) world.
             min: values.iter().min().copied().unwrap_or_default(),
             max: values.iter().max().copied().unwrap_or_default(),
-            phase_bits: delta,
+            phase_bits: std::array::from_fn(|i| phase_bits[i] - prev_phase_bits[i]),
         });
         prev_stats = stats;
         prev_hotspot = hotspot;
@@ -96,15 +99,19 @@ pub fn init_overhead(trace: &[RoundRecord]) -> Option<(u64, u64)> {
     Some((first.bits, later_max))
 }
 
-/// Renders a trace as CSV (with header), ready for external plotting.
+/// Renders a trace as CSV (with header), ready for external plotting:
+/// one `bits_<phase>` column per [`Phase::ALL`], summing to `bits`.
 pub fn to_csv(trace: &[RoundRecord]) -> String {
-    let mut out = String::from(
-        "round,quantile,truth,messages,values,bits,hotspot_energy_j,min,max,\
-         bits_init,bits_validation,bits_refinement,bits_recovery,bits_other\n",
-    );
+    let mut out =
+        String::from("round,quantile,truth,messages,values,bits,hotspot_energy_j,min,max");
+    for phase in Phase::ALL {
+        let _ = write!(out, ",bits_{}", phase.name());
+    }
+    out.push('\n');
     for r in trace {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{:.9e},{},{},{},{},{},{},{}\n",
+        let _ = write!(
+            out,
+            "{},{},{},{},{},{},{:.9e},{},{}",
             r.round,
             r.quantile,
             r.truth,
@@ -114,12 +121,11 @@ pub fn to_csv(trace: &[RoundRecord]) -> String {
             r.hotspot_energy,
             r.min,
             r.max,
-            r.phase_bits[0],
-            r.phase_bits[1],
-            r.phase_bits[2],
-            r.phase_bits[3],
-            r.phase_bits[4]
-        ));
+        );
+        for bits in r.phase_bits {
+            let _ = write!(out, ",{bits}");
+        }
+        out.push('\n');
     }
     out
 }
@@ -127,48 +133,40 @@ pub fn to_csv(trace: &[RoundRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqp_core::iq::IqConfig;
-    use cqp_core::{Iq, QueryConfig};
-    use wsn_data::synthetic::{SyntheticConfig, SyntheticDataset};
-    use wsn_data::Rng;
-    use wsn_net::{MessageSizes, Point, RadioModel, RoutingTree, Topology};
+    use crate::config::{AlgorithmKind, SimulationConfig};
 
-    fn world(n: usize) -> (Network, SyntheticDataset) {
-        let mut rng = Rng::seed_from_u64(7);
-        let raw = wsn_data::placement::uniform(n, 200.0, 200.0, &mut rng);
-        let positions: Vec<Point> = raw.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let topo = Topology::build(positions, 40.0);
-        let tree = RoutingTree::shortest_path_tree(&topo).unwrap();
-        let net = Network::new(topo, tree, RadioModel::default(), MessageSizes::default());
-        let ds = SyntheticDataset::generate(SyntheticConfig::default(), &raw[1..], &mut rng);
-        (net, ds)
+    /// An 80-sensor Table 2 world at ρ = 40 m with IQ asking the median.
+    fn iq_world() -> (World, Box<dyn ContinuousQuantile>) {
+        let cfg = SimulationConfig {
+            sensor_count: 80,
+            radio_range: 40.0,
+            seed: 7,
+            ..SimulationConfig::default()
+        };
+        let world = World::new(&cfg, 0);
+        let iq = AlgorithmKind::Iq.build(world.query(0.5), &cfg.sizes);
+        (world, iq)
     }
 
     #[test]
     fn trace_matches_oracle_and_sums_to_totals() {
-        let n = 80;
-        let (mut net, mut ds) = world(n);
-        let query = QueryConfig::median(n, ds.range_min(), ds.range_max());
-        let mut iq = Iq::new(query, IqConfig::default());
-        let trace = trace_run(&mut net, &mut iq, &mut ds, 30, query.k);
+        let (mut world, mut iq) = iq_world();
+        let trace = trace_run(&mut world, iq.as_mut(), 30, 0.5);
         assert_eq!(trace.len(), 30);
         for r in &trace {
             assert_eq!(r.quantile, r.truth, "round {}", r.round);
             assert!(r.min <= r.quantile && r.quantile <= r.max);
         }
         let sum_msgs: u64 = trace.iter().map(|r| r.messages).sum();
-        assert_eq!(sum_msgs, net.stats().messages);
+        assert_eq!(sum_msgs, world.net().stats().messages);
         let sum_bits: u64 = trace.iter().map(|r| r.bits).sum();
-        assert_eq!(sum_bits, net.stats().bits);
+        assert_eq!(sum_bits, world.net().stats().bits);
     }
 
     #[test]
     fn init_round_is_the_expensive_one() {
-        let n = 80;
-        let (mut net, mut ds) = world(n);
-        let query = QueryConfig::median(n, ds.range_min(), ds.range_max());
-        let mut iq = Iq::new(query, IqConfig::default());
-        let trace = trace_run(&mut net, &mut iq, &mut ds, 20, query.k);
+        let (mut world, mut iq) = iq_world();
+        let trace = trace_run(&mut world, iq.as_mut(), 20, 0.5);
         let (init_bits, later_max) = init_overhead(&trace).expect("20-round trace");
         assert!(
             init_bits > later_max,
@@ -178,27 +176,22 @@ mod tests {
 
     #[test]
     fn degenerate_traces_are_guarded_not_panicking() {
-        let n = 80;
         // 0-round and 1-round traces run without panicking, and the
         // init-overhead comparison declines rather than indexing past the
         // end.
-        let (mut net, mut ds) = world(n);
-        let query = QueryConfig::median(n, ds.range_min(), ds.range_max());
-        let mut iq = Iq::new(query, IqConfig::default());
-        let empty = trace_run(&mut net, &mut iq, &mut ds, 0, query.k);
+        let (mut world, mut iq) = iq_world();
+        let empty = trace_run(&mut world, iq.as_mut(), 0, 0.5);
         assert!(empty.is_empty());
         assert_eq!(init_overhead(&empty), None);
         assert_eq!(to_csv(&empty).lines().count(), 1, "header only");
 
-        let (mut net, mut ds) = world(n);
-        let mut iq = Iq::new(query, IqConfig::default());
-        let one = trace_run(&mut net, &mut iq, &mut ds, 1, query.k);
+        let (mut world, mut iq) = iq_world();
+        let one = trace_run(&mut world, iq.as_mut(), 1, 0.5);
         assert_eq!(one.len(), 1);
         assert_eq!(init_overhead(&one), None, "no later rounds to compare");
 
-        let (mut net, mut ds) = world(n);
-        let mut iq = Iq::new(query, IqConfig::default());
-        let two = trace_run(&mut net, &mut iq, &mut ds, 2, query.k);
+        let (mut world, mut iq) = iq_world();
+        let two = trace_run(&mut world, iq.as_mut(), 2, 0.5);
         let (init_bits, later) = init_overhead(&two).expect("two rounds suffice");
         assert_eq!(init_bits, two[0].bits);
         assert_eq!(later, two[1].bits);
@@ -206,11 +199,8 @@ mod tests {
 
     #[test]
     fn phase_bits_partition_the_round_bits() {
-        let n = 80;
-        let (mut net, mut ds) = world(n);
-        let query = QueryConfig::median(n, ds.range_min(), ds.range_max());
-        let mut iq = Iq::new(query, IqConfig::default());
-        let trace = trace_run(&mut net, &mut iq, &mut ds, 15, query.k);
+        let (mut world, mut iq) = iq_world();
+        let trace = trace_run(&mut world, iq.as_mut(), 15, 0.5);
         for r in &trace {
             assert_eq!(
                 r.phase_bits.iter().sum::<u64>(),
@@ -228,15 +218,15 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_one_line_per_round() {
-        let n = 80;
-        let (mut net, mut ds) = world(n);
-        let query = QueryConfig::median(n, ds.range_min(), ds.range_max());
-        let mut iq = Iq::new(query, IqConfig::default());
-        let trace = trace_run(&mut net, &mut iq, &mut ds, 10, query.k);
+        let (mut world, mut iq) = iq_world();
+        let trace = trace_run(&mut world, iq.as_mut(), 10, 0.5);
         let csv = to_csv(&trace);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 11);
         assert!(lines[0].starts_with("round,quantile,truth"));
+        assert!(lines[0].ends_with(",bits_other,bits_rebuild"));
         assert!(lines[1].starts_with("0,"));
+        let columns = lines[0].split(',').count();
+        assert!(lines[1..].iter().all(|l| l.split(',').count() == columns));
     }
 }

@@ -29,7 +29,8 @@ echo "==> energy-audit smoke (--audit must reconcile bit-exactly, exit 0)"
     --loss 0.3 --retries 3 --recovery 4 --node-failures 0.01 \
     --seed 11 --threads 2 --audit
 
-echo "==> telemetry smoke (exporters + self-diff must report identical)"
+echo "==> telemetry smoke (exporters + self-diff must report identical, a"
+echo "    lossy capture of the same seed must diverge)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 ./target/release/simulate --algorithm IQ --nodes 60 --rounds 10 --runs 1 \
@@ -38,6 +39,16 @@ trap 'rm -rf "$tmp"' EXIT
 ./target/release/simulate --algorithm IQ --nodes 60 --rounds 10 --runs 1 \
     --seed 13 --capture "$tmp/b.jsonl"
 ./target/release/simulate diff "$tmp/a.jsonl" "$tmp/b.jsonl" | grep -q '^identical'
+# Traced runs install the world's loss model: the same seed under 30%
+# loss must diverge from the lossless capture (diff exits 1).
+./target/release/simulate --algorithm IQ --nodes 60 --rounds 10 --runs 1 \
+    --seed 13 --loss 0.3 --retries 2 --capture "$tmp/lossy.jsonl"
+code=0
+./target/release/simulate diff "$tmp/a.jsonl" "$tmp/lossy.jsonl" > /dev/null || code=$?
+if [ "$code" != 1 ]; then
+    echo "telemetry smoke: lossy capture must diverge (diff exit 1), got $code" >&2
+    exit 1
+fi
 grep -q 'wsn_msg_bits_count' "$tmp/metrics.prom"
 grep -q '"traceEvents"' "$tmp/run.trace.json"
 
