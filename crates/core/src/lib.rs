@@ -64,6 +64,8 @@ pub mod protocol;
 pub mod qdigest;
 pub mod rank;
 pub mod recovery;
+#[cfg(test)]
+mod reference;
 pub mod retrieval;
 pub mod sampled;
 pub mod service;

@@ -34,10 +34,11 @@ use crate::Value;
 
 /// A q-digest sketch over a power-of-two integer universe.
 ///
-/// Entries are kept sorted by heap node id; the representation is fully
-/// deterministic (merge and compression never depend on insertion order
-/// beyond the multiset itself), which the engine's bit-exact parallel
-/// parity relies on.
+/// Entries are kept sorted by heap node id. The digest is a deterministic
+/// function of its merge sequence — merging the same values in another
+/// order or tree shape can compress differently, within the same error
+/// bound — and the convergecast fixes that sequence, so every run
+/// reproduces its digests bit for bit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QDigest {
     /// Smallest representable value (universe offset).
@@ -155,39 +156,51 @@ impl QDigest {
         if other.count == 0 {
             return;
         }
-        let a = std::mem::take(&mut self.entries);
-        let b = &other.entries;
-        let mut merged = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() || j < b.len() {
-            match (a.get(i), b.get(j)) {
-                (Some(&(ia, ca)), Some(&(ib, cb))) if ia == ib => {
-                    merged.push((ia, ca + cb));
-                    i += 1;
-                    j += 1;
-                }
-                (Some(&(ia, ca)), Some(&(ib, _))) if ia < ib => {
-                    merged.push((ia, ca));
-                    i += 1;
-                }
-                (Some(_), Some(&(ib, cb))) => {
-                    merged.push((ib, cb));
-                    j += 1;
-                }
-                (Some(&e), None) => {
-                    merged.push(e);
-                    i += 1;
-                }
-                (None, Some(&e)) => {
-                    merged.push(e);
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
+        if let [(id, c)] = other.entries[..] {
+            // A sensor's singleton: the common merge on every hop.
+            match self.entries.binary_search_by_key(&id, |&(p, _)| p) {
+                Ok(idx) => self.entries[idx].1 += c,
+                Err(idx) => self.entries.insert(idx, (id, c)),
             }
+        } else {
+            self.add_entries(&other.entries);
         }
-        self.entries = merged;
         self.count += other.count;
         self.compress();
+    }
+
+    /// Node-wise addition of the sorted entries `b`, in place: the vector
+    /// grows by `b.len()` and fills from the back, so the write cursor
+    /// never drops below the unread prefix of the old entries. Ids both
+    /// sides hold leave a gap, closed by one `copy_within`.
+    fn add_entries(&mut self, b: &[(u64, u64)]) {
+        let (mut i, mut j) = (self.entries.len(), b.len());
+        let mut w = i + j;
+        let e = &mut self.entries;
+        e.resize(w, (0, 0));
+        while j > 0 {
+            let (ib, cb) = b[j - 1];
+            w -= 1;
+            e[w] = match i.checked_sub(1).map(|a| e[a]) {
+                Some((ia, ca)) if ia > ib => {
+                    i -= 1;
+                    (ia, ca)
+                }
+                Some((ia, ca)) if ia == ib => {
+                    i -= 1;
+                    j -= 1;
+                    (ia, ca + cb)
+                }
+                _ => {
+                    j -= 1;
+                    (ib, cb)
+                }
+            };
+        }
+        // `e[..i]` never moved; the merged tail starts at `w`.
+        let len = e.len();
+        e.copy_within(w..len, i);
+        e.truncate(len - (w - i));
     }
 
     /// One bottom-up compression pass: for every sibling pair (deepest
@@ -195,62 +208,68 @@ impl QDigest {
     /// threshold, the children's counts move into the parent. Bounds the
     /// digest to `O(k)` entries without ever *losing* a count — only its
     /// value resolution.
+    ///
+    /// The parent's count in the test is the one it had before its own
+    /// children's promotion, and the root never compresses. The pass
+    /// reads the entries backwards — deepest level first, a sibling pair
+    /// odd id first — and writes survivors from the back of the same
+    /// vector: every survivor or queued promotion is backed by at least
+    /// one consumed entry, so the write cursor never overtakes the read
+    /// cursor. `O(n)` time; allocates only to queue a promotion.
     pub fn compress(&mut self) {
         let threshold = self.threshold();
-        if threshold == 0 || self.entries.is_empty() {
+        // Every count is ≥ 1, so no triple sums below a threshold of 1.
+        if threshold <= 1 {
             return;
         }
-        // Sorted by id ⇒ sorted by level; process levels deepest-first.
-        // Entries within one level stay sorted; pushed-up counts land on
-        // level−1 ids which are merged into the next level's scan.
-        let mut current = std::mem::take(&mut self.entries);
-        let mut levels: Vec<Vec<(u64, u64)>> = vec![Vec::new(); self.depth() as usize + 1];
-        for (id, c) in current.drain(..) {
-            levels[(63 - id.leading_zeros()) as usize].push((id, c));
-        }
-        for level in (1..levels.len()).rev() {
-            let nodes = std::mem::take(&mut levels[level]);
-            let mut survivors: Vec<(u64, u64)> = Vec::with_capacity(nodes.len());
-            let mut promoted: Vec<(u64, u64)> = Vec::new();
-            let mut i = 0;
-            while i < nodes.len() {
-                let (id, c) = nodes[i];
-                // Sibling pair occupies ids (2m, 2m+1); sorted order puts
-                // them adjacent when both are present.
-                let (sib_c, consumed) = match nodes.get(i + 1) {
-                    Some(&(id2, c2)) if id2 == (id | 1) && id & 1 == 0 => (c2, 2),
-                    _ => (0, 1),
-                };
-                let parent = id >> 1;
-                let parent_c = levels[level - 1]
-                    .binary_search_by_key(&parent, |&(p, _)| p)
-                    .map(|idx| levels[level - 1][idx].1)
-                    .unwrap_or(0);
-                if c + sib_c + parent_c < threshold {
-                    promoted.push((parent, c + sib_c));
+        let e = &mut self.entries;
+        let len = e.len();
+        let mut input = Backward {
+            read: len,
+            queue: Vec::new(),
+            head: 0,
+        };
+        // Survivors go to `e[write..]`, ascending by id; parents are found
+        // in the unread prefix by the cursor `up`. Both only move down.
+        let (mut write, mut up) = (len, len);
+        while let Some((id, c)) = input.pop(e) {
+            if id == 1 {
+                write -= 1;
+                e[write] = (id, c);
+                continue;
+            }
+            let sibling = if id & 1 == 1 && input.peek(e) == Some(id - 1) {
+                input.pop(e)
+            } else {
+                None
+            };
+            let moved = c + sibling.map_or(0, |(_, s)| s);
+            let parent = id >> 1;
+            up = up.min(input.read);
+            while up > 0 && e[up - 1].0 > parent {
+                up -= 1;
+            }
+            let present = up > 0 && e[up - 1].0 == parent;
+            let parent_c = if present { e[up - 1].1 } else { 0 };
+            if moved + parent_c < threshold {
+                // Each parent is looked up once, by its only pair of
+                // children, so adding in place leaves every test as it was.
+                if present {
+                    e[up - 1].1 += moved;
                 } else {
-                    survivors.push((id, c));
-                    if consumed == 2 {
-                        survivors.push((id | 1, sib_c));
-                    }
+                    input.queue.push((parent, moved));
                 }
-                i += consumed;
-            }
-            levels[level] = survivors;
-            // Fold promotions into the parent level, keeping it sorted.
-            for (parent, add) in promoted {
-                match levels[level - 1].binary_search_by_key(&parent, |&(p, _)| p) {
-                    Ok(idx) => levels[level - 1][idx].1 += add,
-                    Err(idx) => levels[level - 1].insert(idx, (parent, add)),
+            } else {
+                write -= 1;
+                e[write] = (id, c);
+                if let Some(s) = sibling {
+                    write -= 1;
+                    e[write] = s;
                 }
             }
         }
-        // Reassemble sorted by id (levels ascending, sorted within).
-        let mut entries = Vec::with_capacity(levels.iter().map(Vec::len).sum());
-        for level in levels {
-            entries.extend(level);
-        }
-        self.entries = entries;
+        e.copy_within(write..len, 0);
+        e.truncate(len - write);
     }
 
     /// Leaf range `[lo, hi]` of heap node `id`, as 0-based value offsets
@@ -325,6 +344,39 @@ impl QDigest {
             sum += c;
         }
         assert_eq!(sum, self.count, "counts do not sum to n");
+    }
+}
+
+/// The compression pass's input in descending id order: the unread
+/// prefix `entries[..read]` merged with the promotions queued for absent
+/// parents, which are descending too and consumed from `head`. The two
+/// never share an id: a promotion into a present parent is added to it.
+struct Backward {
+    read: usize,
+    queue: Vec<(u64, u64)>,
+    head: usize,
+}
+
+impl Backward {
+    /// The id [`Backward::pop`] would return next.
+    fn peek(&self, e: &[(u64, u64)]) -> Option<u64> {
+        let unread = self.read.checked_sub(1).map(|r| e[r].0);
+        unread.max(self.queue.get(self.head).map(|q| q.0))
+    }
+
+    /// Consumes the entry with the larger id.
+    fn pop(&mut self, e: &[(u64, u64)]) -> Option<(u64, u64)> {
+        let queued = self.queue.get(self.head).copied();
+        match self.read.checked_sub(1).map(|r| e[r]) {
+            Some(x) if queued.is_none_or(|q| q.0 < x.0) => {
+                self.read -= 1;
+                Some(x)
+            }
+            _ => {
+                self.head += queued.is_some() as usize;
+                queued
+            }
+        }
     }
 }
 

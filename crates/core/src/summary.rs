@@ -36,7 +36,10 @@ pub struct Entry {
 /// A mergeable quantile summary with conservative rank bounds.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RankSummary {
-    /// Entries sorted by value (ties allowed, kept in merge order).
+    /// Entries sorted by value (ties allowed, kept in merge order). The
+    /// order is a precondition of [`RankSummary::merge_summary`];
+    /// [`crate::wire::WireContext::decode_summary`] enforces it on
+    /// decoded frames.
     pub entries: Vec<Entry>,
     /// Total number of values summarized.
     pub count: u64,
@@ -64,7 +67,8 @@ impl RankSummary {
     ///
     /// For each entry `e` of one side, the other side contributes between
     /// `rmin(pred)` and `rmax(succ) − 1` values below-or-at `e` — the
-    /// standard mergeable-summary combine rule.
+    /// standard mergeable-summary combine rule. Both sides must be sorted
+    /// by value (see [`RankSummary::entries`]).
     pub fn merge_summary(&mut self, other: &RankSummary) {
         if other.count == 0 {
             return;
@@ -73,50 +77,52 @@ impl RankSummary {
             *self = other.clone();
             return;
         }
-        let a = &self.entries;
-        let b = &other.entries;
-        let mut merged = Vec::with_capacity(a.len() + b.len());
-
-        // Standard mergeable-summary combine rule: for an entry `e` of one
-        // side, the other side (`peers`, total `peer_count` values)
-        // contributes at least `rmin(largest peer ≤ e)` values below it,
-        // and at most `rmax(smallest peer > e) − 1` (or all of them when
-        // no peer is larger).
-        let combine = |e: &Entry, peers: &[Entry], peer_count: u64| -> Entry {
-            let below_min = peers
-                .iter()
-                .rev()
-                .find(|p| p.value <= e.value)
-                .map(|p| p.rmin)
-                .unwrap_or(0);
-            let below_max = match peers.iter().find(|p| p.value > e.value) {
-                Some(succ) => succ.rmax - 1,
-                None => peer_count,
-            };
-            Entry {
-                value: e.value,
-                rmin: e.rmin + below_min,
-                rmax: e.rmax + below_max,
-            }
+        // An entry's peers on the other side (`peer_count` values) split
+        // at the first peer whose value exceeds it: at least `rmin` of the
+        // peer before the split lie below-or-at the entry, and at most
+        // `rmax − 1` of the peer at the split (all of them when no peer
+        // is larger).
+        let combine = |e: Entry, below: Option<&Entry>, above: Option<&Entry>, peer_count| Entry {
+            value: e.value,
+            rmin: e.rmin + below.map_or(0, |p| p.rmin),
+            rmax: e.rmax + above.map_or(peer_count, |p| p.rmax - 1),
         };
-
-        let mut i = 0;
-        let mut j = 0;
-        while i < a.len() || j < b.len() {
-            let take_a = match (a.get(i), b.get(j)) {
-                (Some(x), Some(y)) => x.value <= y.value,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if take_a {
-                merged.push(combine(&a[i], b, other.count));
-                i += 1;
+        // Merged in place from the back into the grown vector, ties putting
+        // `self`'s entries first. Values only fall along the way, so one
+        // split cursor per side suffices: `other`'s is `split`; `self`'s is
+        // `i` itself, since every `self` entry taken before `b[j − 1]` has
+        // a larger value. Earlier writes all landed above `i + j − 1 ≥ i`,
+        // so `a[i]` is still the old entry when `b[j − 1]` reads it.
+        let (a_len, a_count) = (self.entries.len(), self.count);
+        let b = &other.entries;
+        let (mut i, mut j, mut split) = (a_len, b.len(), b.len());
+        let a = &mut self.entries;
+        let filler = Entry {
+            value: 0,
+            rmin: 0,
+            rmax: 0,
+        };
+        a.resize(a_len + b.len(), filler);
+        while i + j > 0 {
+            let w = i + j - 1;
+            a[w] = if j == 0 || i > 0 && a[i - 1].value > b[j - 1].value {
+                let e = a[i - 1];
+                while split > 0 && b[split - 1].value > e.value {
+                    split -= 1;
+                }
+                i -= 1;
+                combine(
+                    e,
+                    split.checked_sub(1).map(|s| &b[s]),
+                    b.get(split),
+                    other.count,
+                )
             } else {
-                merged.push(combine(&b[j], a, self.count));
-                j += 1;
-            }
+                let above = (i < a_len).then(|| &a[i]);
+                j -= 1;
+                combine(b[j], i.checked_sub(1).map(|s| &a[s]), above, a_count)
+            };
         }
-        self.entries = merged;
         self.count += other.count;
     }
 
@@ -125,15 +131,16 @@ impl RankSummary {
     /// loses resolution).
     pub fn prune(&mut self, capacity: usize) {
         let capacity = capacity.max(2);
-        if self.entries.len() <= capacity {
+        let n = self.entries.len();
+        if n <= capacity {
             return;
         }
-        let n = self.entries.len();
-        let mut kept = Vec::with_capacity(capacity);
+        // Compacted in place: the kept index `s·(n−1)/(capacity−1)` is
+        // never below `s`, so no slot is read after it was overwritten.
         for s in 0..capacity {
-            let idx = s * (n - 1) / (capacity - 1);
-            kept.push(self.entries[idx]);
+            self.entries[s] = self.entries[s * (n - 1) / (capacity - 1)];
         }
+        self.entries.truncate(capacity);
         // Collapse equal-value runs to the *hull* of their bounds. Even
         // spacing can pick several entries with the same value whose bounds
         // drifted apart across merge→prune cycles; keeping only exact
@@ -141,7 +148,7 @@ impl RankSummary {
         // bounds for the same value. The hull (min rmin, max rmax) is
         // conservative: it can only widen the admissible rank span, so
         // every `enclosing_interval` derived from it stays sound.
-        kept.dedup_by(|next, prev| {
+        self.entries.dedup_by(|next, prev| {
             if next.value != prev.value {
                 return false;
             }
@@ -149,7 +156,6 @@ impl RankSummary {
             prev.rmax = prev.rmax.max(next.rmax);
             true
         });
-        self.entries = kept;
     }
 
     /// A value interval `[lo, hi]` guaranteed to contain the k-th smallest

@@ -240,17 +240,26 @@ impl WireContext {
     }
 
     /// Decodes a [`RankSummary`] with `n_entries` entries on the wire.
+    /// Rejects a frame no sound summary has: an entry outside
+    /// `1 ≤ rmin ≤ rmax ≤ count`; values out of order, the order
+    /// [`RankSummary::merge_summary`] relies on; or a rise in value where
+    /// the smaller entry's `rmin` reaches the larger one's `rmax`, though
+    /// every occurrence of a smaller value ranks below every occurrence of
+    /// a larger one. A merge of accepted frames keeps
+    /// `1 ≤ rmin ≤ rmax ≤ count`.
     pub fn decode_summary(&self, bytes: &[u8], n_entries: usize) -> Option<RankSummary> {
         let entry_bits = self.sizes.value_bits + 2 * self.sizes.counter_bits;
         payload_fits(bytes, self.sizes.counter_bits, n_entries, entry_bits)?;
         let mut r = BitReader::new(bytes);
         let count = r.get(self.sizes.counter_bits as u32)?;
-        let mut entries = Vec::with_capacity(n_entries);
+        let mut entries: Vec<Entry> = Vec::with_capacity(n_entries);
         for _ in 0..n_entries {
             let value = self.get_value(&mut r)?;
             let rmin = r.get(self.sizes.counter_bits as u32)?;
             let rmax = r.get(self.sizes.counter_bits as u32)?;
-            if rmin > rmax {
+            let follows =
+                |prev: &Entry| prev.value == value || prev.value < value && prev.rmin < rmax;
+            if rmin == 0 || rmin > rmax || rmax > count || !entries.last().is_none_or(follows) {
                 return None;
             }
             entries.push(Entry { value, rmin, rmax });
@@ -524,6 +533,150 @@ mod tests {
             let mut b = summary.clone();
             b[i] ^= 0xA5;
             let _ = c.decode_summary(&b, s.entries.len());
+        }
+    }
+
+    #[test]
+    fn malformed_summary_frames_are_rejected() {
+        let c = ctx();
+        let entry = |value, rmin, rmax| Entry { value, rmin, rmax };
+        let frames = [
+            ("zero ranks", vec![entry(3, 0, 0), entry(5, 2, 2)]),
+            ("rmax above count", vec![entry(3, 1, 1), entry(5, 2, 3)]),
+            ("values out of order", vec![entry(5, 1, 1), entry(3, 2, 2)]),
+            ("ranks cross a rise", vec![entry(3, 2, 2), entry(5, 1, 2)]),
+        ];
+        for (what, entries) in frames {
+            let s = RankSummary { entries, count: 2 };
+            let bytes = c.encode_summary(&s);
+            assert_eq!(c.decode_summary(&bytes, 2), None, "{what}");
+        }
+    }
+
+    /// The structure every digest keeps: ids sorted, unique and inside the
+    /// tree, counts positive and summing to `n`.
+    fn assert_sketch_shape(d: &QDigest, what: &str) {
+        let ids = d.entries().iter().map(|e| e.0);
+        assert!(ids.clone().zip(ids.skip(1)).all(|(a, b)| a < b), "{what}");
+        let tree = 1..2u64 << d.depth();
+        assert!(
+            d.entries()
+                .iter()
+                .all(|&(id, c)| c > 0 && tree.contains(&id)),
+            "{what}"
+        );
+        assert_eq!(
+            d.entries().iter().map(|e| e.1).sum::<u64>(),
+            d.count(),
+            "{what}"
+        );
+    }
+
+    /// The structure every summary keeps: values sorted and
+    /// `1 ≤ rmin ≤ rmax ≤ count`.
+    fn assert_summary_shape(s: &RankSummary, what: &str) {
+        let e = &s.entries;
+        assert!(e.windows(2).all(|w| w[0].value <= w[1].value), "{what}");
+        assert!(
+            e.iter()
+                .all(|e| 1 <= e.rmin && e.rmin <= e.rmax && e.rmax <= s.count),
+            "{what}: {e:?} of {}",
+            s.count
+        );
+    }
+
+    #[test]
+    fn single_bit_flips_never_panic_and_accepted_frames_merge_cleanly() {
+        // Every single-bit flip of a few encoded payloads either fails to
+        // decode or yields a frame that merges — both ways — into a
+        // digest or summary of the same shape as the ones a run builds.
+        let c = ctx();
+        let digest = |values: &[Value], k| {
+            let mut d = QDigest::new(0, 1023, k);
+            for &v in values {
+                d.merge(QDigest::singleton(0, 1023, k, v));
+            }
+            d
+        };
+        let summary = |values: &[Value], capacity| {
+            let mut s = RankSummary::empty();
+            for &v in values {
+                s.merge(RankSummary::singleton(v));
+                s.prune(capacity);
+            }
+            s
+        };
+        let spread: Vec<Value> = (0..40).map(|i| (i * 379) % 1024).collect();
+        let ties: Vec<Value> = (0..40).map(|i| 500 + i % 5).collect();
+        let sketches = [
+            (digest(&[5, 5, 17, 900, 1023, 0, 512, 300], 8), 8),
+            (digest(&spread, 4), 4),
+            (digest(&ties, 2), 2),
+        ];
+        let summaries = [
+            summary(&[7, 9000, 42, 65535, 0, 42], 6),
+            summary(&spread, 5),
+            summary(&ties, 4),
+        ];
+        for (n, (d, k)) in sketches.iter().enumerate() {
+            let bytes = c.encode_sketch(d);
+            for bit in 0..bytes.len() * 8 {
+                let mut b = bytes.clone();
+                b[bit / 8] ^= 0x80 >> (bit % 8);
+                let Some(x) = c.decode_sketch(&b, d.len(), 1023, *k) else {
+                    continue;
+                };
+                let what = format!("sketch {n}, bit {bit}");
+                for (mut into, from) in [(d.clone(), &x), (x.clone(), d)] {
+                    into.merge_digest(from);
+                    assert_sketch_shape(&into, &what);
+                }
+            }
+        }
+        for (n, s) in summaries.iter().enumerate() {
+            let bytes = c.encode_summary(s);
+            for bit in 0..bytes.len() * 8 {
+                let mut b = bytes.clone();
+                b[bit / 8] ^= 0x80 >> (bit % 8);
+                let Some(x) = c.decode_summary(&b, s.entries.len()) else {
+                    continue;
+                };
+                let what = format!("summary {n}, bit {bit}");
+                assert_summary_shape(&x, &what);
+                for (mut into, from) in [(s.clone(), &x), (x.clone(), s)] {
+                    into.merge_summary(from);
+                    assert_summary_shape(&into, &what);
+                    into.prune(4);
+                    assert_summary_shape(&into, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merged_and_pruned_summaries_always_decode() {
+        // The decoder's checks hold for every summary a run can build:
+        // tree-shaped merges and prunes over heavily tied values.
+        let c = ctx();
+        let mut rng = wsn_net::splitmix::SplitMix64::new(11);
+        for capacity in 2..=24 {
+            let mut layer: Vec<RankSummary> = (0..64)
+                .map(|_| RankSummary::singleton((rng.next_u64() % 9) as Value))
+                .collect();
+            while layer.len() > 1 {
+                let mut next = Vec::new();
+                for pair in layer.chunks(2) {
+                    let mut s = pair[0].clone();
+                    if let Some(b) = pair.get(1) {
+                        s.merge_summary(b);
+                    }
+                    s.prune(capacity);
+                    let bytes = c.encode_summary(&s);
+                    assert_eq!(c.decode_summary(&bytes, s.entries.len()).as_ref(), Some(&s));
+                    next.push(s);
+                }
+                layer = next;
+            }
         }
     }
 

@@ -111,6 +111,11 @@ echo "    crates, so a library change that breaks the benchmark fails here)"
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline \
     --manifest-path wsnbench/Cargo.toml
 
+echo "==> benchmark package fmt + clippy (warnings are errors)"
+cargo fmt --check --manifest-path wsnbench/Cargo.toml
+CARGO_TARGET_DIR=.bench_build cargo clippy --release --offline --all-targets \
+    --manifest-path wsnbench/Cargo.toml -- -D warnings
+
 echo "==> benchmark digests (every workload's seed-1 reference units must"
 echo "    reproduce its sim_digest in tests/bench_digests.txt)"
 while read -r workload want; do
