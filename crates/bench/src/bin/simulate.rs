@@ -23,7 +23,7 @@ use wsn_bench::cli::{usage_error, Argv};
 use wsn_bench::json::Json;
 use wsn_data::pressure::{PressureConfig, RangeSetting};
 use wsn_data::synthetic::SyntheticConfig;
-use wsn_net::EnergyAuditor;
+use wsn_net::{AuditLog, EnergyAuditor};
 use wsn_sim::config::{AlgorithmKind, DatasetSpec, SimulationConfig};
 use wsn_sim::metrics::AggregatedMetrics;
 use wsn_sim::runner::run_experiment_threads;
@@ -559,6 +559,20 @@ fn write_file(path: &str, text: &str) -> Result<(), String> {
         .map_err(|e| format!("writing {path}: {e}"))
 }
 
+/// Streams `log`'s packet capture to `path` as JSONL, one line per event,
+/// and returns the number of frames written.
+fn write_capture(path: &str, log: &AuditLog) -> Result<usize, String> {
+    let write = || -> std::io::Result<()> {
+        let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+        for e in log.events() {
+            writeln!(out, "{}", e.to_packet_record().to_json_line())?;
+        }
+        out.flush()
+    };
+    write().map_err(|e| format!("writing {path}: {e}"))?;
+    Ok(log.len())
+}
+
 /// Runs one fully-instrumented run — run 0 of the batch experiment, the
 /// same [`World`] with every world flag — and emits whichever artifacts
 /// were requested: `--csv` per-round trace, `--events` Chrome-trace span
@@ -588,9 +602,8 @@ fn traced_run(args: &Args, cfg: &SimulationConfig, kind: AlgorithmKind) -> Resul
         eprintln!("wrote {} span events to {path}", events.len());
     }
     if let Some(path) = &args.capture {
-        let frames = net.capture();
-        write_file(path, &wsn_net::obs::capture::to_jsonl(&frames))?;
-        eprintln!("wrote {} captured frames to {path}", frames.len());
+        let frames = write_capture(path, net.audit_log())?;
+        eprintln!("wrote {frames} captured frames to {path}");
     }
     if let Some(path) = &args.metrics_out {
         let mut dump = wsn_net::obs::PromDump::new();

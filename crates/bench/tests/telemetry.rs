@@ -62,8 +62,12 @@ fn chrome_trace_of_a_real_run_is_valid_json() {
 fn capture_diff_localizes_a_seeded_divergence() {
     // Same seed twice: the simulator is deterministic, so the captures are
     // frame-for-frame identical through serialization and parsing.
-    let a = telemetered_run(42, 6).capture();
-    let b = telemetered_run(42, 6).capture();
+    let capture = |net: Network| -> Vec<capture::PacketRecord> {
+        let log = net.audit_log();
+        log.events().map(|e| e.to_packet_record()).collect()
+    };
+    let a = capture(telemetered_run(42, 6));
+    let b = capture(telemetered_run(42, 6));
     let jsonl_a = capture::to_jsonl(&a);
     let jsonl_b = capture::to_jsonl(&b);
     let parsed_a = capture::parse_jsonl(&jsonl_a).unwrap();

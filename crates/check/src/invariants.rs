@@ -448,9 +448,9 @@ pub fn check(scenario: &Scenario) -> ScenarioReport {
                         });
                     }
                 }
-                // Lane attribution must replay bit-exactly from the event
-                // log (the in-process debug assertion is compiled out of
-                // release fuzz runs, so re-check here).
+                // Lane attribution must equal the audit log's own lane
+                // books bit for bit (serve counts a diverging lane as an
+                // audit discrepancy; this check names the failure).
                 let replayed = lane_breakdowns(net.audit_log(), shared.lanes.len());
                 if replayed != shared.lanes {
                     violations.push(Violation::ServeAccounting {

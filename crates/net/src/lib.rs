@@ -18,7 +18,8 @@
 //! * [`splitmix`] — the workspace-shared splitmix64 generator behind every
 //!   stochastic model,
 //! * [`audit`] — per-transmission event log, per-phase energy attribution
-//!   and a bit-exact replay auditor for the ledger.
+//!   and an auditor that reconciles the ledger bit-exactly at every round
+//!   boundary.
 //!
 //! The substrate is deliberately protocol-agnostic: quantile algorithms in
 //! `cqp-core` express themselves purely through [`network::Network`]
@@ -47,6 +48,8 @@
 //! ```
 
 pub mod audit;
+#[cfg(test)]
+mod audit_reference;
 pub mod bitset;
 pub mod codec;
 pub mod energy;
@@ -63,7 +66,7 @@ pub mod tree;
 
 pub use audit::{
     lane_breakdowns, lane_breakdowns_by_round, AuditLog, AuditReport, EnergyAuditor, LaneBook,
-    Phase, PhaseBreakdown, PhaseCounters, TxEvent, TxKind,
+    Phase, PhaseBreakdown, PhaseCounters, Tariff, TxEvent, TxKind,
 };
 pub use bitset::NodeBits;
 pub use energy::{EnergyLedger, RadioModel};

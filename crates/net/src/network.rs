@@ -28,7 +28,7 @@
 
 use std::any::{Any, TypeId};
 
-use crate::audit::{AuditLog, LaneBook, Phase, PhaseBreakdown, TxKind};
+use crate::audit::{AuditLog, LaneBook, Phase, PhaseBreakdown, Tariff, TxKind};
 use crate::bitset::NodeBits;
 use crate::energy::{EnergyLedger, RadioModel};
 use crate::loss::LossModel;
@@ -36,7 +36,7 @@ use crate::message::MessageSizes;
 use crate::reliability::{FailureModel, ReliabilityConfig, ReliabilityStats, WaveReport};
 use crate::topology::{NodeId, Topology};
 use crate::tree::RoutingTree;
-use wsn_obs::{HistKind, NodeHistograms, PacketRecord, Recorder, SpanStart};
+use wsn_obs::{HistKind, NodeHistograms, Recorder, SpanStart};
 
 /// A mergeable convergecast payload.
 ///
@@ -191,7 +191,7 @@ pub struct Network {
 /// The five accounting books — energy ledger, traffic stats, per-phase and
 /// per-lane breakdowns, audit log — change only through [`Books::charge`],
 /// one call per radio charge, so they cannot disagree with each other or
-/// with what the audit log replays ([`crate::audit::lane_breakdowns`]).
+/// with the audit log's own books ([`crate::audit::lane_breakdowns`]).
 #[derive(Debug, Clone)]
 struct Books {
     ledger: EnergyLedger,
@@ -226,10 +226,10 @@ impl Books {
         tx: f64,
         rx: f64,
     ) {
-        if !matches!(kind, TxKind::BroadcastRx | TxKind::Idle) {
+        if kind.has_tx() {
             self.ledger.charge_tx(src, tx);
         }
-        if kind != TxKind::BroadcastTx {
+        if kind.has_rx() {
             self.ledger.charge(dst, rx);
         }
         let (messages, counted, joules) = kind.tally(fragments, bits, tx, rx);
@@ -708,9 +708,11 @@ impl Network {
 
     /// Enables or disables transmission-event recording. Enable *before*
     /// any traffic flows: [`crate::audit::EnergyAuditor::verify`] can only
-    /// reconcile a ledger whose every charge was witnessed.
+    /// reconcile a ledger whose every charge was witnessed. Enabling hands
+    /// the log this network's node count and prices ([`Tariff`]).
     pub fn set_audit(&mut self, on: bool) {
-        self.books.audit.set_enabled(on);
+        let tariff = Tariff::of(&self.model, &self.sizes, self.topo.radio_range());
+        self.books.audit.set_enabled(on, self.len(), tariff);
     }
 
     /// The transmission log (empty unless auditing is enabled).
@@ -747,12 +749,6 @@ impl Network {
     /// node `i`), so call it per run, not per round.
     pub fn histograms(&self) -> NodeHistograms {
         self.books.hists.snapshot()
-    }
-
-    /// The packet capture of the run so far (requires
-    /// [`Network::set_audit`] before traffic flows; empty otherwise).
-    pub fn capture(&self) -> Vec<PacketRecord> {
-        self.books.audit.capture()
     }
 
     /// Enables Bernoulli message loss (the §6 future-work extension).
@@ -996,10 +992,12 @@ impl Network {
         }
     }
 
-    /// Marks the end of a protocol round in the ledger (and, when auditing,
-    /// snapshots the per-node account so the auditor can reconcile every
-    /// round boundary, not just final totals). With telemetry on, closes
-    /// the round's phase and round spans and opens the next round's.
+    /// Marks the end of a protocol round in the ledger. When auditing, the
+    /// audit log then folds the round's events into its own books and
+    /// reconciles them with the ledger's per-node totals at this boundary,
+    /// so every round is checked, not just the final totals. With
+    /// telemetry on, closes the round's phase and round spans and opens
+    /// the next round's.
     pub fn end_round(&mut self) {
         if self.round_hold {
             return;
@@ -1728,11 +1726,7 @@ mod tests {
         assert!(report.is_clean(), "{:?}", report.discrepancies);
         assert!(report.events > 0);
         assert_eq!(report.rounds_checked, 30);
-        assert!(net
-            .audit_log()
-            .events()
-            .iter()
-            .any(|e| e.phase == Phase::Recovery));
+        assert!(net.audit_log().events().any(|e| e.phase == Phase::Recovery));
     }
 
     #[test]
@@ -1837,7 +1831,6 @@ mod tests {
         let idles = net
             .audit_log()
             .events()
-            .iter()
             .filter(|e| e.kind == TxKind::Idle)
             .count();
         assert_eq!(idles, 3 * 3, "one idle event per alive sensor per round");
@@ -1933,12 +1926,16 @@ mod tests {
         assert!(events.iter().any(|e| e.name == "convergecast"));
         assert!(events.iter().any(|e| e.name == "validation" && e.track > 0));
         assert!(plain.recorder().events().is_empty());
-        let cap = telem.capture();
-        assert_eq!(cap.len(), telem.audit_log().events().len());
+        let cap: Vec<_> = telem
+            .audit_log()
+            .events()
+            .map(|e| e.to_packet_record())
+            .collect();
+        assert_eq!(cap.len(), telem.audit_log().len());
         assert!(cap
             .iter()
             .any(|r| r.kind == "data" && r.phase == "validation"));
-        assert!(plain.capture().is_empty());
+        assert!(plain.audit_log().is_empty());
     }
 
     #[test]
@@ -1960,8 +1957,8 @@ mod tests {
             let id = NodeId(i as u32);
             assert!(plain.ledger().consumed(id) == audited.ledger().consumed(id));
         }
-        assert!(plain.audit_log().events().is_empty());
-        assert!(!audited.audit_log().events().is_empty());
+        assert!(plain.audit_log().is_empty());
+        assert!(!audited.audit_log().is_empty());
     }
 
     #[test]
@@ -2019,7 +2016,7 @@ mod tests {
             shared.end_round();
         }
         assert_eq!(plain.stats(), shared.stats());
-        assert_eq!(plain.audit_log().events(), shared.audit_log().events());
+        assert!(plain.audit_log().events().eq(shared.audit_log().events()));
         for i in 0..plain.len() {
             let id = NodeId(i as u32);
             assert!(plain.ledger().consumed(id) == shared.ledger().consumed(id));
@@ -2038,7 +2035,7 @@ mod tests {
         // Same round: the second broadcast rides the open frames.
         assert_eq!(net.stats().bits - first, 3 * 64);
         let report = EnergyAuditor::verify(&net);
-        assert!(report.is_clean() || net.audit_log().events().is_empty());
+        assert!(report.is_clean() || net.audit_log().is_empty());
     }
 
     #[test]
@@ -2122,7 +2119,7 @@ mod tests {
         // and no bit, only joules.
         assert_eq!(*net.stats(), *run(0).stats());
 
-        let events = net.audit_log().events();
+        let events: Vec<_> = net.audit_log().events().collect();
         for kind in [
             TxKind::Data,
             TxKind::Ack,
@@ -2162,9 +2159,11 @@ mod tests {
         // nothing else — is one `MsgBits` sample.
         let msg_bits = net.histograms().total();
         assert_eq!(msg_bits.get(HistKind::MsgBits).count(), stats.messages);
-        // The live lane book is the audit-log replay, bit for bit.
+        // The live lane book is the audit log's own, bit for bit, and the
+        // log reproduced every charge from its 16-byte records.
         let replayed = crate::audit::lane_breakdowns(net.audit_log(), book.len());
         assert_eq!(replayed, book.breakdowns());
+        assert_eq!(net.audit_log().escaped(), 0);
         let report = EnergyAuditor::verify(&net);
         assert!(report.is_clean(), "{:?}", report.discrepancies);
     }

@@ -1,0 +1,121 @@
+//! The audit must cost a bounded number of heap bytes per recorded event.
+//!
+//! An audited network keeps one 16-byte record per transmission event plus
+//! the ledger's per-node totals at each round boundary. This test pins
+//! that with a live-byte counting global allocator: two identical 32×32
+//! grid networks run the same 40 protocol-shaped rounds, one audited and
+//! one not, and the audited one may hold at most 40 extra bytes per event
+//! (a doubling `Vec` of 16-byte records stays below 32).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use wsn_net::{
+    Aggregate, MessageSizes, Network, NodeBits, Point, RadioModel, RoutingTree, Topology,
+};
+
+/// Wraps the system allocator and tracks live heap bytes **per thread**
+/// (a realloc counts its size change), so the gate sees only the networks
+/// built on this test's thread.
+struct CountingAlloc;
+
+thread_local! {
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+fn add(bytes: i64) {
+    // `try_with`: a thread allocating during its own TLS teardown must
+    // not panic inside the allocator.
+    let _ = LIVE.try_with(|c| c.set(c.get() + bytes));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the byte counting touches only a thread-local `Cell`.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        add(layout.size() as i64);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        add(-(layout.size() as i64));
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        add(new_size as i64 - layout.size() as i64);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
+}
+
+/// A Copy payload: per-subtree contribution count.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Count(u64);
+
+impl Aggregate for Count {
+    fn merge(&mut self, other: Self) {
+        self.0 += other.0;
+    }
+    fn payload_bits(&self, sizes: &MessageSizes) -> u64 {
+        sizes.counter_bits
+    }
+}
+
+fn grid_network(side: usize) -> Network {
+    let positions = (0..side * side)
+        .map(|i| Point::new((i % side) as f64 * 8.0, (i / side) as f64 * 8.0))
+        .collect();
+    let topo = Topology::build(positions, 12.0);
+    let tree = RoutingTree::shortest_path_tree(&topo).unwrap();
+    Network::new(topo, tree, RadioModel::default(), MessageSizes::default())
+}
+
+/// One protocol-shaped round: refill the contribution slots in place, run
+/// a convergecast over them, answer with two broadcasts, close the round.
+fn round(net: &mut Network, slots: &mut [Option<Count>], mask: &mut NodeBits) {
+    for s in slots.iter_mut().skip(1) {
+        *s = Some(Count(1));
+    }
+    net.convergecast_slots(slots, |_, _| {});
+    net.broadcast_into(64, mask);
+    net.broadcast(64);
+    net.end_round();
+}
+
+/// Builds a 32×32 grid network, runs 40 rounds and returns it with the
+/// live bytes the whole run left behind.
+fn run(audit: bool) -> (Network, i64) {
+    let before = live_bytes();
+    let mut net = grid_network(32);
+    net.set_audit(audit);
+    let mut slots: Vec<Option<Count>> = vec![None; net.len()];
+    let mut mask = NodeBits::new();
+    for _ in 0..40 {
+        round(&mut net, &mut slots, &mut mask);
+    }
+    drop((slots, mask));
+    let bytes = live_bytes() - before;
+    (net, bytes)
+}
+
+#[test]
+fn the_audit_keeps_at_most_40_bytes_per_event() {
+    let (_plain, plain_bytes) = run(false);
+    let (audited, audited_bytes) = run(true);
+    let events = audited.audit_log().len();
+    assert!(
+        events > 100_000,
+        "40 rounds of 1023 sensors: {events} events"
+    );
+    let per_event = (audited_bytes - plain_bytes) as f64 / events as f64;
+    eprintln!("audit: {events} events, {per_event:.1} extra heap bytes per event");
+    assert!(
+        per_event <= 40.0,
+        "the audit holds {per_event:.1} bytes per event over {events} events"
+    );
+}

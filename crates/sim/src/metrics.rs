@@ -53,7 +53,7 @@ pub struct RunMetrics {
     pub phase_joules: [f64; Phase::COUNT],
     /// Total bits on air per protocol phase, indexed like `phase_joules`.
     pub phase_bits: [u64; Phase::COUNT],
-    /// Transmission events replayed by the energy auditor (0 when the run
+    /// Transmission events checked by the energy audit (0 when the run
     /// was not audited).
     pub audit_events: u64,
     /// Ledger/replay mismatches the auditor found (always 0 on a healthy

@@ -26,7 +26,9 @@
 use cqp_core::service::{QuerySpec, Service};
 use cqp_core::ContinuousQuantile;
 use wsn_net::obs::{Monitor, MonitorConfig};
-use wsn_net::{lane_breakdowns, EnergyAuditor, MessageSizes, Network, Phase, PhaseBreakdown};
+use wsn_net::{
+    lane_breakdowns, EnergyAuditor, LaneBook, MessageSizes, Network, Phase, PhaseBreakdown,
+};
 
 use crate::config::{AlgorithmKind, SimulationConfig};
 use crate::world::World;
@@ -128,12 +130,12 @@ pub struct ServeReport {
     pub plan_hits: u64,
     /// Traffic-plan cache misses (compilations).
     pub plan_misses: u64,
-    /// Transmission events replayed by the auditor (0 when not audited).
+    /// Transmission events audited (0 when not audited).
     pub audit_events: u64,
-    /// Auditor discrepancies (must be 0).
+    /// Auditor discrepancies (must be 0), counting every lane whose
+    /// audited book (`lane_breakdowns`) differs from the live one.
     pub audit_discrepancies: u32,
-    /// Live per-lane breakdowns, indexed by slot. The replayed
-    /// (`lane_breakdowns`) view is asserted bit-identical when auditing.
+    /// Live per-lane breakdowns, indexed by slot.
     pub lanes: Vec<PhaseBreakdown>,
 }
 
@@ -265,6 +267,15 @@ impl Registry {
             }
         }
     }
+}
+
+/// How many lanes of the audit log's books differ from the network's live
+/// ones: the live book must be the audited one, bit for bit.
+fn diverging_lanes(live: &LaneBook, audited: &[PhaseBreakdown]) -> u32 {
+    let lanes = live.len().max(audited.len());
+    (0..lanes)
+        .filter(|&l| audited.get(l).copied().unwrap_or_default() != live.get(l as u32))
+        .count() as u32
 }
 
 fn delta_of(now: &PhaseBreakdown, base: &PhaseBreakdown) -> PhaseBreakdown {
@@ -438,18 +449,9 @@ pub fn serve_monitored(
             "serve energy audit failed: {:?}",
             report.discrepancies
         );
-        // The lane replay must reproduce the live lane book bit-for-bit.
         let live = net.lane_book();
-        let replayed = lane_breakdowns(net.audit_log(), live.len());
-        debug_assert_eq!(replayed.len(), live.len());
-        for (lane, replay) in replayed.iter().enumerate() {
-            debug_assert_eq!(
-                replay,
-                &live.get(lane as u32),
-                "lane {lane} replay diverged from live attribution"
-            );
-        }
-        (report.events, report.discrepancies.len() as u32)
+        let lanes = diverging_lanes(live, &lane_breakdowns(net.audit_log(), live.len()));
+        (report.events, report.discrepancies.len() as u32 + lanes)
     } else {
         (0, 0)
     };
@@ -690,6 +692,34 @@ mod tests {
             "registry mirrors the report's lane delta"
         );
         assert_eq!(m.recorder().len(), 10, "one frame per round");
+    }
+
+    #[test]
+    fn every_diverging_lane_counts_as_a_discrepancy() {
+        let mut live = LaneBook::default();
+        live.charge(0, Phase::Validation, 1, 100, 1e-6);
+        live.charge(2, Phase::Refinement, 2, 40, 3e-7);
+        let same = live.breakdowns().to_vec();
+        assert_eq!(diverging_lanes(&live, &same), 0);
+
+        // One lane off by a joule's last bit, another booked in the
+        // wrong phase, and one the live book never saw.
+        let mut audited = same.clone();
+        let mut off = PhaseBreakdown::default();
+        off.charge(
+            Phase::Validation,
+            1,
+            100,
+            f64::from_bits(1e-6f64.to_bits() + 1),
+        );
+        audited[0] = off;
+        audited[2] = PhaseBreakdown::default();
+        audited[2].charge(Phase::Validation, 2, 40, 3e-7);
+        audited.push(off);
+        assert_eq!(diverging_lanes(&live, &audited), 3);
+        // A lane missing from the audited books diverges unless it is zero.
+        assert_eq!(diverging_lanes(&live, &same[..1]), 1);
+        assert_eq!(diverging_lanes(&live, &same[..2]), 1);
     }
 
     #[test]

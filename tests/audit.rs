@@ -122,13 +122,7 @@ fn a_corrupted_ledger_is_flagged() {
     // A phantom charge that no transmission explains must be caught.
     let mut forged = net.ledger().clone();
     forged.charge(NodeId(2), 1e-9);
-    let report = EnergyAuditor::verify_parts(
-        net.audit_log(),
-        net.model(),
-        net.sizes(),
-        net.topology().radio_range(),
-        &forged,
-    );
+    let report = EnergyAuditor::verify_parts(net.audit_log(), &forged);
     assert!(!report.is_clean(), "the forged ledger must not reconcile");
     assert!(report
         .discrepancies
