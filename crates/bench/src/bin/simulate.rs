@@ -216,7 +216,6 @@ const USAGE: &str = "usage: simulate (--algorithm TAG|POS|LCLL-H|LCLL-S|LCLL-R|H
                       [--digest] [--json FILE]
                       [--monitor] [--budget-mj X] [--health-json FILE]
                       [--metrics-out FILE] [--status-every N]
-       simulate bench-diff BASELINE.json CURRENT.json [--tolerance X]
 
 Every unknown flag, missing value or value outside its domain prints this
 text and exits with status 2.
@@ -271,12 +270,10 @@ watchdog at X millijoules; --status-every prints a one-line status every
 N rounds plus the final registry table; --health-json dumps the flight
 recorder and health events as JSONL (the post-mortem ring snapshot when
 a watchdog fired); --metrics-out writes per-query Prometheus series. A
-monitored serve exits 1 when any watchdog fired. `simulate bench-diff`
-compares two BENCH_results.json files and exits 1 when any shared cell's
-median slowed past the tolerance band (default 0.5 = 50%).
+monitored serve exits 1 when any watchdog fired.
 
 `simulate scale` is the engine-throughput smoke gate: it runs R full HBC
-rounds on an N-node constant-density world (the `scale` bench workload),
+rounds on an N-node constant-density world (`wsn_bench::scale`),
 prints the wall clock and per-round cost, and exits 1 when the run
 exceeds the --budget-secs wall-clock budget (positive and finite;
 default: no budget).
@@ -315,33 +312,6 @@ fn run_diff(paths: &[String]) -> ! {
             std::process::exit(1);
         }
     }
-}
-
-/// `simulate bench-diff BASELINE CURRENT [--tolerance X]` — the bench
-/// regression gate: compare two `BENCH_results.json` files cell by cell
-/// and fail when any shared cell's median slowed past the tolerance band
-/// (default 50%). Exit 0 clean, 1 on regression, 2 on bad input.
-fn run_bench_diff(argv: Vec<String>) -> ! {
-    let mut tolerance = wsn_bench::regress::DEFAULT_TOLERANCE;
-    let mut paths = Vec::new();
-    let mut argv = Argv::new(argv, USAGE);
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--tolerance" => {
-                tolerance = argv.parse(&arg, "a non-negative fraction", |t: &f64| *t >= 0.0)
-            }
-            _ => paths.push(arg),
-        }
-    }
-    let [baseline_path, current_path] = &paths[..] else {
-        argv.fail("bench-diff takes exactly two results files");
-    };
-    let load = |path: &String| {
-        Json::parse(&read_input(path)).unwrap_or_else(|e| argv.fail(format!("{path}: {e}")))
-    };
-    let cmp = wsn_bench::regress::compare(&load(baseline_path), &load(current_path), tolerance);
-    print!("{}", cmp.render(tolerance));
-    std::process::exit(if cmp.is_clean() { 0 } else { 1 });
 }
 
 /// `simulate fuzz` — the deterministic invariant fuzz campaign of the
@@ -442,10 +412,11 @@ fn run_fuzz(argv: Vec<String>) -> ! {
 }
 
 /// `simulate scale` — the struct-of-arrays engine throughput gate: time
-/// full HBC rounds on an n-node constant-density world (the same workload
-/// as the `scale` bench family) and fail when the wall clock exceeds the
-/// budget. Exit 0 within budget, 1 over budget, 2 on bad usage. CI wraps
-/// this in `timeout(1)` as a belt-and-suspenders hang guard.
+/// full HBC rounds on an n-node constant-density world
+/// ([`wsn_bench::scale`], also the benchmark's `scale_10k` workload) and
+/// fail when the wall clock exceeds the budget. Exit 0 within budget, 1
+/// over budget, 2 on bad usage. CI wraps this in `timeout(1)` as a
+/// belt-and-suspenders hang guard.
 fn run_scale(argv: Vec<String>) -> ! {
     use std::time::Instant;
 
@@ -686,6 +657,8 @@ fn metrics_json(m: &AggregatedMetrics) -> Json {
         ("bits_per_round".into(), Json::Num(m.bits_per_round)),
         ("exactness".into(), Json::Num(m.exactness)),
         ("mean_rank_error".into(), Json::Num(m.mean_rank_error)),
+        ("max_rank_error".into(), Json::int(m.max_rank_error)),
+        ("rank_tolerance".into(), Json::int(m.rank_tolerance)),
         ("delivery_rate".into(), Json::Num(m.delivery_rate)),
         (
             "retransmissions_per_round".into(),
@@ -1042,7 +1015,6 @@ fn main() {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
         Some("diff") => run_diff(&argv[1..]),
-        Some("bench-diff") => run_bench_diff(argv.split_off(1)),
         Some("serve") => run_serve(argv.split_off(1)),
         Some("fuzz") => run_fuzz(argv.split_off(1)),
         Some("scale") => run_scale(argv.split_off(1)),

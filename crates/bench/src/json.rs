@@ -1,10 +1,12 @@
-//! Minimal JSON reading/writing — just enough for `BENCH_results.json`.
+//! Minimal JSON reading/writing — just enough for `simulate --json`, the
+//! telemetry exporters' and flight recorder's output checks, and the
+//! benchmark's result lines.
 //!
 //! Zero dependencies by design (the workspace builds fully offline, see
 //! README "Offline builds"). Supports the complete JSON value grammar;
-//! numbers are kept as `f64` (benchmark nanosecond counts fit well inside
-//! the 2^53 integer range). Object key order is preserved so result files
-//! diff cleanly between runs.
+//! numbers are kept as `f64` (counters fit well inside the 2^53 integer
+//! range). Object key order is preserved so output files diff cleanly
+//! between runs.
 
 use std::fmt::Write as _;
 

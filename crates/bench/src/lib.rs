@@ -1,21 +1,20 @@
-//! # wsn-bench — benchmark harness
+//! # wsn-bench — experiment and simulation binaries
 //!
-//! Two entry points regenerate the paper's evaluation:
+//! Two binaries drive the simulator:
 //!
 //! * the `experiments` binary (`cargo run -p wsn-bench --release --bin
 //!   experiments`) prints, for every figure of §5 plus the two future-work
 //!   extensions, the same rows/series the paper plots;
-//! * the zero-dependency [`harness`] benches (`cargo bench`) time
-//!   representative simulation cells and the protocol-level hot paths and
-//!   merge their numbers into `BENCH_results.json`.
+//! * the `simulate` binary runs single cells, traced runs, the fuzzer, the
+//!   continuous-query service and the `scale` throughput smoke.
 //!
-//! This library crate holds the bench harness, the binaries' one flag
-//! parser ([`cli`]) and re-exports the pieces the entry points share.
+//! This library crate holds the binaries' one flag parser ([`cli`]), the
+//! JSON reader/writer of their machine-readable outputs ([`json`]), the
+//! constant-density `scale` workload ([`scale`]) and re-exports the pieces
+//! the entry points share.
 
 pub mod cli;
-pub mod harness;
 pub mod json;
-pub mod regress;
 pub mod scale;
 
 pub use wsn_sim::experiments;

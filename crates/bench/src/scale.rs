@@ -1,8 +1,8 @@
-//! Constant-density scale workload, shared by the `scale` bench family
-//! and the `simulate scale` CI smoke gate.
+//! Constant-density scale workload, shared by the `simulate scale` CI
+//! smoke gate and the benchmark's `scale_10k` workload.
 //!
-//! The figure benches all run inside the paper's fixed 200 m × 200 m
-//! arena, where node count changes *density*. Here the arena grows with
+//! The paper's figures all run inside a fixed 200 m × 200 m arena, where
+//! node count changes *density*. Here the arena grows with
 //! `n` so average degree stays ≈ 13 (the Table 2 operating point) and
 //! the per-round work scales linearly — the regime the struct-of-arrays
 //! engine is built for.

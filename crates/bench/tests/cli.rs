@@ -6,6 +6,8 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+use wsn_bench::json::Json;
+
 fn run(bin: &str, dir: &Path, args: &[&str]) -> Output {
     Command::new(bin)
         .current_dir(dir)
@@ -170,5 +172,59 @@ fn serve_schedules_inside_the_service_still_run() {
     let out = simulate(&dir, &args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--json` carries the accuracy fields of the energy/accuracy frontier:
+/// on fast-drifting data the exact HBC reads 0 and 0, and the q-digest
+/// certifies a rank tolerance of `⌊ε·n⌋` (ε = 0.1 on 200 sensors) and
+/// stays within it.
+#[test]
+fn json_output_carries_the_rank_error_and_tolerance() {
+    let dir = scratch("json");
+    let nodes = 200;
+    for (alg, tolerance) in [("HBC", 0), ("QD", nodes / 10)] {
+        let file = format!("{alg}.json");
+        let nodes = nodes.to_string();
+        let args = [
+            "--algorithm",
+            alg,
+            "--nodes",
+            &nodes,
+            "--rounds",
+            "20",
+            "--runs",
+            "1",
+            "--period",
+            "8",
+            "--noise",
+            "50",
+            "--json",
+            &file,
+        ];
+        let out = simulate(&dir, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{alg}: {stderr}");
+        let text = std::fs::read_to_string(dir.join(&file)).expect("JSON written");
+        let doc = Json::parse(&text).expect("valid JSON");
+        let metrics = doc.get(alg).expect("one object per algorithm");
+        let num = |key: &str| match metrics.get(key) {
+            Some(Json::Num(v)) => *v,
+            other => panic!("{alg}: {key} is {other:?}"),
+        };
+        assert_eq!(num("rank_tolerance"), tolerance as f64, "{alg}");
+        assert!(num("max_rank_error") <= num("rank_tolerance"), "{alg}");
+        let Some(Json::Obj(phases)) = metrics.get("phase_joules") else {
+            panic!("{alg}: phase_joules is not an object");
+        };
+        let total: f64 = phases
+            .iter()
+            .map(|(_, v)| match v {
+                Json::Num(j) => *j,
+                other => panic!("{alg}: phase joules {other:?}"),
+            })
+            .sum();
+        assert!(total > 0.0, "{alg}: the run spent energy");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,6 +1,6 @@
-//! Binary-level tests of the serve monitoring plane and the bench
-//! regression gate: the exit-code contracts CI scripts rely on, and the
-//! flight-recorder JSONL round-tripping through our own JSON parser.
+//! Binary-level tests of the serve monitoring plane: the exit-code
+//! contracts CI scripts rely on, and the flight-recorder JSONL
+//! round-tripping through our own JSON parser.
 
 use wsn_bench::json::Json;
 
@@ -89,69 +89,6 @@ fn monitored_serve_exit_codes_and_health_dump_through_the_real_binary() {
     let (code_b, monitored) = simulate(&dir, &monitored_digest);
     assert_eq!((code_a, code_b), (0, 0));
     assert_eq!(plain, monitored, "monitoring changed the serve digest");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// One results file in the harness layout with a single group.
-fn results_file(dir: &std::path::Path, name: &str, cells: &[(&str, u64)]) {
-    let mut group = Json::Obj(vec![]);
-    for (cell, median) in cells {
-        group.set(
-            cell,
-            Json::Obj(vec![
-                ("median_ns".into(), Json::int(*median)),
-                ("min_ns".into(), Json::int(*median)),
-                ("mean_ns".into(), Json::int(*median)),
-                ("iters".into(), Json::int(10)),
-            ]),
-        );
-    }
-    let mut root = Json::Obj(vec![(
-        "_meta".into(),
-        Json::Obj(vec![("cores".into(), Json::int(1))]),
-    )]);
-    root.set("grp", group);
-    std::fs::write(dir.join(name), root.pretty()).expect("write results file");
-}
-
-/// `simulate bench-diff` through the real binary: identical medians exit
-/// 0, a slowdown past the tolerance band exits 1 naming the cell, and
-/// every bad-input shape exits 2.
-#[test]
-fn bench_diff_exit_codes_through_the_real_binary() {
-    let dir = scratch("bench-diff");
-    results_file(&dir, "base.json", &[("a", 100), ("b", 100)]);
-    results_file(&dir, "same.json", &[("a", 100), ("b", 100)]);
-    results_file(&dir, "slow.json", &[("a", 100), ("b", 200)]);
-
-    let (code, out) = simulate(&dir, &["bench-diff", "base.json", "same.json"]);
-    assert_eq!(code, 0, "{out}");
-    assert!(out.contains("0 regressed"), "{out}");
-
-    let (code, out) = simulate(&dir, &["bench-diff", "base.json", "slow.json"]);
-    assert_eq!(code, 1, "2x slowdown beats any sane band: {out}");
-    assert!(out.contains("REGRESSED grp/b"), "{out}");
-
-    let wide = ["bench-diff", "base.json", "slow.json", "--tolerance", "1.5"];
-    let (code, out) = simulate(&dir, &wide);
-    assert_eq!(code, 0, "a 150% band tolerates a 2x slowdown: {out}");
-
-    let (code, _) = simulate(&dir, &["bench-diff", "base.json", "missing.json"]);
-    assert_eq!(code, 2, "missing file is a usage error");
-
-    std::fs::write(dir.join("garbage.json"), "{broken").unwrap();
-    let (code, _) = simulate(&dir, &["bench-diff", "base.json", "garbage.json"]);
-    assert_eq!(code, 2, "malformed results file is a usage error");
-
-    let (code, _) = simulate(&dir, &["bench-diff", "base.json"]);
-    assert_eq!(code, 2, "bench-diff takes exactly two files");
-
-    let (code, _) = simulate(
-        &dir,
-        &["bench-diff", "base.json", "same.json", "--tolerance", "-1"],
-    );
-    assert_eq!(code, 2, "negative tolerance is a usage error");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -83,11 +83,6 @@ impl SelfOrganizingMap {
         som
     }
 
-    /// Grid side length.
-    pub fn side(&self) -> usize {
-        self.side
-    }
-
     /// Weight of neuron `(row, col)`.
     pub fn weight(&self, row: usize, col: usize) -> f64 {
         self.weights[row * self.side + col]

@@ -15,13 +15,14 @@
 # For each workload and end-to-end metric it prints both medians and
 # quartiles, the change/parent ratio of the medians, the pairs the change
 # won and a verdict against the metric's bound: "regressed" beyond the
-# bound, "gain" when the change wins at least 9 of every 10 pairs and its
-# median beats the parent's by more than the parent's quartile spread,
-# "ok" otherwise.
+# bound, "gain" when at least 10 pairs ran, the change wins at least 9 of
+# every 10 and its median beats the parent's by more than the parent's
+# quartile spread, "ok" otherwise.
 #
 # Exit status: 0 on a clean comparison; 1 when any sim_digest differs
 # between the sides, the change fails more units than the parent or a
-# metric regressed beyond its bound; 2 on a usage error.
+# metric regressed beyond its bound; 2 on a usage error (an unknown
+# revision or workload included), before anything is exported or built.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,6 +53,13 @@ git rev-parse --verify --quiet "$parent_rev^{commit}" > /dev/null || {
     echo "bench_pairs: unknown revision $parent_rev" >&2
     exit 2
 }
+python3 - ${workloads[@]+"${workloads[@]}"} <<'EOF' || usage
+import json, sys
+known = [w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]]
+for w in sys.argv[1:]:
+    if w not in known:
+        sys.exit(f"bench_pairs: unknown workload {w} (known: {' '.join(known)})")
+EOF
 
 root="$(pwd)"
 out=".bench_build/pairs"
@@ -70,11 +78,7 @@ import json, os, statistics, subprocess, sys
 
 root, out, pairs, seed = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 bench = json.load(open(os.path.join(root, "BENCHMARK.json")))
-known = [w["name"] for w in bench["workloads"]]
-workloads = sys.argv[5:] or known
-for w in workloads:
-    if w not in known:
-        sys.exit(f"bench_pairs: unknown workload {w} (known: {' '.join(known)})")
+workloads = sys.argv[5:] or [w["name"] for w in bench["workloads"]]
 sides = {
     "parent": (os.path.join(root, out, "parent-src"), os.path.join(root, out, "parent")),
     "change": (root, os.path.join(root, out, "change")),
@@ -141,7 +145,7 @@ for w in workloads:
         if worse > bound:
             verdict = "regressed"
             bad.append(f"{w}: {name} ratio {ratio:.3f} is beyond its bound {bound}")
-        elif wins * 10 >= 9 * len(pv) and gap > p3 - p1:
+        elif len(pv) >= 10 and wins * 10 >= 9 * len(pv) and gap > p3 - p1:
             verdict = "gain"
         else:
             verdict = "ok"

@@ -91,13 +91,16 @@ fi
 grep -q 'kind=budget_overrun' "$tmp/mon-run.txt"
 grep -q '"type":"health".*"kind":"budget_overrun"' "$tmp/health.jsonl"
 
-echo "==> bench regression gate (opt-in: set CI_BENCH_REGRESS=1; re-times"
-echo "    the harness benches and diffs medians against BENCH_baseline.json)"
-if [ "${CI_BENCH_REGRESS:-0}" = "1" ]; then
-    ./scripts/bench_regress.sh
-else
-    echo "    skipped (CI_BENCH_REGRESS unset)"
-fi
+echo "==> benchmark gate usage smoke (scripts/bench_pairs.sh must reject each"
+echo "    bad invocation with exit 2 before it exports or builds anything)"
+for args in "" "HEAD no_such_workload" "HEAD --pairs 0" "no-such-rev"; do
+    code=0
+    timeout 10 ./scripts/bench_pairs.sh $args > /dev/null 2>&1 || code=$?
+    if [ "$code" != 2 ]; then
+        echo "bench_pairs smoke: '$args' must exit 2 within 10 s, got $code" >&2
+        exit 1
+    fi
+done
 
 echo "==> scale smoke (10k-node HBC throughput under a wall-clock budget)"
 # The internal budget catches throughput regressions (~0.6 s on the
