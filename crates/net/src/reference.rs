@@ -6,7 +6,7 @@
 //! fresh frontier `Vec` per level that takes both square roots on every
 //! tie. Every digest in the repository was recorded on their output, so
 //! [`Topology::build`] and the [`RoutingTree`] constructors must reproduce
-//! it exactly: the same neighbour slices, parents, depths, children, wave
+//! it exactly: the same neighbour lists, parents, depths, children, wave
 //! order, level runs, parent slots and orphan lists (or `Err`).
 
 use std::collections::HashMap;
@@ -98,7 +98,7 @@ fn reference_spanning(topo: &Topology, alive: &[bool]) -> ReferenceTree {
     while !frontier.is_empty() {
         let mut next = Vec::new();
         for &u in &frontier {
-            for &v in topo.neighbors(u) {
+            for v in topo.neighbors(u) {
                 if !alive[v.index()] {
                     continue;
                 }
@@ -191,8 +191,14 @@ fn assert_same_tree(tree: &RoutingTree, orphans: &[NodeId], r: &ReferenceTree, w
 
 /// Checks the disk graph of `positions` against `expect`, then both tree
 /// constructors against the reference BFS: the full tree (or its `Err`)
-/// and the tree spanning `alive`.
-fn check(positions: Vec<Point>, range: f64, alive: &[bool], expect: &[Vec<NodeId>], what: &str) {
+/// and the tree spanning `alive`, whose level count it returns.
+fn check(
+    positions: Vec<Point>,
+    range: f64,
+    alive: &[bool],
+    expect: &[Vec<NodeId>],
+    what: &str,
+) -> usize {
     let topo = Topology::build(positions, range);
     assert_same_graph(&topo, expect, what);
 
@@ -204,6 +210,7 @@ fn check(positions: Vec<Point>, range: f64, alive: &[bool], expect: &[Vec<NodeId
     let (tree, orphans) = RoutingTree::spanning_alive(&topo, alive);
     let reference = reference_spanning(&topo, alive);
     assert_same_tree(&tree, &orphans, &reference, what);
+    tree.levels()
 }
 
 /// A random alive mask: the sink lives, each sensor with probability
@@ -238,23 +245,36 @@ fn flat_constructors_match_the_reference_on_random_placements() {
 fn flat_constructors_match_the_reference_over_waypoint_epochs_of_the_table2_world() {
     // Table 2: 1000 sensors on 200 m × 200 m, ρ = 35 m, with the dynamic
     // world's random-waypoint walk at ρ/4 per epoch and a fixed sink.
-    const AREA: f64 = 200.0;
+    let levels = waypoint_epochs(1000, 200.0, false, 50);
+    assert!(levels >= 5, "Table 2 world: {levels} levels");
+    // `scale_10k`'s density (about 13 neighbours at ρ = 35 m) on 3000
+    // sensors with the sink at a corner: dozens of levels, each one's
+    // discoveries leaving the BFS's grid before the next is expanded.
+    let side = (3001.0 * std::f64::consts::PI * 35.0 * 35.0 / 13.0_f64).sqrt();
+    let levels = waypoint_epochs(3000, side, true, 4);
+    assert!(levels >= 40, "sparse world: {levels} levels");
+}
+
+/// Walks `sensors` sensors on an `area` × `area` field through `epochs`
+/// random-waypoint epochs at ρ/4 (ρ = 35 m) with a fixed sink, drawn or at
+/// the corner, checking every epoch against the reference under a 0.97
+/// alive mask. Returns the most levels any spanning tree had.
+fn waypoint_epochs(sensors: usize, area: f64, corner_sink: bool, epochs: usize) -> usize {
     const RANGE: f64 = 35.0;
     let mut rng = SplitMix64::new(2014);
-    let mut draw = move || Point::new(rng.next_f64() * AREA, rng.next_f64() * AREA);
-    let mut positions: Vec<Point> = (0..1001).map(|_| draw()).collect();
-    let mut targets: Vec<Point> = (0..1001).map(|_| draw()).collect();
+    let mut draw = move || Point::new(rng.next_f64() * area, rng.next_f64() * area);
+    let mut positions: Vec<Point> = (0..=sensors).map(|_| draw()).collect();
+    if corner_sink {
+        positions[0] = Point::new(0.0, 0.0);
+    }
+    let mut targets: Vec<Point> = (0..=sensors).map(|_| draw()).collect();
     let mut churn = SplitMix64::new(7);
-    for epoch in 0..50 {
+    let mut levels = 0;
+    for epoch in 0..epochs {
         let alive = alive_mask(positions.len(), 0.97, &mut churn);
         let expect = reference_neighbors(&positions, RANGE);
-        check(
-            positions.clone(),
-            RANGE,
-            &alive,
-            &expect,
-            &format!("epoch {epoch}"),
-        );
+        let what = format!("{sensors} sensors, epoch {epoch}");
+        levels = levels.max(check(positions.clone(), RANGE, &alive, &expect, &what));
         for (p, t) in positions.iter_mut().zip(&mut targets).skip(1) {
             let d = p.dist(t);
             if d <= RANGE / 4.0 {
@@ -266,6 +286,7 @@ fn flat_constructors_match_the_reference_over_waypoint_epochs_of_the_table2_worl
             }
         }
     }
+    levels
 }
 
 /// Layouts at the edges of the cell grid's arithmetic, with their radio

@@ -4,9 +4,13 @@
 //! physically connected iff their Euclidean distance is at most the radio
 //! range `ρ` (a unit-disk graph). Node `0` is by convention the root/sink
 //! `r`: it has an infinite energy supply and takes no measurements
-//! (paper §2).
+//! (paper §2). The graph is never materialized: a cell grid over the
+//! positions answers every neighbourhood query.
+
+use std::ops::Range;
 
 use crate::geometry::Point;
+use crate::tree::RoutingTree;
 
 /// Identifier of a network node. Index `0` is always the root (sink).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -35,29 +39,25 @@ impl std::fmt::Display for NodeId {
     }
 }
 
-/// The physical topology: node positions plus the disk connectivity graph.
+/// The physical topology: node positions and the radio range, indexed by a
+/// cell grid. The disk graph is never materialized: neighbour lists and
+/// the routing-tree BFS ([`RoutingTree::spanning_alive`]) scan the
+/// grid's 3×3 cell blocks.
 #[derive(Debug, Clone)]
 pub struct Topology {
     positions: Vec<Point>,
     radio_range: f64,
-    /// CSR adjacency of the disk graph (symmetric, no self loops): the
-    /// neighbours of node `i` are `adj[offs[i] .. offs[i + 1]]`, ascending.
-    offs: Vec<u32>,
-    adj: Vec<NodeId>,
+    grid: CellGrid,
 }
 
 impl Topology {
-    /// Builds the disk graph over `positions` with radio range
-    /// `radio_range` (meters). `positions\[0\]` is the root.
+    /// Indexes `positions` for the disk graph of radio range `radio_range`
+    /// (meters). `positions\[0\]` is the root.
     ///
-    /// Runs in `O(n · d)` (`d` the average neighbourhood size) over flat
-    /// arrays, with a constant number of allocations (DESIGN.md §3.3g):
-    /// a counting-sort cell grid finds each node's candidates, a
-    /// branch-free scan keeps the half-edges `i < j` within range, and two
-    /// counting-sort sweeps emit every neighbour list in ascending id order
-    /// without sorting one. Non-finite coordinates are legal: such nodes
-    /// are clamped into edge cells, and the distance test alone decides
-    /// their links.
+    /// Runs in `O(n)` with a constant number of allocations (DESIGN.md
+    /// §3.3g): one counting sort into a cell grid. Non-finite coordinates
+    /// are legal: such nodes are clamped into edge cells, and the distance
+    /// test alone decides their links.
     ///
     /// # Panics
     /// Panics if fewer than two positions are given or the range is not
@@ -67,13 +67,10 @@ impl Topology {
         assert!(radio_range > 0.0, "radio range must be positive");
 
         let grid = CellGrid::new(&positions, radio_range);
-        let (up, half) = grid.upper_neighbors(radio_range * radio_range);
-        let (offs, adj) = symmetric_csr(&up, &half);
         Topology {
             positions,
             radio_range,
-            offs,
-            adj,
+            grid,
         }
     }
 
@@ -102,30 +99,29 @@ impl Topology {
         self.positions[id.index()]
     }
 
-    /// Physical neighbors of `id` in the disk graph, in ascending id order.
-    pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
-        let i = id.index();
-        &self.adj[self.offs[i] as usize..self.offs[i + 1] as usize]
-    }
-
-    /// Returns `true` iff every node can reach the root over physical links
-    /// (the paper assumes an unpartitioned network).
-    pub fn is_connected(&self) -> bool {
-        let n = self.len();
-        let mut seen = vec![false; n];
-        let mut stack = vec![NodeId::ROOT];
-        seen[0] = true;
-        let mut visited = 0usize;
-        while let Some(u) = stack.pop() {
-            visited += 1;
-            for &v in self.neighbors(u) {
-                if !seen[v.index()] {
-                    seen[v.index()] = true;
-                    stack.push(v);
+    /// Physical neighbors of `id` in the disk graph, computed on demand
+    /// from the cell grid, in ascending id order.
+    pub fn neighbors(&self, id: NodeId) -> Vec<NodeId> {
+        let (g, p) = (&self.grid, self.position(id));
+        let range_sq = self.radio_range * self.radio_range;
+        let mut list = Vec::new();
+        for row in g.block(g.cell[id.index()] as usize) {
+            for &v in &g.ids[g.start[row.start] as usize..g.start[row.end] as usize] {
+                if v != id && self.positions[v.index()].dist_sq(&p) <= range_sq {
+                    list.push(v);
                 }
             }
         }
-        visited == n
+        list.sort_unstable();
+        list
+    }
+
+    /// Returns `true` iff every node can reach the root over physical links
+    /// (the paper assumes an unpartitioned network): the all-alive
+    /// [`RoutingTree::spanning_alive`] tree has no orphans.
+    pub fn is_connected(&self) -> bool {
+        let (_, orphans) = RoutingTree::spanning_alive(self, &vec![true; self.len()]);
+        orphans.is_empty()
     }
 
     /// Iterator over all node ids, root first.
@@ -173,17 +169,16 @@ pub(crate) fn group_ids(
 
 /// The nodes counting-sorted into a uniform grid of square cells whose side
 /// is at least `ρ`, so every neighbour of a node lies in its own cell or an
-/// adjacent one. Cell `c = row · cols + col` holds
-/// `ids[start[c] .. start[c + 1]]`, with the coordinates alongside in
-/// `xs`/`ys`; the cells of one row are contiguous, so a 3×3 block is three
-/// runs.
+/// adjacent one. Node `i` lies in cell `cell[i]`, and cell
+/// `c = row · cols + col` holds `ids[start[c] .. start[c + 1]]`; the cells
+/// of one row are contiguous, so a 3×3 block is three runs.
+#[derive(Debug, Clone)]
 struct CellGrid {
     cols: usize,
     rows: usize,
+    cell: Vec<u32>,
     start: Vec<u32>,
     ids: Vec<NodeId>,
-    xs: Vec<f64>,
-    ys: Vec<f64>,
 }
 
 impl CellGrid {
@@ -200,70 +195,102 @@ impl CellGrid {
         // `as usize` saturates (NaN → 0), so `min` clamps non-finite
         // coordinates into the edge cells.
         let (cols, rows) = ((wx * inv) as usize + 1, (wy * inv) as usize + 1);
-        let cell_of = |i: usize| {
-            let p = positions[i];
-            let col = (((p.x - x0) * inv) as usize).min(cols - 1);
-            let row = (((p.y - y0) * inv) as usize).min(rows - 1);
-            Some(row * cols + col)
-        };
-        let (start, ids) = group_ids(n, cols * rows, cell_of);
-        let xs = ids.iter().map(|id| positions[id.index()].x).collect();
-        let ys = ids.iter().map(|id| positions[id.index()].y).collect();
+        let cell: Vec<u32> = positions
+            .iter()
+            .map(|p| {
+                let col = (((p.x - x0) * inv) as usize).min(cols - 1);
+                let row = (((p.y - y0) * inv) as usize).min(rows - 1);
+                (row * cols + col) as u32
+            })
+            .collect();
+        let (start, ids) = group_ids(n, cols * rows, |i| Some(cell[i] as usize));
         CellGrid {
             cols,
             rows,
+            cell,
             start,
             ids,
-            xs,
-            ys,
         }
     }
 
-    /// Every half-edge `i < j` with `dist²(i, j) ≤ range_sq`: node `i`'s
-    /// upper neighbours are `half[up[i].0 .. up[i].1]`, in grid order.
-    ///
-    /// The scan is branch-free: each candidate is written unconditionally
-    /// and the write position advances by `(j > i) & in_range`.
-    fn upper_neighbors(&self, range_sq: f64) -> (Vec<(u32, u32)>, Vec<NodeId>) {
-        let n = self.ids.len();
-        let mut up = vec![(0u32, 0u32); n];
-        let mut half = vec![NodeId::ROOT; 8 * n];
-        let mut k = 0usize;
-        for row in 0..self.rows {
-            let block_rows = row.saturating_sub(1)..(row + 2).min(self.rows);
-            for col in 0..self.cols {
-                let (c0, c1) = (col.saturating_sub(1), (col + 2).min(self.cols));
-                let run = |r: usize| {
-                    self.start[r * self.cols + c0] as usize..self.start[r * self.cols + c1] as usize
-                };
-                let span: usize = block_rows.clone().map(|r| run(r).len()).sum();
-                let cell = row * self.cols + col;
-                for s in self.start[cell] as usize..self.start[cell + 1] as usize {
-                    let (i, x, y) = (self.ids[s], self.xs[s], self.ys[s]);
-                    if half.len() < k + span {
-                        let len = (k + span).max(2 * half.len());
-                        assert!(len <= u32::MAX as usize / 2, "disk graph too dense");
-                        half.resize(len, NodeId::ROOT);
-                    }
-                    let from = k;
-                    for r in block_rows.clone() {
-                        let t = run(r);
-                        for ((&j, &xj), &yj) in self.ids[t.clone()]
-                            .iter()
-                            .zip(&self.xs[t.clone()])
-                            .zip(&self.ys[t])
-                        {
-                            let (dx, dy) = (xj - x, yj - y);
-                            half[k] = j;
-                            k += usize::from((j > i) & (dx * dx + dy * dy <= range_sq));
-                        }
-                    }
-                    up[i.index()] = (from as u32, k as u32);
+    /// The 3×3 block of cells around cell `c`, clipped at the grid's edges:
+    /// one range of cell indices per row.
+    fn block(&self, c: usize) -> impl Iterator<Item = Range<usize>> + Clone {
+        let (row, col, cols) = (c / self.cols, c % self.cols, self.cols);
+        let (c0, c1) = (col.saturating_sub(1), (col + 2).min(cols));
+        (row.saturating_sub(1)..(row + 2).min(self.rows)).map(move |r| r * cols + c0..r * cols + c1)
+    }
+}
+
+/// The routing-tree BFS's working copy of the cell grid: the live sensors
+/// not yet settled in the tree, as `(x, y, id)` slots. Cell `c` holds
+/// `slots[start[c] .. end[c]]`, and node `i` sits in slot `slot[i]` while
+/// it is in the grid.
+pub(crate) struct LiveGrid<'a> {
+    topo: &'a Topology,
+    slots: Vec<(f64, f64, NodeId)>,
+    end: Vec<u32>,
+    slot: Vec<u32>,
+    /// `(id, d²)` of each candidate of the last scan; the in-range ones
+    /// first.
+    hits: Vec<(NodeId, f64)>,
+}
+
+impl<'a> LiveGrid<'a> {
+    /// Inserts every sensor with `alive[i]`; dead nodes and the sink never
+    /// enter the grid.
+    pub(crate) fn new(topo: &'a Topology, alive: &[bool]) -> Self {
+        let (g, n) = (&topo.grid, topo.len());
+        let mut slots = vec![(0.0, 0.0, NodeId::ROOT); n];
+        let mut end = g.start[..g.start.len() - 1].to_vec();
+        let mut slot = vec![u32::MAX; n];
+        for &v in &g.ids {
+            if alive[v.index()] && !v.is_root() {
+                let (c, p) = (g.cell[v.index()] as usize, topo.position(v));
+                let s = end[c] as usize;
+                (slots[s], slot[v.index()]) = ((p.x, p.y, v), s as u32);
+                end[c] += 1;
+            }
+        }
+        LiveGrid {
+            topo,
+            slots,
+            end,
+            slot,
+            hits: vec![(NodeId::ROOT, 0.0); n],
+        }
+    }
+
+    /// Every node still in the grid within radio range of `u`, with its
+    /// squared distance to `u`. The scan of `u`'s 3×3 block is branch-free:
+    /// each candidate is written unconditionally and the write position
+    /// advances by `d² ≤ ρ²`.
+    pub(crate) fn within_range(&mut self, u: NodeId) -> &[(NodeId, f64)] {
+        let (g, p) = (&self.topo.grid, self.topo.position(u));
+        let range_sq = self.topo.radio_range * self.topo.radio_range;
+        let mut k = 0;
+        for row in g.block(g.cell[u.index()] as usize) {
+            for c in row {
+                let run = g.start[c] as usize..self.end[c] as usize;
+                for &(x, y, v) in &self.slots[run] {
+                    let (dx, dy) = (x - p.x, y - p.y);
+                    let d_sq = dx * dx + dy * dy;
+                    self.hits[k] = (v, d_sq);
+                    k += usize::from(d_sq <= range_sq);
                 }
             }
         }
-        half.truncate(k);
-        (up, half)
+        &self.hits[..k]
+    }
+
+    /// Removes `v` from its cell in `O(1)`: the cell's last live slot moves
+    /// into `v`'s.
+    pub(crate) fn remove(&mut self, v: NodeId) {
+        let c = self.topo.grid.cell[v.index()] as usize;
+        let (s, last) = (self.slot[v.index()] as usize, self.end[c] as usize - 1);
+        self.slots[s] = self.slots[last];
+        self.slot[self.slots[s].2.index()] = s as u32;
+        self.end[c] -= 1;
     }
 }
 
@@ -279,42 +306,6 @@ fn finite_span(values: impl Iterator<Item = f64>) -> (f64, f64) {
     } else {
         (0.0, 0.0)
     }
-}
-
-/// Turns the half-edges into symmetric CSR lists, each in ascending id
-/// order, with two counting-sort sweeps. Sweeping `i` ascending and
-/// pushing `i` into each upper neighbour's list fills every list's lower
-/// neighbours, ascending; sweeping each `j` ascending over its now-sorted
-/// lower list and pushing `j` into those lists then appends every list's
-/// upper neighbours, ascending.
-fn symmetric_csr(up: &[(u32, u32)], half: &[NodeId]) -> (Vec<u32>, Vec<NodeId>) {
-    let n = up.len();
-    let mut offs = vec![0u32; n + 1];
-    for (i, &(from, to)) in up.iter().enumerate() {
-        offs[i + 1] += to - from;
-    }
-    for j in half {
-        offs[j.index() + 1] += 1;
-    }
-    for i in 0..n {
-        offs[i + 1] += offs[i];
-    }
-    let mut adj = vec![NodeId::ROOT; offs[n] as usize];
-    let mut fill = offs[..n].to_vec();
-    for (i, &(from, to)) in up.iter().enumerate() {
-        for j in &half[from as usize..to as usize] {
-            adj[fill[j.index()] as usize] = NodeId(i as u32);
-            fill[j.index()] += 1;
-        }
-    }
-    for j in 0..n {
-        for at in offs[j] as usize..fill[j] as usize {
-            let i = adj[at].index();
-            adj[fill[i] as usize] = NodeId(j as u32);
-            fill[i] += 1;
-        }
-    }
-    (offs, adj)
 }
 
 #[cfg(test)]
@@ -355,7 +346,7 @@ mod tests {
     fn adjacency_is_symmetric() {
         let topo = line_topology(20, 7.0, 15.0);
         for u in topo.node_ids() {
-            for &v in topo.neighbors(u) {
+            for v in topo.neighbors(u) {
                 assert!(topo.neighbors(v).contains(&u), "{u} -> {v} not symmetric");
                 assert_ne!(u, v, "self loop at {u}");
             }

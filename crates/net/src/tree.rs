@@ -7,7 +7,7 @@
 //! count with Euclidean distance as the tie-breaker, which makes tree
 //! construction deterministic for a given topology.
 
-use crate::topology::{group_ids, NodeId, Topology};
+use crate::topology::{group_ids, LiveGrid, NodeId, Topology};
 
 /// A routing tree over a [`Topology`], rooted at [`NodeId::ROOT`].
 ///
@@ -75,12 +75,14 @@ impl RoutingTree {
     /// survivor graph is an expected runtime condition, unlike a
     /// partitioned deployment).
     ///
-    /// The BFS visits each level in ascending id order. A node's parent is
-    /// the first one of the previous level to reach it, replaced only by a
-    /// strictly closer one (Euclidean tie-break, deterministic and cheaper
-    /// links); the squared distance to the current parent is cached, so
-    /// square roots are taken only when a candidate is strictly closer
-    /// squared — exact, as `sqrt` is monotone.
+    /// The BFS visits each level in ascending id order, finding each
+    /// node's neighbours by scanning its 3×3 block of the cell grid for
+    /// the live sensors not yet settled (DESIGN.md §3.3g). A node's parent
+    /// is the first one of the previous level to reach it, replaced only by
+    /// a strictly closer one (Euclidean tie-break, deterministic and
+    /// cheaper links); the squared distance to the current parent is
+    /// cached, so square roots are taken only when a candidate is strictly
+    /// closer squared — exact, as `sqrt` is monotone.
     ///
     /// Dead and orphaned nodes keep their slots (the tree stays
     /// full-length) but have no parent, no children, depth `u32::MAX`, and
@@ -98,6 +100,7 @@ impl RoutingTree {
         let mut parent: Vec<Option<NodeId>> = vec![None; n];
         let mut depth = vec![u32::MAX; n];
         let mut parent_dist_sq = vec![0.0f64; n];
+        let mut grid = LiveGrid::new(topo, alive);
         // The visit order doubles as the BFS queue: `order[head..]` is the
         // level being expanded, and the next level is sorted once complete.
         let mut order = Vec::with_capacity(n);
@@ -108,19 +111,17 @@ impl RoutingTree {
             let level_end = order.len();
             for k in head..level_end {
                 let u = order[k];
-                let (pu, d) = (topo.position(u), depth[u.index()] + 1);
-                for &v in topo.neighbors(u) {
+                let d = depth[u.index()] + 1;
+                for &(v, new) in grid.within_range(u) {
                     let i = v.index();
-                    if !alive[i] {
-                        continue;
-                    }
                     if depth[i] == u32::MAX {
                         depth[i] = d;
                         parent[i] = Some(u);
-                        parent_dist_sq[i] = topo.position(v).dist_sq(&pu);
+                        parent_dist_sq[i] = new;
                         order.push(v);
-                    } else if depth[i] == d {
-                        let new = topo.position(v).dist_sq(&pu);
+                    } else {
+                        // Settled levels have left the grid: `v` was found
+                        // earlier in this level, at depth `d`.
                         let cur = parent_dist_sq[i];
                         if new < cur && new.sqrt() < cur.sqrt() {
                             parent[i] = Some(u);
@@ -128,6 +129,9 @@ impl RoutingTree {
                         }
                     }
                 }
+            }
+            for &v in &order[level_end..] {
+                grid.remove(v);
             }
             order[level_end..].sort_unstable();
             head = level_end;

@@ -1,11 +1,16 @@
-//! The audit must cost a bounded number of heap bytes per recorded event.
+//! The network's long-lived state must cost a bounded number of heap bytes
+//! per unit it stores, measured with a live-byte counting global
+//! allocator.
 //!
-//! An audited network keeps one 16-byte record per transmission event plus
-//! the ledger's per-node totals at each round boundary. This test pins
-//! that with a live-byte counting global allocator: two identical 32×32
-//! grid networks run the same 40 protocol-shaped rounds, one audited and
-//! one not, and the audited one may hold at most 40 extra bytes per event
-//! (a doubling `Vec` of 16-byte records stays below 32).
+//! * **The audit.** An audited network keeps one 16-byte record per
+//!   transmission event plus the ledger's per-node totals at each round
+//!   boundary: two identical 32×32 grid networks run the same 40
+//!   protocol-shaped rounds, one audited and one not, and the audited one
+//!   may hold at most 40 extra bytes per event (a doubling `Vec` of
+//!   16-byte records stays below 32).
+//! * **The topology.** A `Topology` holds `O(n)` bytes at any density: the
+//!   32×32 grid at ρ = 40 (69.5 neighbours per node on average) may hold at
+//!   most 1.1× the bytes it holds at ρ = 12 (7.6).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -66,11 +71,14 @@ impl Aggregate for Count {
     }
 }
 
-fn grid_network(side: usize) -> Network {
-    let positions = (0..side * side)
+fn grid_positions(side: usize) -> Vec<Point> {
+    (0..side * side)
         .map(|i| Point::new((i % side) as f64 * 8.0, (i / side) as f64 * 8.0))
-        .collect();
-    let topo = Topology::build(positions, 12.0);
+        .collect()
+}
+
+fn grid_network(side: usize) -> Network {
+    let topo = Topology::build(grid_positions(side), 12.0);
     let tree = RoutingTree::shortest_path_tree(&topo).unwrap();
     Network::new(topo, tree, RadioModel::default(), MessageSizes::default())
 }
@@ -117,5 +125,30 @@ fn the_audit_keeps_at_most_40_bytes_per_event() {
     assert!(
         per_event <= 40.0,
         "the audit holds {per_event:.1} bytes per event over {events} events"
+    );
+}
+
+/// Live heap bytes held by the 32×32 grid's `Topology` at radio range
+/// `range`, its positions included.
+fn topology_bytes(range: f64) -> i64 {
+    let before = live_bytes();
+    let topo = Topology::build(grid_positions(32), range);
+    let bytes = live_bytes() - before;
+    drop(topo);
+    bytes
+}
+
+#[test]
+fn a_topology_holds_o_n_bytes_at_any_density() {
+    let (sparse, dense) = (topology_bytes(12.0), topology_bytes(40.0));
+    let nodes = 32.0 * 32.0;
+    eprintln!(
+        "topology: {:.1} bytes per node at rho 12, {:.1} at rho 40",
+        sparse as f64 / nodes,
+        dense as f64 / nodes
+    );
+    assert!(
+        dense as f64 <= 1.1 * sparse as f64,
+        "a Topology holds {dense} bytes at rho 40 against {sparse} at rho 12"
     );
 }

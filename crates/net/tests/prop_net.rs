@@ -35,7 +35,7 @@ proptest! {
     ) {
         let topo = topology_from(&points, range);
         for u in topo.node_ids() {
-            for &v in topo.neighbors(u) {
+            for v in topo.neighbors(u) {
                 prop_assert!(topo.neighbors(v).contains(&u));
                 prop_assert!(topo.position(u).dist(&topo.position(v)) <= range + 1e-9);
                 prop_assert_ne!(u, v);
@@ -58,7 +58,7 @@ proptest! {
         dist[0] = 0;
         let mut queue = std::collections::VecDeque::from([NodeId::ROOT]);
         while let Some(u) = queue.pop_front() {
-            for &v in topo.neighbors(u) {
+            for v in topo.neighbors(u) {
                 if dist[v.index()] == u32::MAX {
                     dist[v.index()] = dist[u.index()] + 1;
                     queue.push_back(v);

@@ -20,6 +20,12 @@ cargo clippy --all-targets -- -D warnings
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
+echo "==> examples (each of the six must run to completion, exit 0)"
+for example in adaptive_switching algorithm_comparison environmental_monitoring \
+    lossy_links multi_sensor_nodes quickstart; do
+    cargo run --quiet -p wsn-sim --release --example "$example" > /dev/null
+done
+
 echo "==> ext-reliability smoke (ARQ + wave recovery under 30% loss)"
 ./target/release/simulate --algorithm POS --nodes 80 --rounds 30 --runs 2 \
     --loss 0.3 --retries 3 --recovery 4 --seed 7 --threads 2
