@@ -371,16 +371,17 @@ fn send_over_link(
 }
 
 /// Per-node telemetry histograms: message bits, hop depth, ARQ retries,
-/// convergecast fan-in. Always on: a sample is a fixed-size array
-/// increment into storage allocated once at construction.
+/// convergecast fan-in. Always on: a sample extends a run-length cell, and
+/// a flushed run bumps one inline counter of the node's compact 216-byte
+/// [`NodeHistograms`] block, all in storage allocated once at construction.
 ///
 /// The blocks live in *wave-slot* order — slot `s` belongs to the node at
 /// `tree.bottom_up()[s]`, and nodes outside the routing tree (dead or
 /// orphaned) are packed after the tree nodes in ascending id order — so
-/// the wave engines touch the 1.1 kB blocks in their iteration order
-/// instead of scattering over node ids. In front of the blocks sits a hot
-/// cache of one run-length [`HistDelta`] cell per `(slot, HistKind)`,
-/// slot-major, through which every sample is recorded.
+/// the wave engines touch the blocks in their iteration order instead of
+/// scattering over node ids. In front of the blocks sits a hot cache of one
+/// run-length [`HistDelta`] cell per `(slot, HistKind)`, slot-major,
+/// through which every sample is recorded.
 #[derive(Debug, Clone)]
 struct Hists {
     blocks: NodeHistograms,
@@ -391,17 +392,18 @@ struct Hists {
 }
 
 /// One run-length cell of the histogram hot cache: `repeat` pending samples
-/// of `value`, not yet applied to the 1.1 kB per-node [`NodeHistograms`]
+/// of `value`, not yet applied to the node's 216-byte [`NodeHistograms`]
 /// block. `repeat == 0` means empty.
 ///
 /// Wave traffic records the *same* value per (node, kind) almost every wave
-/// — hop depth and fan-in are topology constants, fragment sizes repeat per
-/// payload type, retries are 0 on a perfect channel — so coalescing runs
-/// here shrinks the engines' per-wave histogram traffic from the full
-/// per-node block to one 16-byte cell (the node's four cells share a cache
-/// line). Deferral is exact: histogram counters are plain integers, so
-/// applying a run later via [`NodeHistograms::record_n`] yields bit-identical
-/// state to recording each sample eagerly.
+/// — hop depth and fan-in are topology constants, retries are 0 on a
+/// perfect channel — so coalescing runs here shrinks the engines' per-wave
+/// histogram traffic from a search of the node's block to one 16-byte cell
+/// (the node's four cells share a cache line). `MsgBits` coalesces least:
+/// where broadcast and convergecast frame sizes alternate, nearly every
+/// frame flushes a run of one. Deferral is exact: histogram counters are
+/// plain integers, so applying a run later via [`NodeHistograms::record_n`]
+/// yields bit-identical state to recording each sample eagerly.
 #[derive(Debug, Clone, Copy, Default)]
 struct HistDelta {
     value: u64,
@@ -743,10 +745,11 @@ impl Network {
     }
 
     /// Per-node telemetry histograms: message bits, hop depth, ARQ
-    /// retries, convergecast fan-in. Always recorded (array increments on
-    /// the hot path, no allocation). Internally the sets live in wave-slot
-    /// order for locality; this assembles an id-ordered copy (index `i` =
-    /// node `i`), so call it per run, not per round.
+    /// retries, convergecast fan-in. Always recorded (run-length cells and
+    /// inline counters on the hot path, no allocation). Internally the
+    /// compact blocks live in wave-slot order for locality; this assembles
+    /// an id-ordered copy (index `i` = node `i`, 216 bytes per node), so
+    /// call it per run, not per round.
     pub fn histograms(&self) -> NodeHistograms {
         self.books.hists.snapshot()
     }

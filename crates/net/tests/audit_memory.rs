@@ -11,6 +11,9 @@
 //! * **The topology.** A `Topology` holds `O(n)` bytes at any density: the
 //!   32×32 grid at ρ = 40 (69.5 neighbours per node on average) may hold at
 //!   most 1.1× the bytes it holds at ρ = 12 (7.6).
+//! * **The network.** The plain (unaudited) 32×32 grid network, after the
+//!   same 40 rounds, may hold at most 512 bytes per node, of which its
+//!   compact per-node histogram block takes 216.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -125,6 +128,17 @@ fn the_audit_keeps_at_most_40_bytes_per_event() {
     assert!(
         per_event <= 40.0,
         "the audit holds {per_event:.1} bytes per event over {events} events"
+    );
+}
+
+#[test]
+fn a_network_holds_at_most_512_bytes_per_node() {
+    let (net, bytes) = run(false);
+    let per_node = bytes as f64 / net.len() as f64;
+    eprintln!("network: {per_node:.1} heap bytes per node after 40 rounds");
+    assert!(
+        per_node <= 512.0,
+        "the 32x32 grid network holds {per_node:.1} bytes per node"
     );
 }
 

@@ -20,9 +20,11 @@
 //! of two and a value `2^k` opens bucket `k + 1`, never closes bucket
 //! `k`. The last bucket (index 31) is open-ended: it absorbs every value
 //! `≥ 2^30`, all the way to `u64::MAX`, and reports `u64::MAX` as its
-//! inclusive upper bound. The `sum` and `count` accumulators saturate
-//! instead of wrapping, so even adversarial streams of `u64::MAX`
-//! samples can bucket-index, record and merge without overflow.
+//! inclusive upper bound. Only the `sum` accumulator saturates instead of
+//! wrapping, so even adversarial streams of `u64::MAX` samples can
+//! bucket-index, record and merge without overflowing it; `count` and the
+//! bucket counters are plain integer sums, and `count` is always exactly
+//! the bucket total.
 
 /// One log-bucketed histogram over `u64` samples.
 ///
@@ -245,38 +247,105 @@ impl HistogramSet {
     }
 }
 
-/// Per-node histogram sets, allocated once at network construction (the
-/// recording path only increments fixed-size arrays).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NodeHistograms {
-    nodes: Vec<HistogramSet>,
+/// Inline `(kind, bucket)` counters per node. No node on any benchmark
+/// workload touches more than 15 of its 128 buckets; a node that needs a
+/// 17th counter spills, exactly, to a dense [`HistogramSet`].
+const INLINE: usize = 16;
+
+/// [`Block::spill`] of a node whose counters are all inline.
+const INLINE_ONLY: u32 = u32::MAX;
+
+/// One node's histograms in 216 bytes instead of a dense set's 1,120: each
+/// kind's `sum` and `max`, and up to [`INLINE`] counters keyed
+/// `kind × 32 + bucket`, in first-touch order. A kind's `count` is the sum
+/// of its counters, as [`LogHistogram`] keeps `count` equal to its bucket
+/// total.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    sum: [u64; HistKind::COUNT],
+    max: [u64; HistKind::COUNT],
+    counts: [u64; INLINE],
+    keys: [u8; INLINE],
+    used: u8,
+    /// Index of the node's dense set in [`NodeHistograms`]' spill vector,
+    /// or [`INLINE_ONLY`].
+    spill: u32,
 }
+
+impl Block {
+    const EMPTY: Block = Block {
+        sum: [0; HistKind::COUNT],
+        max: [0; HistKind::COUNT],
+        counts: [0; INLINE],
+        keys: [0; INLINE],
+        used: 0,
+        spill: INLINE_ONLY,
+    };
+
+    /// Merges this node's histograms into `out`, exactly as
+    /// [`HistogramSet::merge`] merges the node's dense set.
+    fn merge_into(&self, spilled: &[HistogramSet], out: &mut HistogramSet) {
+        if self.spill != INLINE_ONLY {
+            return out.merge(&spilled[self.spill as usize]);
+        }
+        let used = self.used as usize;
+        for (&key, &c) in self.keys[..used].iter().zip(&self.counts[..used]) {
+            let h = &mut out.hists[key as usize / LogHistogram::BUCKETS];
+            h.counts[key as usize % LogHistogram::BUCKETS] += c;
+            h.count += c;
+        }
+        for (h, (&sum, &max)) in out.hists.iter_mut().zip(self.sum.iter().zip(&self.max)) {
+            h.sum = h.sum.saturating_add(sum);
+            h.max = h.max.max(max);
+        }
+    }
+}
+
+/// Per-node histogram sets, stored as one compact 216-byte block per node
+/// and allocated once at network construction: recording finds or appends
+/// one inline counter, and allocates only when a node spills. Readers see
+/// dense [`HistogramSet`]s, materialized on demand.
+#[derive(Debug, Clone, Default)]
+pub struct NodeHistograms {
+    blocks: Vec<Block>,
+    /// Dense sets of the nodes that outgrew their block, in spill order.
+    spilled: Vec<HistogramSet>,
+}
+
+impl PartialEq for NodeHistograms {
+    /// Compares what readers see, node by node: the order of a block's
+    /// counters is not state.
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && (0..self.len()).all(|i| self.node(i) == other.node(i))
+    }
+}
+
+impl Eq for NodeHistograms {}
 
 impl NodeHistograms {
     /// Allocates empty histograms for `n` nodes.
     pub fn new(n: usize) -> Self {
         NodeHistograms {
-            nodes: vec![HistogramSet::default(); n],
+            blocks: vec![Block::EMPTY; n],
+            spilled: Vec::new(),
         }
     }
 
     /// Number of nodes tracked.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.blocks.len()
     }
 
     /// True iff no nodes are tracked.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.blocks.is_empty()
     }
 
     /// Records a sample for `node` (silently ignores out-of-range ids, so
     /// callers need no bounds logic on repaired/shrunk trees).
     #[inline]
     pub fn record(&mut self, node: usize, kind: HistKind, value: u64) {
-        if let Some(set) = self.nodes.get_mut(node) {
-            set.record(kind, value);
-        }
+        self.record_n(node, kind, value, 1);
     }
 
     /// Records the same sample `times` times for `node` — the bulk form of
@@ -285,14 +354,41 @@ impl NodeHistograms {
     /// and flush them here without touching the per-node blocks per sample.
     #[inline]
     pub fn record_n(&mut self, node: usize, kind: HistKind, value: u64, times: u64) {
-        if let Some(set) = self.nodes.get_mut(node) {
-            set.record_n(kind, value, times);
+        let Some(block) = self.blocks.get_mut(node) else {
+            return;
+        };
+        if times == 0 {
+            return;
         }
+        if block.spill != INLINE_ONLY {
+            return self.spilled[block.spill as usize].record_n(kind, value, times);
+        }
+        let k = kind.index();
+        let key = (k * LogHistogram::BUCKETS + LogHistogram::bucket_of(value)) as u8;
+        let used = block.used as usize;
+        if let Some(j) = block.keys[..used].iter().position(|&x| x == key) {
+            block.counts[j] += times;
+        } else if used < INLINE {
+            block.keys[used] = key;
+            block.counts[used] = times;
+            block.used += 1;
+        } else {
+            let mut set = HistogramSet::default();
+            block.merge_into(&self.spilled, &mut set);
+            set.record_n(kind, value, times);
+            block.spill = u32::try_from(self.spilled.len()).expect("fewer spills than u32 ids");
+            self.spilled.push(set);
+            return;
+        }
+        block.sum[k] = block.sum[k].saturating_add(value.saturating_mul(times));
+        block.max[k] = block.max[k].max(value);
     }
 
-    /// One node's histograms.
-    pub fn node(&self, node: usize) -> &HistogramSet {
-        &self.nodes[node]
+    /// One node's histograms, materialized as a dense set.
+    pub fn node(&self, node: usize) -> HistogramSet {
+        let mut set = HistogramSet::default();
+        self.blocks[node].merge_into(&self.spilled, &mut set);
+        set
     }
 
     /// Rearranges the slots in place so that slot `new` afterwards holds
@@ -303,10 +399,12 @@ impl NodeHistograms {
     /// API boundary — and re-keys them when a tree repair changes the wave
     /// order.
     ///
-    /// Follows the permutation's cycles, moving each block once and holding
-    /// one block aside per cycle, instead of copying all of them.
+    /// Follows the permutation's cycles, moving each 216-byte block once
+    /// and holding one block aside per cycle, instead of copying all of
+    /// them. A spilled node's dense set stays put: its block carries the
+    /// index.
     pub fn reindex(&mut self, map: impl Fn(usize) -> usize) {
-        let n = self.nodes.len();
+        let n = self.blocks.len();
         debug_assert!(
             {
                 let mut hit = vec![false; n];
@@ -319,17 +417,17 @@ impl NodeHistograms {
             if done[first] {
                 continue;
             }
-            let held = self.nodes[first];
+            let held = self.blocks[first];
             let mut at = first;
             loop {
                 done[at] = true;
                 let from = map(at);
                 // In a permutation only the cycle's first slot is done here.
                 if done[from] {
-                    self.nodes[at] = held;
+                    self.blocks[at] = held;
                     break;
                 }
-                self.nodes[at] = self.nodes[from];
+                self.blocks[at] = self.blocks[from];
                 at = from;
             }
         }
@@ -338,8 +436,8 @@ impl NodeHistograms {
     /// Network-wide totals: every node's histograms merged.
     pub fn total(&self) -> HistogramSet {
         let mut out = HistogramSet::default();
-        for set in &self.nodes {
-            out.merge(set);
+        for block in &self.blocks {
+            block.merge_into(&self.spilled, &mut out);
         }
         out
     }
@@ -531,6 +629,27 @@ mod tests {
     #[should_panic(expected = "not a permutation")]
     fn reindex_rejects_a_non_permutation_in_debug_builds() {
         NodeHistograms::new(3).reindex(|_| 1);
+    }
+
+    #[test]
+    fn a_seventeenth_counter_spills_the_node_to_a_dense_set() {
+        assert_eq!(std::mem::size_of::<Block>(), 216);
+        let mut nh = NodeHistograms::new(2);
+        for bucket in 0..INLINE {
+            let kind = HistKind::ALL[bucket % HistKind::COUNT];
+            nh.record(1, kind, LogHistogram::bucket_range(bucket).0);
+        }
+        nh.record_n(1, HistKind::MsgBits, 0, 3); // an existing key
+        assert_eq!((nh.blocks[1].used as usize, nh.spilled.len()), (INLINE, 0));
+        nh.record(1, HistKind::MsgBits, 1 << 40);
+        assert_eq!((nh.blocks[1].spill, nh.spilled.len()), (0, 1));
+        nh.reindex(|i| 1 - i);
+        assert_eq!((nh.blocks[0].spill, nh.blocks[1].spill), (0, INLINE_ONLY));
+        nh.record(0, HistKind::MsgBits, 2);
+        let bits = *nh.node(0).get(HistKind::MsgBits);
+        assert_eq!((bits.count(), bits.max()), (9, 1 << 40));
+        assert_eq!(bits.bucket_count(0), 4);
+        assert!(nh.node(1).is_empty());
     }
 
     #[test]

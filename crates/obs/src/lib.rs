@@ -8,8 +8,10 @@
 //!
 //! * [`hist`] — fixed-size log-bucketed histograms ([`LogHistogram`]) and
 //!   per-node collections of them ([`NodeHistograms`]): message size, hop
-//!   depth, ARQ retries and subtree fan-in, with **no heap allocation in
-//!   the recording path** (a bucket increment is an array write);
+//!   depth, ARQ retries and subtree fan-in, in a compact 216-byte block
+//!   per node, with **no heap allocation in the recording path** (a bucket
+//!   increment is an inline counter write; only a node that outgrows its
+//!   16 counters allocates, once, for a dense set);
 //! * [`span`] — an allocation-free-when-disabled span/event [`Recorder`]
 //!   with wall-clock timing: rounds, protocol phases,
 //!   convergecast/broadcast waves, ARQ retries;
@@ -31,6 +33,8 @@
 pub mod capture;
 pub mod export;
 pub mod hist;
+#[cfg(test)]
+mod hist_reference;
 pub mod monitor;
 pub mod span;
 
