@@ -18,7 +18,9 @@
 //! ledger directly, and inside the engine one function books every radio
 //! charge — data frame, ACK, broadcast transmission or reception, idle
 //! listening — into the ledger, the traffic stats, the phase and lane
-//! breakdowns and the audit log, by one per-kind booking rule.
+//! breakdowns and the audit log, by one per-kind booking rule. One function
+//! sends every unicast, whatever the telemetry setting: wall-clock spans
+//! time rounds, phases and waves, never a single send.
 //!
 //! With a [`LossModel`] installed, every 802.15.4 fragment is lost
 //! independently; the optional reliability layer (see
@@ -173,6 +175,9 @@ pub struct Network {
     /// Every record a send writes.
     books: Books,
     scratch: ScratchPool,
+    /// Wall-clock span recorder for rounds, phases and waves (off by
+    /// default; see [`Network::set_telemetry`]). No send reads it.
+    recorder: Recorder,
     /// Open span for the current round (null while telemetry is off).
     round_start: SpanStart,
     /// Open span for the current phase (null while telemetry is off).
@@ -203,9 +208,6 @@ struct Books {
     audit: AuditLog,
     rel: ReliabilityStats,
     hists: Hists,
-    /// Wall-clock span recorder (off by default; see
-    /// [`Network::set_telemetry`]).
-    recorder: Recorder,
 }
 
 impl Books {
@@ -241,31 +243,6 @@ impl Books {
         self.audit
             .record(phase, kind, src, dst, fragments, bits, tx, rx);
     }
-
-    /// Books a `payload_bits` payload sent `from` (histogram slot `slot`)
-    /// `to` over a perfect channel: one data charge at the wire's per-bit
-    /// energies, its `MsgBits` samples, a zero-retry sample and the
-    /// delivery. `shared` is a shared frame's marginal `(fragments, bits)`
-    /// (see [`SharedWave`]); `None` frames the payload solo.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        &mut self,
-        wire: &Wire,
-        phase: Phase,
-        from: NodeId,
-        slot: usize,
-        to: NodeId,
-        payload_bits: u64,
-        shared: Option<(u64, u64)>,
-    ) {
-        let (fragments, bits) = shared.unwrap_or_else(|| wire.sizes.fragment(payload_bits));
-        let (tx, rx) = wire.energy(bits);
-        self.charge(phase, TxKind::Data, from, to, fragments, bits, tx, rx);
-        self.hists.frames(slot, &wire.sizes, payload_bits, shared);
-        self.hists.record(slot, HistKind::Retries, 0);
-        self.rel.delivered += 1;
-    }
 }
 
 /// A wave's radio constants, hoisted off the per-send path: framing rules,
@@ -290,12 +267,19 @@ impl Wire {
 
 /// Sends one logical payload over the single link `from → to`, charging
 /// the grouped [`Books`] so the wave engines can iterate the routing tree
-/// in place. `slot` is `from`'s histogram slot. Returns whether the
-/// *entire* payload (every fragment) arrived.
+/// in place. Every unicast is booked here: convergecast sends, recovery
+/// climbs, broadcast repairs and rebuild beacons. `slot` is `from`'s
+/// histogram slot. Returns whether the *entire* payload (every fragment)
+/// arrived.
 ///
 /// Without a loss model the link is perfect: the payload is charged in one
-/// piece and always arrives (ARQ never acts — there is nothing to
-/// retransmit, and link-layer ACKs are not modelled on reliable links).
+/// piece — one data charge at the wire's per-bit energies, its `MsgBits`
+/// samples and a zero-retry sample — and always arrives (ARQ never acts:
+/// there is nothing to retransmit, and link-layer ACKs are not modelled on
+/// reliable links). `shared` is then a shared frame's marginal
+/// `(fragments, bits)` (see [`SharedWave`]); `None` frames the payload
+/// solo. Lossy links always frame solo: `shared` must be `None` whenever a
+/// loss model is installed.
 /// With a loss model every 802.15.4 fragment is lost independently (a
 /// ten-fragment histogram really is more fragile than a one-value payload)
 /// and, when `wire.arq > 0`, each data frame is acknowledged and
@@ -313,13 +297,16 @@ fn send_over_link(
     to: NodeId,
     payload_bits: u64,
     values: usize,
+    shared: Option<(u64, u64)>,
 ) -> bool {
-    let span = books.recorder.start();
-    let round = books.audit.round();
     books.stats.values += values as u64;
     let Some(loss) = loss.as_mut() else {
-        books.deliver(wire, phase, from, slot, to, payload_bits, None);
-        books.recorder.end(phase.name(), from.0 + 1, round, span);
+        let (fragments, bits) = shared.unwrap_or_else(|| wire.sizes.fragment(payload_bits));
+        let (tx, rx) = wire.energy(bits);
+        books.charge(phase, TxKind::Data, from, to, fragments, bits, tx, rx);
+        books.hists.frames(slot, &wire.sizes, payload_bits, shared);
+        books.hists.record(slot, HistKind::Retries, 0);
+        books.rel.delivered += 1;
         return true;
     };
     let mut all_arrived = true;
@@ -334,7 +321,6 @@ fn send_over_link(
             if attempt > 0 {
                 books.rel.retransmissions += 1;
                 link_retries += 1;
-                books.recorder.instant("arq_retry", from.0 + 1, round);
             }
             let arrived = !loss.lose();
             frag_arrived |= arrived;
@@ -366,7 +352,6 @@ fn send_over_link(
     } else {
         books.rel.dropped += 1;
     }
-    books.recorder.end(phase.name(), from.0 + 1, round, span);
     all_arrived
 }
 
@@ -524,10 +509,9 @@ fn fold_runs(hot: &[HistDelta], blocks: &mut NodeHistograms) {
 /// `fragment` cost bit for bit, so enabling sharing never *increases* any
 /// link's traffic and single-query rounds are unchanged.
 ///
-/// Sharing applies only on lossless wave paths (the convergecast fast path
-/// and lossless broadcasts); lossy/ARQ traffic keeps solo per-payload
-/// framing, which only over-approximates — the inequality "shared ≤ solo"
-/// still holds.
+/// Sharing applies only on lossless waves (convergecasts and broadcasts);
+/// lossy/ARQ traffic keeps solo per-payload framing, which only
+/// over-approximates — the inequality "shared ≤ solo" still holds.
 #[derive(Debug, Clone, Default)]
 struct SharedWave {
     enabled: bool,
@@ -587,7 +571,6 @@ impl Network {
             audit: AuditLog::default(),
             rel: ReliabilityStats::default(),
             hists: Hists::new(&tree, n),
-            recorder: Recorder::default(),
         };
         Network {
             topo,
@@ -605,6 +588,7 @@ impl Network {
             round_hold: false,
             books,
             scratch: ScratchPool::default(),
+            recorder: Recorder::default(),
             round_start: SpanStart::default(),
             phase_start: SpanStart::default(),
             fanin: Vec::new(),
@@ -623,11 +607,10 @@ impl Network {
     /// step boundary; the phase sticks until changed. With telemetry on, a
     /// phase change closes the open phase span and opens the next.
     pub fn set_phase(&mut self, phase: Phase) {
-        let rec = &mut self.books.recorder;
+        let rec = &mut self.recorder;
         if phase != self.phase && rec.is_enabled() {
             rec.end(
                 self.phase.name(),
-                0,
                 self.books.audit.round(),
                 self.phase_start,
             );
@@ -686,11 +669,6 @@ impl Network {
         self.share.reset();
     }
 
-    /// Whether shared-frame packing is active.
-    pub fn shared_frames(&self) -> bool {
-        self.share.enabled
-    }
-
     /// Holds or releases round boundaries. While held, protocol-internal
     /// [`Network::end_round`] calls are no-ops; the caller closes each
     /// real round with [`Network::finish_round`]. The multi-query service
@@ -722,26 +700,23 @@ impl Network {
         &self.books.audit
     }
 
-    /// Enables or disables wall-clock span recording (rounds, phases,
-    /// waves, per-link transmissions, ARQ retries). Off by default: a
-    /// disabled recorder costs one branch per tap point and never reads
-    /// the clock or allocates, so untelemetered runs stay bit-identical
-    /// and allocation-free. Enabling resets the span clock to now.
+    /// Enables or disables wall-clock span recording at wave granularity:
+    /// one span per round, protocol phase and convergecast/broadcast wave,
+    /// none per send. Off by default: a disabled recorder costs one branch
+    /// per round, phase change and wave, and never reads the clock or
+    /// allocates. On or off, spans only observe — no send path reads the
+    /// recorder, so a telemetered run charges exactly what a bare one does.
+    /// Enabling resets the span clock to now.
     pub fn set_telemetry(&mut self, on: bool) {
-        let rec = &mut self.books.recorder;
+        let rec = &mut self.recorder;
         rec.set_enabled(on);
         self.round_start = rec.start();
         self.phase_start = rec.start();
     }
 
-    /// Whether span recording is active.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.books.recorder.is_enabled()
-    }
-
     /// The span recorder (its events feed [`wsn_obs::export::chrome_trace`]).
     pub fn recorder(&self) -> &Recorder {
-        &self.books.recorder
+        &self.recorder
     }
 
     /// Per-node telemetry histograms: message bits, hop depth, ARQ
@@ -900,7 +875,9 @@ impl Network {
         let Network { tree, books, .. } = self;
         for (s, &u) in tree.bottom_up().iter().enumerate() {
             if let Some(parent) = tree.parent(u) {
-                send_over_link(books, &mut None, &wire, rebuild, u, s, parent, beacon, 0);
+                send_over_link(
+                    books, &mut None, &wire, rebuild, u, s, parent, beacon, 0, None,
+                );
             }
         }
         orphans.len()
@@ -1031,10 +1008,10 @@ impl Network {
             books.ledger.consumed_per_node(),
             books.ledger.consumed_tx_per_node(),
         );
-        let rec = &mut books.recorder;
+        let rec = &mut self.recorder;
         if rec.is_enabled() {
-            rec.end(self.phase.name(), 0, round, self.phase_start);
-            rec.end("round", 0, round, self.round_start);
+            rec.end(self.phase.name(), round, self.phase_start);
+            rec.end("round", round, self.round_start);
             self.round_start = rec.start();
             self.phase_start = rec.start();
         }
@@ -1079,10 +1056,11 @@ impl Network {
             phase,
             share,
             fanin,
+            recorder,
             ..
         } = self;
         let phase = *phase;
-        let wave_span = books.recorder.start();
+        let wave_span = recorder.start();
         let round = books.audit.round();
         fanin.clear();
         fanin.resize(tsize, 0);
@@ -1090,11 +1068,9 @@ impl Network {
         let order = tree.bottom_up();
         let parent_slot = tree.parent_slots();
         let level_offsets = tree.level_offsets();
-        // On a perfect channel with the span recorder off, every send is
-        // one `Books::deliver` at the wire's hoisted energies — the only
-        // convergecast path that packs shared frames. Lossy and telemetered
-        // sends go through `send_over_link`.
-        let fast = loss.is_none() && !books.recorder.is_enabled();
+        // Shared frames apply to lossless waves only (per-fragment loss
+        // draws must see the solo fragment stream).
+        let sharing = share.enabled && loss.is_none();
 
         // (holder, origin, payload): payloads that died on a link, stashed
         // at the last node that held them so the recovery passes can resume
@@ -1141,16 +1117,11 @@ impl Network {
                 let values = payload.value_count();
                 let pslot = parent_slot[pos] as usize;
                 let parent = order[pslot];
-                let arrived = if fast {
-                    books.stats.values += values as u64;
-                    let shared = share
-                        .enabled
-                        .then(|| SharedWave::frame(&mut share.up[u.index()], bits, &wire.sizes));
-                    books.deliver(&wire, phase, u, pos, parent, bits, shared);
-                    true
-                } else {
-                    send_over_link(books, loss, &wire, phase, u, pos, parent, bits, values)
-                };
+                let shared =
+                    sharing.then(|| SharedWave::frame(&mut share.up[u.index()], bits, &wire.sizes));
+                let arrived = send_over_link(
+                    books, loss, &wire, phase, u, pos, parent, bits, values, shared,
+                );
                 if arrived {
                     fanin[pslot] += 1;
                     match &mut inbox[pslot] {
@@ -1185,7 +1156,7 @@ impl Network {
                     let parent = tree.parent(at).expect("stranded below the root");
                     let slot = tree.wave_slot(at).expect("stranded node is in the tree");
                     let arrived = send_over_link(
-                        books, loss, &wire, recovery, at, slot, parent, bits, values,
+                        books, loss, &wire, recovery, at, slot, parent, bits, values, None,
                     );
                     if !arrived {
                         break false;
@@ -1211,7 +1182,7 @@ impl Network {
             wave.dropped_roots.push(*origin);
         }
 
-        books.recorder.end("convergecast", 0, round, wave_span);
+        recorder.end("convergecast", round, wave_span);
 
         // The root applies its prune exactly once, after recovery merged in
         // the late arrivals (it applies the same logic when consuming the
@@ -1274,10 +1245,11 @@ impl Network {
             reliability,
             phase,
             share,
+            recorder,
             ..
         } = self;
         let phase = *phase;
-        let wave_span = books.recorder.start();
+        let wave_span = recorder.start();
         let round = books.audit.round();
         let order = tree.bottom_up();
         // Every transmitter sends the same payload, so its solo framing is
@@ -1349,6 +1321,7 @@ impl Network {
                             c,
                             payload_bits,
                             0,
+                            None,
                         );
                         if arrived {
                             received.set(c.index());
@@ -1362,7 +1335,7 @@ impl Network {
                 }
             }
         }
-        books.recorder.end("broadcast", 0, round, wave_span);
+        recorder.end("broadcast", round, wave_span);
     }
 }
 
@@ -1899,23 +1872,42 @@ mod tests {
 
     #[test]
     fn telemetry_observes_without_perturbing() {
-        // Histograms are always-on and the recorder is a pure observer:
-        // a fully telemetered run must be bit-identical to a bare one.
-        let mut plain = line_network(5);
-        plain.set_loss(Some(LossModel::new(0.3, 5)));
-        plain.set_reliability(ReliabilityConfig::arq(2));
-        plain.set_phase(Phase::Validation);
-        let mut telem = plain.clone();
-        telem.set_audit(true);
-        telem.set_telemetry(true);
-        for _ in 0..50 {
-            plain.convergecast(one_value);
-            telem.convergecast(one_value);
-            plain.end_round();
-            telem.end_round();
-        }
-        assert_eq!(plain.stats(), telem.stats());
-        assert_eq!(plain.histograms(), telem.histograms());
+        // Histograms are always-on and the recorder is a pure observer: a
+        // fully telemetered run must be bit-identical to a bare one, over
+        // lossy ARQ links and over lossless shared frames alike.
+        let run = |mut plain: Network, waves: usize| {
+            plain.set_phase(Phase::Validation);
+            let mut telem = plain.clone();
+            telem.set_audit(true);
+            telem.set_telemetry(true);
+            for _ in 0..50 {
+                for _ in 0..waves {
+                    plain.convergecast(one_value);
+                    telem.convergecast(one_value);
+                }
+                plain.end_round();
+                telem.end_round();
+            }
+            assert_eq!(plain.stats(), telem.stats());
+            assert_eq!(plain.histograms(), telem.histograms());
+            assert!(plain.ledger().consumed_per_node() == telem.ledger().consumed_per_node());
+            // Wave granularity: one round, one phase and `waves` wave
+            // spans per round, none per send.
+            assert_eq!(telem.recorder().events().len(), 50 * (2 + waves));
+            (plain, telem)
+        };
+        // Two convergecasts per round: the second rides the first's
+        // frames, so each of the four links pays both payloads (1-4
+        // values) and one 128-bit header per round, spans on or off.
+        let mut shared = line_network(5);
+        shared.set_shared_frames(true);
+        let (plain, _) = run(shared, 2);
+        assert_eq!(plain.stats().bits, 50 * (2 * (32 + 48 + 64 + 80) + 4 * 128));
+
+        let mut lossy = line_network(5);
+        lossy.set_loss(Some(LossModel::new(0.3, 5)));
+        lossy.set_reliability(ReliabilityConfig::arq(2));
+        let (plain, telem) = run(lossy, 1);
         // Every data frame (retransmissions included, ACKs excluded) is a
         // MsgBits sample, so the histogram count equals the message count.
         let total = telem.histograms().total();
@@ -1927,7 +1919,7 @@ mod tests {
         let events = telem.recorder().events();
         assert!(events.iter().any(|e| e.name == "round"));
         assert!(events.iter().any(|e| e.name == "convergecast"));
-        assert!(events.iter().any(|e| e.name == "validation" && e.track > 0));
+        assert!(events.iter().any(|e| e.name == "validation"));
         assert!(plain.recorder().events().is_empty());
         let cap: Vec<_> = telem
             .audit_log()

@@ -79,6 +79,9 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<PacketRecord>, String> {
 }
 
 /// Parses one flat JSON object with string/number values into a record.
+/// A repeated key, or a `round`, `src` or `dst` beyond `u32`, is an error:
+/// either would make [`diff`] compare something other than what the line
+/// says.
 fn parse_line(line: &str) -> Result<PacketRecord, String> {
     let inner = line
         .strip_prefix('{')
@@ -98,15 +101,22 @@ fn parse_line(line: &str) -> Result<PacketRecord, String> {
         let as_num = |v: &str| -> Result<u64, String> {
             v.parse::<u64>().map_err(|e| format!("{key}: {e}"))
         };
-        match key {
-            "round" => round = Some(as_num(value)? as u32),
-            "phase" => phase = Some(value.trim_matches('"').to_string()),
-            "kind" => kind = Some(value.trim_matches('"').to_string()),
-            "src" => src = Some(as_num(value)? as u32),
-            "dst" => dst = Some(as_num(value)? as u32),
-            "frames" => frames = Some(as_num(value)?),
-            "bits" => bits = Some(as_num(value)?),
+        let as_u32 = |v: &str| -> Result<u32, String> {
+            u32::try_from(as_num(v)?).map_err(|_| format!("{key}: {v} exceeds u32"))
+        };
+        let text = |v: &str| v.trim_matches('"').to_string();
+        let repeated = match key {
+            "round" => round.replace(as_u32(value)?).is_some(),
+            "phase" => phase.replace(text(value)).is_some(),
+            "kind" => kind.replace(text(value)).is_some(),
+            "src" => src.replace(as_u32(value)?).is_some(),
+            "dst" => dst.replace(as_u32(value)?).is_some(),
+            "frames" => frames.replace(as_num(value)?).is_some(),
+            "bits" => bits.replace(as_num(value)?).is_some(),
             other => return Err(format!("unknown field {other}")),
+        };
+        if repeated {
+            return Err(format!("repeated field {key}"));
         }
     }
     Ok(PacketRecord {
@@ -251,6 +261,34 @@ mod tests {
         .is_err());
         let err = parse_jsonl("\n{bad\n").unwrap_err();
         assert!(err.starts_with("line 2"), "{err}");
+        // Round, src and dst must fit in u32 instead of wrapping, so a
+        // round of 2^32 + 1 cannot pass for round 1.
+        let line = |round: &str, src: &str, dst: &str| {
+            format!(
+                r#"{{"round":{round},"phase":"a","kind":"b","src":{src},"dst":{dst},"frames":1,"bits":8}}"#
+            )
+        };
+        assert!(parse_jsonl(&line("4294967295", "1", "0")).is_ok());
+        for (round, src, dst) in [
+            ("4294967297", "1", "0"),
+            ("1", "4294967296", "0"),
+            ("1", "1", "4294967296"),
+        ] {
+            let err = parse_jsonl(&format!("\n{}", line(round, src, dst))).unwrap_err();
+            assert!(
+                err.starts_with("line 2") && err.contains("exceeds u32"),
+                "{err}"
+            );
+        }
+        // A repeated key is rejected, not silently last-wins.
+        let err = parse_jsonl(
+            r#"{"round":1,"phase":"a","kind":"b","src":1,"dst":0,"frames":1,"bits":8,"bits":9}"#,
+        )
+        .unwrap_err();
+        assert!(
+            err.starts_with("line 1") && err.contains("repeated field bits"),
+            "{err}"
+        );
     }
 
     #[test]

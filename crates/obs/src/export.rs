@@ -3,12 +3,12 @@
 //!
 //! Both formats are deliberately boring — they open in tools people
 //! already have. A `--events out.trace.json` drops straight into
-//! `chrome://tracing` or <https://ui.perfetto.dev> with one track per node;
-//! a `--metrics-out metrics.prom` greps and plots like any node-exporter
-//! scrape.
+//! `chrome://tracing` or <https://ui.perfetto.dev> as one `engine` track
+//! of round, phase and wave spans; a `--metrics-out metrics.prom` greps and
+//! plots like any node-exporter scrape.
 
 use crate::hist::LogHistogram;
-use crate::span::{SpanEvent, SpanKind};
+use crate::span::SpanEvent;
 use std::fmt::Write as _;
 
 /// Escapes a Prometheus label *value* per the text exposition format:
@@ -28,22 +28,12 @@ pub fn escape_label(value: &str) -> String {
     out
 }
 
-/// Human-readable label for a track id (track 0 is the engine, track
-/// `i + 1` is node `i`).
-fn track_label(track: u32) -> String {
-    if track == 0 {
-        "engine".to_string()
-    } else {
-        format!("node {}", track - 1)
-    }
-}
-
 /// Serializes recorded spans as a Chrome-trace (`chrome://tracing`,
 /// Perfetto) JSON document.
 ///
-/// Every distinct track gets a `thread_name` metadata record so the viewer
-/// shows "engine", "node 0", … instead of bare tids; spans become `ph:"X"`
-/// complete events and instants become `ph:"i"` marks, both carrying the
+/// A non-empty trace opens with one `thread_name` metadata record naming
+/// tid 0 `engine`, so the viewer shows a label instead of a bare tid; every
+/// span then becomes a `ph:"X"` complete event on that track carrying the
 /// simulation round in `args`. Timestamps are microseconds (the format's
 /// unit) with sub-µs precision kept as decimals.
 pub fn chrome_trace(events: &[SpanEvent]) -> String {
@@ -57,48 +47,19 @@ pub fn chrome_trace(events: &[SpanEvent]) -> String {
             format!("{whole}.{frac:03}")
         }
     };
-    let mut tracks: Vec<u32> = events.iter().map(|e| e.track).collect();
-    tracks.sort_unstable();
-    tracks.dedup();
-
     let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |out: &mut String, item: String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&item);
-    };
-    for t in &tracks {
-        push(
-            &mut out,
-            format!(
-                r#"{{"ph":"M","name":"thread_name","pid":1,"tid":{},"args":{{"name":"{}"}}}}"#,
-                t,
-                track_label(*t)
-            ),
-        );
+    if !events.is_empty() {
+        out.push_str(r#"{"ph":"M","name":"thread_name","pid":1,"tid":0,"args":{"name":"engine"}}"#);
     }
     for e in events {
-        let item = match e.kind {
-            SpanKind::Span => format!(
-                r#"{{"ph":"X","name":"{}","pid":1,"tid":{},"ts":{},"dur":{},"args":{{"round":{}}}}}"#,
-                e.name,
-                e.track,
-                us(e.start_ns),
-                us(e.dur_ns),
-                e.round
-            ),
-            SpanKind::Instant => format!(
-                r#"{{"ph":"i","name":"{}","pid":1,"tid":{},"ts":{},"s":"t","args":{{"round":{}}}}}"#,
-                e.name,
-                e.track,
-                us(e.start_ns),
-                e.round
-            ),
-        };
-        push(&mut out, item);
+        let _ = write!(
+            out,
+            r#",{{"ph":"X","name":"{}","pid":1,"tid":0,"ts":{},"dur":{},"args":{{"round":{}}}}}"#,
+            e.name,
+            us(e.start_ns),
+            us(e.dur_ns),
+            e.round
+        );
     }
     out.push_str("]}");
     out
@@ -205,22 +166,20 @@ mod tests {
     use crate::span::Recorder;
 
     #[test]
-    fn chrome_trace_emits_metadata_spans_and_instants() {
+    fn chrome_trace_emits_one_engine_track_of_spans() {
         let mut rec = Recorder::default();
         rec.set_enabled(true);
         let t = rec.start();
-        rec.end("validation", 3, 2, t);
-        rec.instant("arq_retry", 3, 2);
+        rec.end("validation", 2, t);
         let t = rec.start();
-        rec.end("round", 0, 2, t);
+        rec.end("round", 2, t);
         let json = chrome_trace(rec.events());
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("]}"));
         assert!(json
             .contains(r#""ph":"M","name":"thread_name","pid":1,"tid":0,"args":{"name":"engine"}"#));
-        assert!(json.contains(r#""args":{"name":"node 2"}"#));
+        assert_eq!(json.matches("thread_name").count(), 1);
         assert!(json.contains(r#""ph":"X","name":"validation""#));
-        assert!(json.contains(r#""ph":"i","name":"arq_retry""#));
         assert!(json.contains(r#""args":{"round":2}"#));
     }
 

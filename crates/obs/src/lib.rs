@@ -12,14 +12,14 @@
 //!   per node, with **no heap allocation in the recording path** (a bucket
 //!   increment is an inline counter write; only a node that outgrows its
 //!   16 counters allocates, once, for a dense set);
-//! * [`span`] — an allocation-free-when-disabled span/event [`Recorder`]
-//!   with wall-clock timing: rounds, protocol phases,
-//!   convergecast/broadcast waves, ARQ retries;
+//! * [`span`] — an allocation-free-when-disabled span [`Recorder`] with
+//!   wall-clock timing at wave granularity: rounds, protocol phases and
+//!   convergecast/broadcast waves, never individual sends;
 //! * [`capture`] — packet-level capture records ([`PacketRecord`]), a JSONL
 //!   wire format, and a replaying differ ([`capture::diff`]) that reports
 //!   the first divergent (round, node, frame) between two captures;
-//! * [`export`] — Chrome-trace/Perfetto JSON for spans and a
-//!   Prometheus-style text dump for metrics and histograms;
+//! * [`export`] — Chrome-trace/Perfetto JSON for spans (one `engine`
+//!   track) and a Prometheus-style text dump for metrics and histograms;
 //! * [`monitor`] — the service-level monitoring plane: per-query live
 //!   metrics rows, deterministic round-boundary watchdogs raising typed
 //!   [`HealthEvent`]s, and a fixed-capacity flight recorder whose JSONL
@@ -45,4 +45,4 @@ pub use monitor::{
     FlightRecorder, HealthEvent, HealthKind, Monitor, MonitorConfig, QueryRow, RoundFrame,
     SlotSample,
 };
-pub use span::{Recorder, SpanEvent, SpanKind, SpanStart};
+pub use span::{Recorder, SpanEvent, SpanStart};

@@ -31,7 +31,6 @@
 //! afterwards, so an on-demand dump at end of run is also available.
 
 use crate::export::{escape_label, PromDump};
-use crate::span::{SpanEvent, SpanKind};
 use std::fmt::Write as _;
 
 /// Watchdog thresholds and recorder sizing. The defaults are lenient
@@ -133,7 +132,7 @@ impl HealthKind {
     }
 
     /// Snake-case display name (doubles as the JSONL `kind` field and the
-    /// Chrome-trace instant name).
+    /// CLI's `kind=` health line).
     pub fn name(&self) -> &'static str {
         match self {
             HealthKind::BudgetOverrun { .. } => "budget_overrun",
@@ -672,24 +671,6 @@ impl Monitor {
         out
     }
 
-    /// The health-event track for a Chrome-trace export: one instant per
-    /// event on `track`, timestamped *deterministically* from the round
-    /// number (1 ms of trace time per round) — never from a wall clock,
-    /// so two runs of the same workload produce byte-identical tracks.
-    pub fn trace_events(&self, track: u32) -> Vec<SpanEvent> {
-        self.events
-            .iter()
-            .map(|e| SpanEvent {
-                name: e.kind.name(),
-                track,
-                round: e.round,
-                start_ns: e.round as u64 * 1_000_000,
-                dur_ns: 0,
-                kind: SpanKind::Instant,
-            })
-            .collect()
-    }
-
     /// Appends the registry to a Prometheus dump: per-query gauges and
     /// counters labelled `slot`/`algorithm`/`phi_milli` (label values are
     /// escaped), plus service-global cache and health series.
@@ -1042,24 +1023,6 @@ mod tests {
         assert!(dump.contains(r#""type":"round""#));
         assert!(!dump.contains(r#""type":"health""#));
         drop(m);
-    }
-
-    #[test]
-    fn trace_events_are_deterministic_instants() {
-        let mut m = monitor(MonitorConfig {
-            budget_joules: Some(0.0),
-            ..MonitorConfig::default()
-        });
-        m.observe_answer(0, 2, 0, true);
-        m.observe_lane(0, 1e-9, 8, 0);
-        m.end_round(2, 0, 1);
-        let track = m.trace_events(7);
-        assert_eq!(track.len(), 1);
-        assert_eq!(track[0].name, "budget_overrun");
-        assert_eq!(track[0].track, 7);
-        assert_eq!(track[0].round, 2);
-        assert_eq!(track[0].start_ns, 2_000_000, "1 ms per round, no clock");
-        assert_eq!(track[0].kind, SpanKind::Instant);
     }
 
     #[test]

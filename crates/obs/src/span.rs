@@ -1,11 +1,13 @@
-//! Allocation-free-when-disabled span/event recording with wall-clock
-//! timing.
+//! Allocation-free-when-disabled span recording with wall-clock timing.
 //!
 //! The simulator's logical time is rounds; its *cost* is wall-clock. The
 //! [`Recorder`] bridges the two: every span carries both the simulation
 //! round it belongs to and the real nanoseconds it took, so a Chrome-trace
 //! export shows where the engine actually spends its time — initialization
 //! collections dwarfing validation counters, ARQ storms stretching a wave.
+//! The network records at wave granularity — rounds, protocol phases and
+//! convergecast/broadcast waves — so a run records O(waves) spans, never
+//! one per send.
 //!
 //! Disabled (the default) the recorder is inert: [`Recorder::start`]
 //! returns a null token without reading the clock and every record call is
@@ -14,31 +16,17 @@
 
 use std::time::Instant;
 
-/// What a [`SpanEvent`] describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanKind {
-    /// A duration: `start_ns .. start_ns + dur_ns`.
-    Span,
-    /// A point event (`dur_ns` is zero).
-    Instant,
-}
-
-/// One recorded span or instant.
+/// One recorded span: `start_ns .. start_ns + dur_ns`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpanEvent {
     /// Static label ("round", "convergecast", a phase name, …).
     pub name: &'static str,
-    /// Track the event belongs to — 0 is the engine-level track, node `i`
-    /// records on track `i + 1`.
-    pub track: u32,
-    /// Simulation round the event happened in.
+    /// Simulation round the span happened in.
     pub round: u32,
     /// Nanoseconds since the recorder was enabled.
     pub start_ns: u64,
-    /// Duration in nanoseconds (0 for instants).
+    /// Duration in nanoseconds.
     pub dur_ns: u64,
-    /// Span or instant.
-    pub kind: SpanKind,
 }
 
 /// A timestamp token from [`Recorder::start`]; `None` means the recorder
@@ -46,7 +34,7 @@ pub struct SpanEvent {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpanStart(Option<Instant>);
 
-/// The span/event recorder. One per network; disabled by default.
+/// The span recorder. One per network; disabled by default.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     enabled: bool,
@@ -92,7 +80,7 @@ impl Recorder {
     /// taken while disabled is silently dropped, so toggling mid-flight
     /// never records half-timed garbage.
     #[inline]
-    pub fn end(&mut self, name: &'static str, track: u32, round: u32, start: SpanStart) {
+    pub fn end(&mut self, name: &'static str, round: u32, start: SpanStart) {
         let (Some(begin), true) = (start.0, self.enabled) else {
             return;
         };
@@ -100,32 +88,13 @@ impl Recorder {
         let dur_ns = begin.elapsed().as_nanos() as u64;
         self.events.push(SpanEvent {
             name,
-            track,
             round,
             start_ns,
             dur_ns,
-            kind: SpanKind::Span,
         });
     }
 
-    /// Records a point event (one branch when disabled).
-    #[inline]
-    pub fn instant(&mut self, name: &'static str, track: u32, round: u32) {
-        if !self.enabled {
-            return;
-        }
-        let start_ns = self.epoch.elapsed().as_nanos() as u64;
-        self.events.push(SpanEvent {
-            name,
-            track,
-            round,
-            start_ns,
-            dur_ns: 0,
-            kind: SpanKind::Instant,
-        });
-    }
-
-    /// All recorded events, in recording order.
+    /// All recorded spans, in the order they ended.
     pub fn events(&self) -> &[SpanEvent] {
         &self.events
     }
@@ -139,8 +108,7 @@ mod tests {
     fn disabled_recorder_records_nothing() {
         let mut rec = Recorder::default();
         let t = rec.start();
-        rec.end("x", 0, 0, t);
-        rec.instant("y", 1, 0);
+        rec.end("x", 0, t);
         assert!(rec.events().is_empty());
         assert!(!rec.is_enabled());
     }
@@ -151,18 +119,11 @@ mod tests {
         rec.set_enabled(true);
         let t = rec.start();
         std::hint::black_box((0..1000).sum::<u64>());
-        rec.end("work", 3, 7, t);
-        rec.instant("mark", 0, 7);
-        assert_eq!(rec.events().len(), 2);
+        rec.end("work", 7, t);
+        assert_eq!(rec.events().len(), 1);
         let span = rec.events()[0];
         assert_eq!(span.name, "work");
-        assert_eq!(span.track, 3);
         assert_eq!(span.round, 7);
-        assert_eq!(span.kind, SpanKind::Span);
-        let mark = rec.events()[1];
-        assert_eq!(mark.kind, SpanKind::Instant);
-        assert_eq!(mark.dur_ns, 0);
-        assert!(mark.start_ns >= span.start_ns);
     }
 
     #[test]
@@ -170,7 +131,7 @@ mod tests {
         let mut rec = Recorder::default();
         let t = rec.start(); // disabled: null token
         rec.set_enabled(true);
-        rec.end("late", 0, 0, t);
+        rec.end("late", 0, t);
         assert!(rec.events().is_empty());
     }
 
@@ -178,7 +139,8 @@ mod tests {
     fn re_enabling_clears_history() {
         let mut rec = Recorder::default();
         rec.set_enabled(true);
-        rec.instant("a", 0, 0);
+        let t = rec.start();
+        rec.end("a", 0, t);
         rec.set_enabled(true);
         assert!(rec.events().is_empty());
     }

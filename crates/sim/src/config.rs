@@ -251,9 +251,11 @@ pub struct SimulationConfig {
     /// charges reconcile bit-exactly with the recorded traffic. Costs
     /// memory proportional to the traffic volume; off by default.
     pub audit: bool,
-    /// Record wall-clock spans (rounds, phases, waves, per-link sends)
-    /// during each run. Off by default: a disabled recorder costs one
-    /// branch per tap point and keeps the hot path allocation-free.
+    /// Record wall-clock spans at wave granularity (rounds, phases,
+    /// convergecast/broadcast waves; never one per send) during each run.
+    /// Off by default: a disabled recorder costs one branch per tap point
+    /// and keeps the hot path allocation-free. Spans only observe: every
+    /// charge, digest and audit event is the same with this flag on.
     /// Telemetry histograms are always on regardless of this flag.
     pub telemetry: bool,
     /// Ignored: every run's waves execute on the run's own thread

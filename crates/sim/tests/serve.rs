@@ -1,7 +1,8 @@
-//! Multi-query service determinism (DESIGN.md §3.3i): monitoring never
-//! perturbs the serve runner's full output — every query's answer stream,
-//! its per-lane phase charges, and the audit log — its health events are
-//! the same whichever worker threads execute the runs, and a transient query
+//! Multi-query service determinism (DESIGN.md §3.3i): monitoring and span
+//! recording never perturb the serve runner's full output — every query's
+//! answer stream, its per-lane phase charges, and the audit log — in solo
+//! or shared framing; its health events are the same whichever worker
+//! threads execute the runs, and a transient query
 //! (admitted then retired mid-run) leaves the surviving queries' answers
 //! and ledger charges bit-identical in solo framing (under shared framing
 //! the transient's piggybacked frames legitimately change the survivors'
@@ -77,6 +78,15 @@ fn monitoring_and_flight_recorder_never_perturb_the_digest() {
     let mc = full_monitoring();
     for shared in [false, true] {
         let plain = serve_digest(&cfg(), &workload, &events, shared);
+        let telemetered = SimulationConfig {
+            telemetry: true,
+            ..cfg()
+        };
+        assert_eq!(
+            plain,
+            serve_digest(&telemetered, &workload, &events, shared),
+            "shared={shared}: span recording changed the digest"
+        );
         let (report, monitor, net) =
             serve_monitored(&cfg(), &workload, &events, shared, 0, Some(&mc));
         assert_eq!(

@@ -57,6 +57,25 @@ if [ "$code" != 1 ]; then
 fi
 grep -q 'wsn_msg_bits_count' "$tmp/metrics.prom"
 grep -q '"traceEvents"' "$tmp/run.trace.json"
+# Spans are wave-granular on one engine track: the trace holds wave spans
+# and exactly one thread_name record.
+grep -q '"name":"convergecast"' "$tmp/run.trace.json"
+tracks="$(grep -o '"thread_name"' "$tmp/run.trace.json" | wc -l || true)"
+if [ "$tracks" != 1 ]; then
+    echo "telemetry smoke: want one thread_name record, got $tracks" >&2
+    exit 1
+fi
+# A round beyond u32 must be rejected (exit 2), not wrapped to round 1 and
+# reported identical.
+frame='"phase":"validation","kind":"data","src":2,"dst":1,"frames":1,"bits":160}'
+echo "{\"round\":1,$frame" > "$tmp/r1.jsonl"
+echo "{\"round\":4294967297,$frame" > "$tmp/r2.jsonl"
+code=0
+./target/release/simulate diff "$tmp/r1.jsonl" "$tmp/r2.jsonl" > /dev/null 2>&1 || code=$?
+if [ "$code" != 2 ]; then
+    echo "telemetry smoke: an out-of-range round must exit 2, got $code" >&2
+    exit 1
+fi
 
 echo "==> fuzz smoke (corpus replay + 100 fresh scenarios, 8-protocol battery"
 echo "    incl. QD/GKS sketches under the eps-rank-tolerance oracle, boundary"
