@@ -558,8 +558,7 @@ fn traced_run(args: &Args, cfg: &SimulationConfig, kind: AlgorithmKind) -> Resul
         telemetry: cfg.telemetry || args.events.is_some(),
         ..cfg.clone()
     };
-    let mut world = std::panic::catch_unwind(|| World::new(&cfg, 0))
-        .map_err(|_| "could not find a connected placement".to_string())?;
+    let mut world = World::new(&cfg, 0);
     let mut alg = kind.build(world.query(cfg.phi), &cfg.sizes);
     let trace = wsn_sim::trace::trace_run(&mut world, alg.as_mut(), cfg.rounds, cfg.phi);
     let net = world.net();
@@ -593,7 +592,7 @@ fn traced_run(args: &Args, cfg: &SimulationConfig, kind: AlgorithmKind) -> Resul
             stats.messages,
         );
         dump.counter("wsn_bits_total", &labels, "bits on air", stats.bits);
-        prom_histograms(&mut dump, &labels, &net.histograms().total());
+        prom_histograms(&mut dump, &labels, &net.histogram_totals());
         write_file(path, &dump.finish())?;
         eprintln!("wrote telemetry metrics to {path}");
     }
@@ -1022,6 +1021,13 @@ fn main() {
     }
     let args = parse_args(argv);
     let cfg = build_config(&args).unwrap_or_else(|e| usage_error(e, USAGE));
+    // A world no placement connects is a bad configuration, not a crash:
+    // check every run's world (the traced run's is run 0) before any runs.
+    let runs = if args.traced() { 1 } else { cfg.runs };
+    if let Some(e) = (0..runs).find_map(|r| World::try_new(&cfg, r).err()) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
 
     if args.traced() {
         let kind = args

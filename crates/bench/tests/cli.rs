@@ -150,6 +150,29 @@ fn bad_values_of_every_subcommand_exit_2_with_the_usage_text() {
 }
 
 #[test]
+fn unconnectable_worlds_exit_2_with_one_error_line() {
+    // Five sensors in 200 m × 200 m at ρ = 35 m never connect: a batch
+    // run, a batch over every protocol and a traced run all refuse the
+    // configuration before running, with no panic and no artifact.
+    let dir = scratch("unconnectable");
+    let cases: [&[&str]; 3] = [
+        &["--algorithm", "HBC", "--nodes", "5"],
+        &["--all", "--nodes", "5"],
+        &["--algorithm", "HBC", "--nodes", "5", "--csv", "x"],
+    ];
+    for args in cases {
+        let out = simulate(&dir, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: could not find a connected placement"));
+        assert!(out.stdout.is_empty(), "{args:?}: nothing runs");
+    }
+    assert!(!dir.join("x").exists(), "no artifact for a rejected run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn serve_schedules_inside_the_service_still_run() {
     let dir = scratch("serve");
     // 63 queries leave room for one admit; slot 2 is active at round 4,

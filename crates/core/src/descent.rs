@@ -9,12 +9,12 @@
 //! candidate count provably fits one message, requests the values directly
 //! (\[21\]).
 
-use wsn_net::Network;
+use wsn_net::{Network, WaveStore};
 
 use crate::buckets::BucketPartition;
 use crate::payloads::Histogram;
 use crate::rank::Counts;
-use crate::retrieval::{direct_retrieval, RankAnchor};
+use crate::retrieval::{direct_retrieval, RankAnchor, RetrievalStore};
 use crate::Value;
 
 /// Static parameters of a descent.
@@ -48,52 +48,66 @@ pub struct DescentOutcome {
     pub last_request_counts: Option<Counts>,
 }
 
+/// What a descent reuses from one request wave to the next, and from one
+/// round to the next: the request's reception mask, the histogram wave's
+/// payload storage and the direct retrieval's.
+#[derive(Debug, Clone, Default)]
+pub struct DescentStore {
+    received: wsn_net::NodeBits,
+    hists: WaveStore<Histogram>,
+    /// The all-zero answer when no node responds.
+    silent: Histogram,
+    retrieval: RetrievalStore,
+}
+
+impl DescentStore {
+    /// Gives the slots a wave over `tree` can need their `b`-bucket
+    /// histogram and value-list storage up front (see [`WaveStore::fill`]).
+    pub fn fill(&mut self, tree: &wsn_net::RoutingTree, b: usize) {
+        self.hists.fill(tree, || Histogram::zeros(b));
+        self.silent = Histogram::zeros(b);
+        self.retrieval.fill(tree);
+    }
+}
+
 /// Broadcasts a refinement request for `part`'s interval and returns the
 /// aggregated histogram. `on_receive(idx, lo, hi)` fires for every node
 /// that received the request (protocols hook per-node state updates here,
 /// e.g. HBC's §4.1.2 interval tracking).
-pub fn histogram_request(
+pub fn histogram_request<'s>(
     net: &mut Network,
-    values: &[Value],
-    part: BucketPartition,
-    on_receive: impl FnMut(usize, Value, Value),
-) -> Histogram {
-    let mut scratch = WaveScratch::default();
-    histogram_request_reuse(net, values, part, on_receive, &mut scratch)
-}
-
-/// Reusable buffers for repeated request waves ([`histogram_request`] in
-/// the descent loop): reception flags and per-node contribution slots, so
-/// one descent performs no per-iteration heap allocation.
-#[derive(Debug, Default)]
-struct WaveScratch {
-    received: wsn_net::NodeBits,
-    contributions: Vec<Option<Histogram>>,
-}
-
-/// [`histogram_request`] with caller-owned scratch buffers.
-fn histogram_request_reuse(
-    net: &mut Network,
+    store: &'s mut DescentStore,
     values: &[Value],
     part: BucketPartition,
     mut on_receive: impl FnMut(usize, Value, Value),
-    scratch: &mut WaveScratch,
-) -> Histogram {
-    net.broadcast_into(net.sizes().refinement_request_bits(), &mut scratch.received);
-    let n = net.len();
-    scratch.contributions.clear();
-    scratch.contributions.resize(n, None);
-    for idx in 1..n {
-        if !scratch.received.get(idx) {
-            continue;
-        }
+) -> &'s Histogram {
+    let DescentStore {
+        received,
+        hists,
+        silent,
+        ..
+    } = store;
+    net.broadcast_into(net.sizes().refinement_request_bits(), received);
+    for idx in received.iter_ones().filter(|&idx| idx > 0) {
         on_receive(idx, part.lo, part.hi);
-        if let Some(i) = part.index_of(values[idx - 1]) {
-            scratch.contributions[idx] = Some(Histogram::unit(part.buckets, i));
+    }
+    let respond = |id: wsn_net::NodeId, slot: &mut Option<Histogram>| {
+        let idx = id.index();
+        let bucket = received.get(idx).then(|| part.index_of(values[idx - 1]));
+        let bucket = bucket.flatten();
+        if let Some(i) = bucket {
+            slot.get_or_insert_with(Histogram::default)
+                .set_unit(part.buckets, i);
+        }
+        bucket.is_some()
+    };
+    match net.convergecast_in(hists, respond, |_, _| {}) {
+        Some(hist) => hist,
+        None => {
+            silent.set_zeros(part.buckets);
+            silent
         }
     }
-    net.convergecast_slots(&mut scratch.contributions, |_, _| {})
-        .unwrap_or_else(|| Histogram::zeros(part.buckets))
 }
 
 /// Runs the descent from `[lo, hi]` (which must contain the k-th value).
@@ -105,6 +119,7 @@ fn histogram_request_reuse(
 #[allow(clippy::too_many_arguments)]
 pub fn descend(
     net: &mut Network,
+    store: &mut DescentStore,
     values: &[Value],
     cfg: DescentConfig,
     mut lo: Value,
@@ -116,7 +131,6 @@ pub fn descend(
 ) -> Option<DescentOutcome> {
     let mut last_request: Option<(Value, Value)> = None;
     let mut last_request_counts: Option<Counts> = None;
-    let mut scratch = WaveScratch::default();
     loop {
         if lo > hi || *refinements >= cfg.max_refinements {
             return None;
@@ -150,7 +164,9 @@ pub fn descend(
         if let Some(capacity) = cfg.direct_capacity {
             if bound <= capacity {
                 *refinements += 1;
-                let r = direct_retrieval(net, values, lo, hi, cfg.k, cfg.n_total, anchor);
+                let retrieval = &mut store.retrieval;
+                let r =
+                    direct_retrieval(net, retrieval, values, lo, hi, cfg.k, cfg.n_total, anchor);
                 return r.quantile.map(|q| DescentOutcome {
                     quantile: q,
                     counts: r.counts,
@@ -162,7 +178,7 @@ pub fn descend(
 
         *refinements += 1;
         let part = BucketPartition::new(lo, hi, cfg.b);
-        let hist = histogram_request_reuse(net, values, part, &mut on_receive, &mut scratch);
+        let hist = histogram_request(net, store, values, part, &mut on_receive);
         let total = hist.total();
         let mut below = match anchor {
             RankAnchor::BelowLo(b) => b,
@@ -231,6 +247,7 @@ mod tests {
             let mut refinements = 0;
             let out = descend(
                 &mut net,
+                &mut DescentStore::default(),
                 &values,
                 cfg(8, k, 20, None),
                 0,
@@ -257,6 +274,7 @@ mod tests {
         let mut with_direct = 0;
         descend(
             &mut net,
+            &mut DescentStore::default(),
             &values,
             cfg(4, 5, 10, Some(64)),
             0,
@@ -272,6 +290,7 @@ mod tests {
         let mut without = 0;
         descend(
             &mut net,
+            &mut DescentStore::default(),
             &values,
             cfg(4, 5, 10, None),
             0,
@@ -293,6 +312,7 @@ mod tests {
         let mut refinements = 0;
         let out = descend(
             &mut net,
+            &mut DescentStore::default(),
             &values,
             cfg(4, 5, 10, None),
             5,
@@ -314,6 +334,7 @@ mod tests {
         let mut refinements = 0;
         let out = descend(
             &mut net,
+            &mut DescentStore::default(),
             &values,
             cfg(4, 3, 5, None),
             0,
@@ -334,6 +355,7 @@ mod tests {
         let mut refinements = 0;
         descend(
             &mut net,
+            &mut DescentStore::default(),
             &values,
             cfg(2, 3, 6, None),
             0,

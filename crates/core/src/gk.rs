@@ -19,7 +19,7 @@
 use wsn_net::{Aggregate, MessageSizes, Network};
 
 use crate::protocol::{ContinuousQuantile, QueryConfig};
-use crate::retrieval::{direct_retrieval, RankAnchor};
+use crate::retrieval::{direct_retrieval, RankAnchor, RetrievalStore};
 use crate::summary::RankSummary;
 use crate::Value;
 
@@ -177,8 +177,9 @@ impl ContinuousQuantile for Gk {
             }
             if inside <= capacity_direct {
                 self.last_iterations += 1;
-                let r =
-                    direct_retrieval(net, values, lo, hi, k, n_total, RankAnchor::BelowLo(below));
+                let anchor = RankAnchor::BelowLo(below);
+                let store = &mut RetrievalStore::default();
+                let r = direct_retrieval(net, store, values, lo, hi, k, n_total, anchor);
                 break match r.quantile {
                     Some(q) => q,
                     None => self.last.unwrap_or(lo),

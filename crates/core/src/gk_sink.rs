@@ -20,11 +20,11 @@
 //! With `ε = 0` the early-exit degenerates to requiring an exact pin and
 //! the protocol behaves like a validation-gated exact GK.
 
-use wsn_net::{Aggregate, MessageSizes, Network};
+use wsn_net::{Aggregate, MessageSizes, Network, NodeId, WaveStore};
 
 use crate::protocol::{ContinuousQuantile, QueryConfig};
 use crate::rank::{Counts, Side};
-use crate::retrieval::{direct_retrieval, RankAnchor};
+use crate::retrieval::{direct_retrieval, RankAnchor, RetrievalStore};
 use crate::summary::RankSummary;
 use crate::Value;
 
@@ -87,6 +87,9 @@ pub struct GkSinkQuantile {
     /// (observable for tests/metrics, not on the wire).
     refined_last_round: bool,
     recv: wsn_net::NodeBits,
+    /// Summary and retrieval wave storage, reused every round.
+    summaries: WaveStore<RankSummary>,
+    retrieval: RetrievalStore,
 }
 
 impl GkSinkQuantile {
@@ -110,6 +113,8 @@ impl GkSinkQuantile {
             last_iterations: 0,
             refined_last_round: false,
             recv: wsn_net::NodeBits::new(),
+            summaries: WaveStore::new(),
+            retrieval: RetrievalStore::default(),
         }
     }
 
@@ -142,51 +147,45 @@ impl GkSinkQuantile {
     /// `(l, e, g)` counts against it.
     fn validation_pass(&mut self, net: &mut Network, values: &[Value], q: Value) -> Counts {
         net.broadcast_into(net.sizes().value_bits, &mut self.recv);
-        let n = net.len();
-        let mut contributions: Vec<Option<CountsMsg>> = vec![None; n];
-        for idx in 1..n {
-            if !self.recv.get(idx) {
-                continue;
-            }
-            let mut c = Counts::default();
-            match crate::rank::side(values[idx - 1], q) {
-                Side::Lt => c.l = 1,
-                Side::Eq => c.e = 1,
-                Side::Gt => c.g = 1,
-            }
-            contributions[idx] = Some(CountsMsg(c));
-        }
-        net.convergecast_slots(&mut contributions, |_, _| {})
-            .unwrap_or_default()
-            .0
+        let recv = &self.recv;
+        let count = |id: NodeId| {
+            let idx = id.index();
+            recv.get(idx).then(|| {
+                let mut c = Counts::default();
+                match crate::rank::side(values[idx - 1], q) {
+                    Side::Lt => c.l = 1,
+                    Side::Eq => c.e = 1,
+                    Side::Gt => c.g = 1,
+                }
+                CountsMsg(c)
+            })
+        };
+        net.convergecast(count).unwrap_or_default().0
     }
 
-    /// Summary convergecast over values inside `[lo, hi]`.
-    fn summary_pass(
-        &mut self,
+    /// Summary convergecast over values inside `[lo, hi]`; `None` when no
+    /// value answered.
+    fn summary_pass<'s>(
         net: &mut Network,
+        summaries: &'s mut WaveStore<RankSummary>,
+        recv: &mut wsn_net::NodeBits,
+        capacity: usize,
         values: &[Value],
         lo: Value,
         hi: Value,
-    ) -> RankSummary {
-        net.broadcast_into(net.sizes().refinement_request_bits(), &mut self.recv);
-        let n = net.len();
-        let mut contributions: Vec<Option<RankSummary>> = vec![None; n];
-        for idx in 1..n {
-            if !self.recv.get(idx) {
-                continue;
+    ) -> Option<&'s mut RankSummary> {
+        net.broadcast_into(net.sizes().refinement_request_bits(), recv);
+        let respond = |id: NodeId, slot: &mut Option<RankSummary>| {
+            let v = values[id.index() - 1];
+            let inside = recv.get(id.index()) && v >= lo && v <= hi;
+            if inside {
+                slot.get_or_insert_with(RankSummary::empty).set_singleton(v);
             }
-            let v = values[idx - 1];
-            if v >= lo && v <= hi {
-                contributions[idx] = Some(RankSummary::singleton(v));
-            }
-        }
-        let capacity = self.capacity;
-        net.convergecast_with(
-            |id| contributions[id.index()].take(),
-            |_, s: &mut RankSummary| s.prune(capacity),
-        )
-        .unwrap_or_else(RankSummary::empty)
+            inside
+        };
+        net.convergecast_in(summaries, respond, |_, s: &mut RankSummary| {
+            s.prune(capacity)
+        })
     }
 
     /// Exact counting round-trip: how many values of `[lo, hi]` fall
@@ -202,32 +201,26 @@ impl GkSinkQuantile {
     ) -> CountPair {
         let bits = 2 * net.sizes().value_bits + net.sizes().refinement_request_bits();
         net.broadcast_into(bits, &mut self.recv);
-        let n = net.len();
-        let mut contributions: Vec<Option<CountPair>> = vec![None; n];
-        for idx in 1..n {
-            if !self.recv.get(idx) {
-                continue;
+        let recv = &self.recv;
+        let count = |id: NodeId| {
+            let v = values[id.index() - 1];
+            if !recv.get(id.index()) || v < lo || v > hi {
+                None
+            } else if v < probe_lo {
+                Some(CountPair {
+                    below: 1,
+                    inside: 0,
+                })
+            } else if v <= probe_hi {
+                Some(CountPair {
+                    below: 0,
+                    inside: 1,
+                })
+            } else {
+                None
             }
-            let v = values[idx - 1];
-            if v >= lo && v <= hi {
-                let pair = if v < probe_lo {
-                    CountPair {
-                        below: 1,
-                        inside: 0,
-                    }
-                } else if v <= probe_hi {
-                    CountPair {
-                        below: 0,
-                        inside: 1,
-                    }
-                } else {
-                    continue;
-                };
-                contributions[idx] = Some(pair);
-            }
-        }
-        net.convergecast_slots(&mut contributions, |_, _| {})
-            .unwrap_or_default()
+        };
+        net.convergecast(count).unwrap_or_default()
     }
 
     /// An entry whose certified global rank interval
@@ -287,8 +280,9 @@ impl GkSinkQuantile {
             }
             if inside <= capacity_direct {
                 self.last_iterations += 1;
-                let r =
-                    direct_retrieval(net, values, lo, hi, k, n_total, RankAnchor::BelowLo(below));
+                let anchor = RankAnchor::BelowLo(below);
+                let store = &mut self.retrieval;
+                let r = direct_retrieval(net, store, values, lo, hi, k, n_total, anchor);
                 break match r.quantile {
                     Some(q) => q,
                     None => self.last.unwrap_or(lo),
@@ -296,14 +290,15 @@ impl GkSinkQuantile {
             }
 
             self.last_iterations += 1;
-            let summary = self.summary_pass(net, values, lo, hi);
+            let (summaries, recv) = (&mut self.summaries, &mut self.recv);
+            let summary = Self::summary_pass(net, summaries, recv, self.capacity, values, lo, hi);
             let rank_in = k.saturating_sub(below);
-            if rank_in == 0 || rank_in > summary.count {
+            let Some(summary) = summary.filter(|s| rank_in != 0 && rank_in <= s.count) else {
                 break self.last.unwrap_or(lo); // loss inconsistency
-            }
+            };
             // ε early-exit: any entry already certified within the budget
             // ends the epoch without further traffic.
-            if let Some(q) = Self::certified_answer(&summary, below, k, tol) {
+            if let Some(q) = Self::certified_answer(summary, below, k, tol) {
                 break q;
             }
             let Some((s_lo, s_hi)) = summary.enclosing_interval(rank_in) else {

@@ -12,16 +12,16 @@
 //!   unnecessary (mutually exclusive with direct retrieval, as the paper
 //!   notes).
 
-use wsn_net::Network;
+use wsn_net::{Network, WaveStore};
 
 use crate::cost_model;
-use crate::descent::{descend, DescentConfig};
+use crate::descent::{descend, DescentConfig, DescentStore};
 use crate::init::{run_init, InitStrategy};
 use crate::protocol::{ContinuousQuantile, QueryConfig};
 use crate::rank::{Counts, Direction};
 use crate::recovery;
 use crate::retrieval::RankAnchor;
-use crate::validation::{node_validation_interval, HintStyle, ValidationPayload};
+use crate::validation::{write_node_validation_interval, HintStyle, ValidationPayload};
 use crate::Value;
 
 /// Safety cap on histogram iterations (only message loss can exceed the
@@ -69,10 +69,9 @@ pub struct Hbc {
     node_lb: Vec<Value>,
     node_ub: Vec<Value>,
     prev: Vec<Value>,
-    /// Reusable per-node validation contribution slots (rebuilt each round
-    /// in place; the convergecast takes the payloads out again), so the
-    /// steady-state round performs no per-round heap allocation.
-    val_slots: Vec<Option<ValidationPayload>>,
+    /// Validation and refinement wave storage, reused every round.
+    validations: WaveStore<ValidationPayload>,
+    descent: DescentStore,
     initialized: bool,
     last_refinements: u32,
 }
@@ -94,7 +93,8 @@ impl Hbc {
             node_lb: Vec::new(),
             node_ub: Vec::new(),
             prev: Vec::new(),
-            val_slots: Vec::new(),
+            validations: WaveStore::new(),
+            descent: DescentStore::default(),
             initialized: false,
             last_refinements: 0,
         }
@@ -142,6 +142,7 @@ impl Hbc {
         self.node_lb = vec![q; net.len()];
         self.node_ub = vec![q; net.len()];
         self.prev = values.to_vec();
+        self.descent.fill(net.tree(), self.b);
         for i in net.broadcast(net.sizes().value_bits).iter_ones() {
             self.node_lb[i] = q;
             self.node_ub[i] = q;
@@ -176,6 +177,7 @@ impl Hbc {
         let node_ub = &mut self.node_ub;
         let outcome = descend(
             net,
+            &mut self.descent,
             values,
             cfg,
             lo,
@@ -243,30 +245,18 @@ impl ContinuousQuantile for Hbc {
             return self.init_round(net, values);
         }
         self.last_refinements = 0;
-        let n = net.len();
 
         // --- Validation ---
         net.set_phase(wsn_net::Phase::Validation);
-        self.val_slots.clear();
-        self.val_slots.resize(n, None);
-        for idx in 1..n {
-            self.val_slots[idx] = node_validation_interval(
-                self.prev[idx - 1],
-                values[idx - 1],
-                self.node_lb[idx],
-                self.node_ub[idx],
-                HintStyle::MaxDiff,
-                None,
-            );
-        }
         // Incomplete validations corrupt the maintained counts; re-issue
         // the wave for missing subtrees when wave recovery is enabled. The
-        // re-issue closure regenerates a node's payload from the same
-        // inputs (`prev` only rolls forward afterwards).
+        // contribution is rewritten from the same inputs on a re-issue
+        // (`prev` only rolls forward afterwards).
         let (prev, node_lb, node_ub) = (&self.prev, &self.node_lb, &self.node_ub);
-        let validation = recovery::collect_slots_with_recovery(net, &mut self.val_slots, |id| {
+        let changed = |id: wsn_net::NodeId, slot: &mut Option<ValidationPayload>| {
             let idx = id.index();
-            node_validation_interval(
+            write_node_validation_interval(
+                slot,
                 prev[idx - 1],
                 values[idx - 1],
                 node_lb[idx],
@@ -274,13 +264,25 @@ impl ContinuousQuantile for Hbc {
                 HintStyle::MaxDiff,
                 None,
             )
-        });
+        };
+        let validation = recovery::collect_with_recovery(net, &mut self.validations, changed);
+        // The counters and the hint bounds are all the rest of the round
+        // reads (an empty validation bounds nothing: both sit at the filter).
+        let (root_lb, root_ub) = (self.root_lb, self.root_ub);
+        let (moved, hint_lo, hint_hi) = match validation {
+            Some(v) => (
+                Some(v.counters),
+                v.lower_bound(root_lb),
+                v.upper_bound(root_ub),
+            ),
+            None => (None, root_lb, root_ub),
+        };
         self.prev.copy_from_slice(values);
 
-        if let Some(v) = &validation {
+        if let Some(c) = moved {
             let n_total = self.counts.n();
-            let l = (self.counts.l + v.counters.into_lt).saturating_sub(v.counters.outof_lt);
-            let g = (self.counts.g + v.counters.into_gt).saturating_sub(v.counters.outof_gt);
+            let l = (self.counts.l + c.into_lt).saturating_sub(c.outof_lt);
+            let g = (self.counts.g + c.into_gt).saturating_sub(c.outof_gt);
             self.counts = Counts {
                 l,
                 g,
@@ -302,18 +304,9 @@ impl ContinuousQuantile for Hbc {
             }
         } else {
             let dir = self.counts.quantile_moved(k).expect("invalid counts");
-            let empty = ValidationPayload {
-                counters: Default::default(),
-                hint_min: Value::MAX,
-                hint_max: Value::MIN,
-                max_diff: 0,
-                extra: Default::default(),
-                style: HintStyle::MaxDiff,
-            };
-            let v = validation.as_ref().unwrap_or(&empty);
             match dir {
                 Direction::Down => {
-                    let lo = v.lower_bound(self.root_lb).max(self.query.range_min);
+                    let lo = hint_lo.max(self.query.range_min);
                     let hi = self.root_lb - 1;
                     self.refine(
                         net,
@@ -326,7 +319,7 @@ impl ContinuousQuantile for Hbc {
                 }
                 Direction::Up => {
                     let lo = self.root_ub + 1;
-                    let hi = v.upper_bound(self.root_ub).min(self.query.range_max);
+                    let hi = hint_hi.min(self.query.range_max);
                     let anchor = RankAnchor::BelowLo(self.counts.l + self.counts.e);
                     self.refine(net, values, lo, hi, anchor, None)
                 }

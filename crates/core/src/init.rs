@@ -6,7 +6,7 @@
 //! measurements are forwarded to the root node"). IQ reuses the collected
 //! distribution to size its initial interval Ξ (§4.2.1).
 
-use wsn_net::Network;
+use wsn_net::{Network, WaveStore};
 
 use crate::payloads::ValueList;
 use crate::protocol::{measurement, QueryConfig};
@@ -94,11 +94,16 @@ pub fn run_init(
 /// Collects every sensor measurement at the root and returns them sorted
 /// ascending. Charges the full convergecast cost.
 pub fn collect_all(net: &mut Network, values: &[Value]) -> Vec<Value> {
-    let collected = net
-        .convergecast(|id| Some(ValueList::single(measurement(values, id))))
-        .map(|l: ValueList| l.vals)
+    let mut store = WaveStore::new();
+    let own = |id, slot: &mut Option<ValueList>| {
+        let v = measurement(values, id);
+        slot.get_or_insert_with(ValueList::default).set_single(v);
+        true
+    };
+    let mut sorted = net
+        .convergecast_in(&mut store, own, |_, _| {})
+        .map(|l| std::mem::take(&mut l.vals))
         .unwrap_or_default();
-    let mut sorted = collected;
     sorted.sort_unstable();
     // Under message loss (§6 extension) the collection may be incomplete;
     // callers clamp the rank via `quantile_from_sorted`.

@@ -22,14 +22,15 @@
 
 use std::collections::VecDeque;
 
-use wsn_net::{Network, PayloadSize};
+use wsn_net::{Network, NodeId, PayloadSize, WaveStore};
 
 use crate::init::{initial_xi_mean_gap, initial_xi_median_gap, run_init, InitStrategy};
 use crate::payloads::ValueList;
 use crate::protocol::{ContinuousQuantile, QueryConfig};
 use crate::rank::{Counts, Direction};
 use crate::recovery;
-use crate::validation::{node_validation, HintStyle, ValidationPayload};
+use crate::retrieval::{delivered, values_inside};
+use crate::validation::{write_node_validation, HintStyle, ValidationPayload};
 use crate::Value;
 
 /// How IQ's initial interval half-width ξ is derived from the init-round
@@ -91,6 +92,9 @@ pub struct Iq {
     /// Reusable reception-flag buffer for broadcasts (scratch only, never
     /// observable state).
     recv: wsn_net::NodeBits,
+    /// Validation and refinement wave storage, reused every round.
+    validations: WaveStore<ValidationPayload>,
+    lists: WaveStore<ValueList>,
 }
 
 impl Iq {
@@ -112,6 +116,8 @@ impl Iq {
             last_refinements: 0,
             last_a_size: 0,
             recv: wsn_net::NodeBits::new(),
+            validations: WaveStore::new(),
+            lists: WaveStore::new(),
         }
     }
 
@@ -182,6 +188,13 @@ impl Iq {
         self.node_xi = vec![(-xi, xi); n];
         self.node_history = vec![VecDeque::with_capacity(self.config.m); n];
         self.prev = values.to_vec();
+        let room = crate::retrieval::LIST_ROOM;
+        self.validations.fill(net.tree(), || ValidationPayload {
+            extra: ValueList::with_capacity(room),
+            ..ValidationPayload::empty(HintStyle::MaxDiff)
+        });
+        self.lists
+            .fill(net.tree(), || ValueList::with_capacity(room));
 
         // Filter broadcast carries the tuple (v_k, ξ) (§4.2.1).
         let bits = PayloadSize::new(net.sizes()).values(2).bits();
@@ -200,44 +213,32 @@ impl Iq {
 
     /// One refinement convergecast requesting the `f` extreme values in
     /// `[lo, hi]`; intermediate nodes prune to the top `f` (+ ties).
-    fn refine(
-        &mut self,
+    /// Returns the values that reached the root, kept in `lists`.
+    #[allow(clippy::too_many_arguments)]
+    fn refine<'s>(
         net: &mut Network,
+        lists: &'s mut WaveStore<ValueList>,
+        recv: &mut wsn_net::NodeBits,
         values: &[Value],
         lo: Value,
         hi: Value,
         f: u64,
         largest: bool,
-    ) -> Vec<Value> {
-        self.last_refinements += 1;
+    ) -> &'s mut [Value] {
         net.set_phase(wsn_net::Phase::Refinement);
         // Request: f plus the interval bounds.
         let bits = PayloadSize::new(net.sizes()).counters(1).values(2).bits();
-        net.broadcast_into(bits, &mut self.recv);
-        let n = net.len();
-        let mut contributions: Vec<Option<ValueList>> = vec![None; n];
-        for idx in 1..n {
-            if !self.recv.get(idx) {
-                continue;
-            }
-            let v = values[idx - 1];
-            if v >= lo && v <= hi {
-                contributions[idx] = Some(ValueList::single(v));
-            }
-        }
+        net.broadcast_into(bits, recv);
+        let respond = values_inside(recv, values, lo, hi);
         let f = f as usize;
-        net.convergecast_with(
-            |id| contributions[id.index()].take(),
-            |_, l: &mut ValueList| {
-                if largest {
-                    l.keep_largest_with_ties(f);
-                } else {
-                    l.keep_smallest_with_ties(f);
-                }
-            },
-        )
-        .map(|l| l.vals)
-        .unwrap_or_default()
+        let prune = |_: NodeId, l: &mut ValueList| {
+            if largest {
+                l.keep_largest_with_ties(f);
+            } else {
+                l.keep_smallest_with_ties(f);
+            }
+        };
+        delivered(net.convergecast_in(lists, respond, prune))
     }
 
     /// Appends `q` to a quantile history and derives the new `(ξ_l, ξ_r)`.
@@ -297,28 +298,24 @@ impl ContinuousQuantile for Iq {
             return self.init_round(net, values);
         }
         self.last_refinements = 0;
-        let n = net.len();
 
         // --- Validation (counters + hint + multiset A) ---
         net.set_phase(wsn_net::Phase::Validation);
-        let mut contributions: Vec<Option<ValidationPayload>> = Vec::with_capacity(n);
-        contributions.push(None);
-        for idx in 1..n {
-            contributions.push(node_validation(
-                self.prev[idx - 1],
-                values[idx - 1],
-                self.node_filter[idx],
-                HintStyle::MaxDiff,
-                Some(self.node_xi[idx]),
-            ));
-        }
-        self.prev.copy_from_slice(values);
         // Incomplete validations corrupt the maintained counts; re-issue
-        // the wave for missing subtrees when wave recovery is enabled.
-        let validation =
-            recovery::collect_with_recovery(net, |id| contributions[id.index()].clone());
+        // the wave for missing subtrees when wave recovery is enabled,
+        // rewriting each contribution from the same inputs (`prev` only
+        // rolls forward afterwards).
+        let (prev, node_filter, node_xi) = (&self.prev, &self.node_filter, &self.node_xi);
+        let changed = |id: NodeId, slot: &mut Option<ValidationPayload>| {
+            let idx = id.index();
+            let (old, cur) = (prev[idx - 1], values[idx - 1]);
+            let xi = Some(node_xi[idx]);
+            write_node_validation(slot, old, cur, node_filter[idx], HintStyle::MaxDiff, xi)
+        };
+        let validation = recovery::collect_with_recovery(net, &mut self.validations, changed);
+        self.prev.copy_from_slice(values);
 
-        let (mut a_set, max_diff) = match validation {
+        let (a_set, max_diff) = match validation {
             Some(v) => {
                 let n_total = self.counts.n();
                 let l = (self.counts.l + v.counters.into_lt).saturating_sub(v.counters.outof_lt);
@@ -328,9 +325,9 @@ impl ContinuousQuantile for Iq {
                     g,
                     e: n_total.saturating_sub(l + g),
                 };
-                (v.extra.vals, v.max_diff)
+                (&mut v.extra.vals[..], v.max_diff)
             }
-            None => (Vec::new(), 0),
+            None => (&mut [][..], 0),
         };
         a_set.sort_unstable();
         self.last_a_size = a_set.len();
@@ -367,7 +364,9 @@ impl ContinuousQuantile for Iq {
                     } else {
                         self.query.range_min
                     };
-                    let mut r = self.refine(net, values, lo, hi, f1, true);
+                    self.last_refinements += 1;
+                    let (lists, recv) = (&mut self.lists, &mut self.recv);
+                    let r = Self::refine(net, lists, recv, values, lo, hi, f1, true);
                     r.sort_unstable_by(|x, y| y.cmp(x)); // descending
                     if (r.len() as u64) < f1 {
                         q_old // inconsistency: only possible under loss
@@ -409,7 +408,9 @@ impl ContinuousQuantile for Iq {
                     } else {
                         self.query.range_max
                     };
-                    let mut r = self.refine(net, values, lo, hi, f2, false);
+                    self.last_refinements += 1;
+                    let (lists, recv) = (&mut self.lists, &mut self.recv);
+                    let r = Self::refine(net, lists, recv, values, lo, hi, f2, false);
                     r.sort_unstable();
                     if (r.len() as u64) < f2 {
                         q_old

@@ -21,10 +21,10 @@
 //! stay silent. LCLL sends no hints, which is exactly why LCLL-H needs the
 //! geometric zoom-out stage.
 
-use wsn_net::Network;
+use wsn_net::{Network, WaveStore};
 
 use crate::buckets::BucketPartition;
-use crate::descent::{descend, histogram_request, DescentConfig};
+use crate::descent::{descend, histogram_request, DescentConfig, DescentStore};
 use crate::init::{run_init, InitStrategy};
 use crate::payloads::DeltaHistogram;
 use crate::protocol::{ContinuousQuantile, QueryConfig};
@@ -59,6 +59,9 @@ pub struct Lcll {
     initialized: bool,
     last_refinements: u32,
     init: InitStrategy,
+    /// Validation and refinement wave storage, reused every round.
+    deltas: WaveStore<DeltaHistogram>,
+    descent: DescentStore,
 }
 
 impl Lcll {
@@ -82,6 +85,8 @@ impl Lcll {
             initialized: false,
             last_refinements: 0,
             init: InitStrategy::default(),
+            deltas: WaveStore::new(),
+            descent: DescentStore::default(),
         }
     }
 
@@ -114,6 +119,8 @@ impl Lcll {
         self.root_filter = q;
         self.node_filter = vec![q; net.len()];
         self.prev = values.to_vec();
+        self.deltas.fill(net.tree(), || DeltaHistogram::zeros(3));
+        self.descent.fill(net.tree(), self.b);
         for i in net.broadcast(net.sizes().value_bits).iter_ones() {
             self.node_filter[i] = q;
         }
@@ -156,7 +163,8 @@ impl Lcll {
                     let lo = (hi - w + 1).max(self.query.range_min);
                     self.last_refinements += 1;
                     let part = BucketPartition::new(lo, hi, self.b);
-                    let hist = histogram_request(net, values, part, |_, _, _| {});
+                    let hist =
+                        histogram_request(net, &mut self.descent, values, part, |_, _, _| {});
                     let c = hist.total();
                     if k > below - c.min(below) {
                         // Covered: descend inside the probed window using
@@ -174,14 +182,16 @@ impl Lcll {
                         }
                         let (s, e) = part.bounds(chosen);
                         let anchor = crate::retrieval::RankAnchor::BelowLo(below_window + cum);
+                        let inside = Some(hist.counts()[chosen]);
                         let outcome = descend(
                             net,
+                            &mut self.descent,
                             values,
                             cfg,
                             s,
                             e,
                             anchor,
-                            Some(hist.counts()[chosen]),
+                            inside,
                             &mut self.last_refinements,
                             |_, _, _| {},
                         );
@@ -209,7 +219,8 @@ impl Lcll {
                     let hi = (lo + w - 1).min(self.query.range_max);
                     self.last_refinements += 1;
                     let part = BucketPartition::new(lo, hi, self.b);
-                    let hist = histogram_request(net, values, part, |_, _, _| {});
+                    let hist =
+                        histogram_request(net, &mut self.descent, values, part, |_, _, _| {});
                     let c = hist.total();
                     if k <= at_most + c {
                         let rank_in = k - at_most;
@@ -224,14 +235,16 @@ impl Lcll {
                         }
                         let (s, e) = part.bounds(chosen);
                         let anchor = crate::retrieval::RankAnchor::BelowLo(at_most + cum);
+                        let inside = Some(hist.counts()[chosen]);
                         let outcome = descend(
                             net,
+                            &mut self.descent,
                             values,
                             cfg,
                             s,
                             e,
                             anchor,
-                            Some(hist.counts()[chosen]),
+                            inside,
                             &mut self.last_refinements,
                             |_, _, _| {},
                         );
@@ -269,7 +282,8 @@ impl Lcll {
                     self.last_refinements += 1;
                     // Unit buckets: one bucket per value in the window.
                     let part = BucketPartition::new(lo, hi, (hi - lo + 1) as usize);
-                    let hist = histogram_request(net, values, part, |_, _, _| {});
+                    let hist =
+                        histogram_request(net, &mut self.descent, values, part, |_, _, _| {});
                     let c = hist.total();
                     let below_window = below - c.min(below);
                     if k > below_window {
@@ -305,7 +319,8 @@ impl Lcll {
                     let hi = (lo + step - 1).min(self.query.range_max);
                     self.last_refinements += 1;
                     let part = BucketPartition::new(lo, hi, (hi - lo + 1) as usize);
-                    let hist = histogram_request(net, values, part, |_, _, _| {});
+                    let hist =
+                        histogram_request(net, &mut self.descent, values, part, |_, _, _| {});
                     let c = hist.total();
                     if k <= at_most + c {
                         let rank_in = k - at_most;
@@ -347,27 +362,27 @@ impl ContinuousQuantile for Lcll {
             return self.init_round(net, values);
         }
         self.last_refinements = 0;
-        let n = net.len();
 
         // --- Validation: delta pairs over {below, at, above} ---
         net.set_phase(wsn_net::Phase::Validation);
-        let mut contributions: Vec<Option<DeltaHistogram>> = Vec::with_capacity(n);
-        contributions.push(None);
-        for idx in 1..n {
-            let f = self.node_filter[idx];
-            let old = side(self.prev[idx - 1], f);
-            let new = side(values[idx - 1], f);
-            contributions.push(
-                (old != new)
-                    .then(|| DeltaHistogram::movement(3, bucket_code(old), bucket_code(new))),
-            );
-        }
-        self.prev.copy_from_slice(values);
         // Incomplete validations corrupt the maintained counts; re-issue
-        // the wave for missing subtrees when wave recovery is enabled.
-        if let Some(deltas) =
-            recovery::collect_with_recovery(net, |id| contributions[id.index()].clone())
-        {
+        // the wave for missing subtrees when wave recovery is enabled. The
+        // contribution is rewritten from the same inputs on a re-issue
+        // (`prev` only rolls forward afterwards).
+        let (prev, node_filter) = (&self.prev, &self.node_filter);
+        let moved = |id: wsn_net::NodeId, slot: &mut Option<DeltaHistogram>| {
+            let idx = id.index();
+            let old = side(prev[idx - 1], node_filter[idx]);
+            let new = side(values[idx - 1], node_filter[idx]);
+            if old != new {
+                slot.get_or_insert_with(|| DeltaHistogram::zeros(3))
+                    .set_movement(3, bucket_code(old), bucket_code(new));
+            }
+            old != new
+        };
+        let validation = recovery::collect_with_recovery(net, &mut self.deltas, moved);
+        self.prev.copy_from_slice(values);
+        if let Some(deltas) = validation {
             let apply = |base: u64, d: i64| -> u64 {
                 if d >= 0 {
                     base + d as u64

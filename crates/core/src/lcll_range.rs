@@ -31,7 +31,7 @@
 use wsn_net::Network;
 
 use crate::buckets::BucketPartition;
-use crate::descent::{descend, DescentConfig};
+use crate::descent::{descend, DescentConfig, DescentStore};
 use crate::init::{run_init, InitStrategy};
 use crate::payloads::{DeltaHistogram, Histogram};
 use crate::protocol::{ContinuousQuantile, QueryConfig};
@@ -61,6 +61,8 @@ pub struct LcllRange {
     initialized: bool,
     last_refinements: u32,
     init: InitStrategy,
+    /// Descent wave storage, reused every round.
+    descent: DescentStore,
 }
 
 impl LcllRange {
@@ -84,6 +86,7 @@ impl LcllRange {
             initialized: false,
             last_refinements: 0,
             init: InitStrategy::default(),
+            descent: DescentStore::default(),
         }
     }
 
@@ -222,6 +225,7 @@ impl LcllRange {
                 };
                 let outcome = descend(
                     net,
+                    &mut self.descent,
                     values,
                     cfg,
                     lo,
@@ -410,6 +414,7 @@ impl ContinuousQuantile for LcllRange {
                     };
                     let outcome = descend(
                         net,
+                        &mut self.descent,
                         values,
                         cfg,
                         lo,

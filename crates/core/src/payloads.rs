@@ -21,6 +21,20 @@ impl ValueList {
         ValueList { vals: vec![v] }
     }
 
+    /// An empty payload with room for `n` measurements.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        ValueList {
+            vals: Vec::with_capacity(n),
+        }
+    }
+
+    /// Overwrites the payload with the single measurement `v`, keeping the
+    /// storage (a contribution written into a reused wave slot).
+    pub(crate) fn set_single(&mut self, v: Value) {
+        self.vals.clear();
+        self.vals.push(v);
+    }
+
     /// Keeps only the `f` smallest values, plus all values tied with the
     /// `f`-th smallest (IQ refinement pruning, §4.2.2: intermediate nodes
     /// forward only the `f₂` smallest values; ties of the cut-off value
@@ -71,6 +85,17 @@ impl ValueList {
 impl Aggregate for ValueList {
     fn merge(&mut self, other: Self) {
         self.vals.extend(other.vals);
+    }
+    fn merge_from(&mut self, other: &mut Option<Self>) {
+        if let Some(other) = other {
+            self.vals.extend_from_slice(&other.vals);
+        }
+    }
+    fn copy_from(slot: &mut Option<Self>, other: &mut Option<Self>) {
+        match (slot, other) {
+            (Some(to), Some(from)) => to.vals.clone_from(&from.vals),
+            (to, from) => *to = from.clone(),
+        }
     }
     fn payload_bits(&self, sizes: &MessageSizes) -> u64 {
         self.vals.len() as u64 * sizes.value_bits
@@ -164,43 +189,19 @@ impl Aggregate for MultiCounters {
     }
 }
 
-thread_local! {
-    /// Recycled bucket vectors for [`Histogram`]. A refinement wave builds
-    /// one histogram per tree node and consumes one per merge, so without
-    /// recycling the engine pays a malloc/free pair per node per wave —
-    /// the hottest allocation in the repository. Dropping a histogram
-    /// parks its vector here; [`Histogram::zeros`] revives one. Bounded:
-    /// beyond [`HIST_POOL_CAP`] entries, dropped vectors free normally.
-    static HIST_POOL: std::cell::RefCell<Vec<Vec<u64>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Upper bound on parked vectors per thread — ample for every node of the
-/// largest simulated network to be live at once, while keeping a runaway
-/// protocol from hoarding memory forever.
-const HIST_POOL_CAP: usize = 1 << 17;
-
 /// A histogram over `b` buckets, aggregated by per-bucket summation and
 /// transmitted in compressed form (empty buckets dropped, \[21\]).
-///
-/// The bucket vector is recycled through a thread-local pool (see
-/// `HIST_POOL`): construction and drop are pool pops/pushes in steady
-/// state, not heap traffic. The payload stays pointer-sized on the move,
-/// which keeps the network engine's dense per-slot scratch buffers small.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
-    /// Count per bucket (private so the pool owns the lifecycle; access
-    /// through [`Histogram::counts`] / [`Histogram::counts_mut`]).
+    /// Count per bucket (private so its length stays the bucket count;
+    /// access through [`Histogram::counts`] / [`Histogram::counts_mut`]).
     counts: Vec<u64>,
 }
 
 impl Histogram {
     /// An all-zero histogram with `b` buckets.
     pub fn zeros(b: usize) -> Self {
-        let mut v = HIST_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
-        v.clear();
-        v.resize(b, 0);
-        Histogram { counts: v }
+        Histogram { counts: vec![0; b] }
     }
 
     /// A histogram with a single unit entry in bucket `i`.
@@ -208,6 +209,20 @@ impl Histogram {
         let mut h = Histogram::zeros(b);
         h.counts[i] = 1;
         h
+    }
+
+    /// Overwrites the histogram with [`Histogram::zeros`]`(b)`, keeping the
+    /// storage.
+    pub(crate) fn set_zeros(&mut self, b: usize) {
+        self.counts.clear();
+        self.counts.resize(b, 0);
+    }
+
+    /// Overwrites the histogram with [`Histogram::unit`]`(b, i)`, keeping
+    /// the storage.
+    pub(crate) fn set_unit(&mut self, b: usize, i: usize) {
+        self.set_zeros(b);
+        self.counts[i] = 1;
     }
 
     /// Count per bucket.
@@ -231,33 +246,22 @@ impl Histogram {
     }
 }
 
-impl Clone for Histogram {
-    fn clone(&self) -> Self {
-        let mut h = Histogram::zeros(self.counts.len());
-        h.counts.copy_from_slice(&self.counts);
-        h
-    }
-}
-
-impl Drop for Histogram {
-    fn drop(&mut self) {
-        let v = std::mem::take(&mut self.counts);
-        if v.capacity() > 0 {
-            HIST_POOL.with(|p| {
-                let mut p = p.borrow_mut();
-                if p.len() < HIST_POOL_CAP {
-                    p.push(v);
-                }
-            });
-        }
-    }
-}
-
 impl Aggregate for Histogram {
     fn merge(&mut self, other: Self) {
-        debug_assert_eq!(self.counts.len(), other.counts.len());
-        for (a, &b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
+        self.merge_from(&mut Some(other));
+    }
+    fn merge_from(&mut self, other: &mut Option<Self>) {
+        if let Some(other) = other {
+            debug_assert_eq!(self.counts.len(), other.counts.len());
+            for (a, &b) in self.counts.iter_mut().zip(other.counts.iter()) {
+                *a += b;
+            }
+        }
+    }
+    fn copy_from(slot: &mut Option<Self>, other: &mut Option<Self>) {
+        match (slot, other) {
+            (Some(to), Some(from)) => to.counts.clone_from(&from.counts),
+            (to, from) => *to = from.clone(),
         }
     }
     fn payload_bits(&self, sizes: &MessageSizes) -> u64 {
@@ -284,9 +288,17 @@ impl DeltaHistogram {
     /// The move of one node from bucket `from` to bucket `to`.
     pub fn movement(b: usize, from: usize, to: usize) -> Self {
         let mut d = DeltaHistogram::zeros(b);
-        d.deltas[from] -= 1;
-        d.deltas[to] += 1;
+        d.set_movement(b, from, to);
         d
+    }
+
+    /// Overwrites the deltas with [`DeltaHistogram::movement`]`(b, from,
+    /// to)`, keeping the storage.
+    pub(crate) fn set_movement(&mut self, b: usize, from: usize, to: usize) {
+        self.deltas.clear();
+        self.deltas.resize(b, 0);
+        self.deltas[from] -= 1;
+        self.deltas[to] += 1;
     }
 
     /// Number of non-zero entries (wire size).
@@ -297,9 +309,20 @@ impl DeltaHistogram {
 
 impl Aggregate for DeltaHistogram {
     fn merge(&mut self, other: Self) {
-        debug_assert_eq!(self.deltas.len(), other.deltas.len());
-        for (a, b) in self.deltas.iter_mut().zip(other.deltas) {
-            *a += b;
+        self.merge_from(&mut Some(other));
+    }
+    fn merge_from(&mut self, other: &mut Option<Self>) {
+        if let Some(other) = other {
+            debug_assert_eq!(self.deltas.len(), other.deltas.len());
+            for (a, &b) in self.deltas.iter_mut().zip(other.deltas.iter()) {
+                *a += b;
+            }
+        }
+    }
+    fn copy_from(slot: &mut Option<Self>, other: &mut Option<Self>) {
+        match (slot, other) {
+            (Some(to), Some(from)) => to.deltas.clone_from(&from.deltas),
+            (to, from) => *to = from.clone(),
         }
     }
     fn payload_bits(&self, sizes: &MessageSizes) -> u64 {

@@ -9,14 +9,15 @@
 //! into a single message the root requests them directly and broadcasts the
 //! final filter (§3.2 improvements).
 
-use wsn_net::Network;
+use wsn_net::{Network, NodeId, WaveStore};
 
 use crate::init::{run_init, InitStrategy};
 use crate::payloads::{MovementCounters, ValueList};
 use crate::protocol::{ContinuousQuantile, QueryConfig};
-use crate::rank::{kth_smallest, side, Counts, Direction};
+use crate::rank::{kth_smallest_mut, side, Counts, Direction};
 use crate::recovery;
-use crate::validation::{node_validation, HintStyle, ValidationPayload};
+use crate::retrieval::{delivered, values_inside};
+use crate::validation::{write_node_validation, HintStyle, ValidationPayload};
 use crate::Value;
 
 /// Safety cap on refinement iterations: a clean binary search over a 64-bit
@@ -43,6 +44,9 @@ pub struct Pos {
     /// Reusable reception-flag buffer for the probe/broadcast loop (scratch
     /// only, never observable state).
     recv: wsn_net::NodeBits,
+    /// Validation and retrieval wave storage, reused every round.
+    validations: WaveStore<ValidationPayload>,
+    lists: WaveStore<ValueList>,
 }
 
 impl Pos {
@@ -59,6 +63,8 @@ impl Pos {
             direct_retrieval: true,
             init: InitStrategy::default(),
             recv: wsn_net::NodeBits::new(),
+            validations: WaveStore::new(),
+            lists: WaveStore::new(),
         }
     }
 
@@ -87,6 +93,8 @@ impl Pos {
         self.root_filter = q;
         self.node_filter = vec![q; net.len()];
         self.prev = values.to_vec();
+        let room = || ValueList::with_capacity(crate::retrieval::LIST_ROOM);
+        self.lists.fill(net.tree(), room);
         // Filter broadcast: one value.
         net.broadcast_into(net.sizes().value_bits, &mut self.recv);
         for i in self.recv.iter_ones() {
@@ -102,18 +110,20 @@ impl Pos {
     /// thresholds and the root counts.
     fn probe(&mut self, net: &mut Network, values: &[Value], mid: Value) -> Counts {
         net.broadcast_into(net.sizes().value_bits, &mut self.recv);
-        let n = net.len();
-        let mut contributions: Vec<Option<MovementCounters>> = vec![None; n];
-        for idx in 1..n {
-            if !self.recv.get(idx) {
-                continue; // node missed the probe; it cannot react
-            }
-            let old_thr = self.node_filter[idx];
-            self.node_filter[idx] = mid;
-            let v = values[idx - 1];
-            let old_side = side(v, old_thr);
-            let new_side = side(v, mid);
-            if old_side != new_side {
+        let (recv, node_filter) = (&self.recv, &mut self.node_filter);
+        let merged = net
+            .convergecast(|id: NodeId| {
+                let idx = id.index();
+                if !recv.get(idx) {
+                    return None; // node missed the probe; it cannot react
+                }
+                let old_thr = std::mem::replace(&mut node_filter[idx], mid);
+                let v = values[idx - 1];
+                let old_side = side(v, old_thr);
+                let new_side = side(v, mid);
+                if old_side == new_side {
+                    return None;
+                }
                 let mut c = MovementCounters::default();
                 match old_side {
                     crate::rank::Side::Lt => c.outof_lt = 1,
@@ -125,11 +135,8 @@ impl Pos {
                     crate::rank::Side::Gt => c.into_gt = 1,
                     crate::rank::Side::Eq => {}
                 }
-                contributions[idx] = Some(c);
-            }
-        }
-        let merged = net
-            .convergecast_slots(&mut contributions, |_, _| {})
+                Some(c)
+            })
             .unwrap_or_default();
         let n_total = self.counts.n();
         let l = (self.counts.l + merged.into_lt).saturating_sub(merged.outof_lt);
@@ -152,21 +159,8 @@ impl Pos {
     ) -> Value {
         // Request: the interval bounds.
         net.broadcast_into(net.sizes().refinement_request_bits(), &mut self.recv);
-        let n = net.len();
-        let mut contributions: Vec<Option<ValueList>> = vec![None; n];
-        for idx in 1..n {
-            if !self.recv.get(idx) {
-                continue;
-            }
-            let v = values[idx - 1];
-            if v >= lo && v <= hi {
-                contributions[idx] = Some(ValueList::single(v));
-            }
-        }
-        let collected = net
-            .convergecast_slots(&mut contributions, |_, _| {})
-            .map(|l: ValueList| l.vals)
-            .unwrap_or_default();
+        let respond = values_inside(&self.recv, values, lo, hi);
+        let collected = delivered(net.convergecast_in(&mut self.lists, respond, |_, _| {}));
 
         // #values < lo: either known directly, or derived from the exact
         // count of values ≤ hi minus what the interval just returned.
@@ -179,7 +173,7 @@ impl Pos {
             // Only possible under message loss; keep the previous filter.
             self.root_filter
         } else {
-            kth_smallest(&collected, rank_within.min(collected.len() as u64))
+            kth_smallest_mut(collected, rank_within.min(collected.len() as u64))
         };
 
         let in_lt = collected.iter().filter(|&&v| v < q).count() as u64;
@@ -212,33 +206,37 @@ impl ContinuousQuantile for Pos {
             return self.init_round(net, values);
         }
         self.last_refinements = 0;
-        let n = net.len();
 
         // --- Validation ---
         net.set_phase(wsn_net::Phase::Validation);
-        let mut contributions: Vec<Option<ValidationPayload>> = Vec::with_capacity(n);
-        contributions.push(None); // root
-        for idx in 1..n {
-            contributions.push(node_validation(
-                self.prev[idx - 1],
-                values[idx - 1],
-                self.node_filter[idx],
-                HintStyle::MinMax,
-                None,
-            ));
-        }
-        self.prev.copy_from_slice(values);
         // A silently incomplete validation would corrupt the maintained
         // rank forever; with wave recovery enabled the collection re-issues
-        // the wave for missing subtrees (cloning keeps the closure
-        // idempotent).
-        let validation =
-            recovery::collect_with_recovery(net, |id| contributions[id.index()].clone());
+        // the wave for missing subtrees, rewriting each contribution from
+        // the same inputs (`prev` only rolls forward afterwards).
+        let (prev, node_filter) = (&self.prev, &self.node_filter);
+        let changed = |id: NodeId, slot: &mut Option<ValidationPayload>| {
+            let idx = id.index();
+            let (old, cur) = (prev[idx - 1], values[idx - 1]);
+            write_node_validation(slot, old, cur, node_filter[idx], HintStyle::MinMax, None)
+        };
+        let validation = recovery::collect_with_recovery(net, &mut self.validations, changed);
+        // The counters and the hint bounds are all the rest of the round
+        // reads (an empty validation bounds nothing: both sit at the filter).
+        let filter = self.root_filter;
+        let (moved, hint_lo, hint_hi) = match validation {
+            Some(v) => (
+                Some(v.counters),
+                v.lower_bound(filter),
+                v.upper_bound(filter),
+            ),
+            None => (None, filter, filter),
+        };
+        self.prev.copy_from_slice(values);
 
-        if let Some(v) = &validation {
+        if let Some(c) = moved {
             let n_total = self.counts.n();
-            let l = (self.counts.l + v.counters.into_lt).saturating_sub(v.counters.outof_lt);
-            let g = (self.counts.g + v.counters.into_gt).saturating_sub(v.counters.outof_gt);
+            let l = (self.counts.l + c.into_lt).saturating_sub(c.outof_lt);
+            let g = (self.counts.g + c.into_gt).saturating_sub(c.outof_gt);
             self.counts = Counts {
                 l,
                 g,
@@ -253,32 +251,22 @@ impl ContinuousQuantile for Pos {
 
         // --- Refinement: binary search with hints ---
         net.set_phase(wsn_net::Phase::Refinement);
-        let filter = self.root_filter;
         let dir = self
             .counts
             .quantile_moved(self.query.k)
             .expect("invalid counts imply a direction");
-        let empty = ValidationPayload {
-            counters: MovementCounters::default(),
-            hint_min: Value::MAX,
-            hint_max: Value::MIN,
-            max_diff: 0,
-            extra: ValueList::default(),
-            style: HintStyle::MinMax,
-        };
-        let v = validation.as_ref().unwrap_or(&empty);
         // `below`/`above`: exact counts outside [lo, hi] when known
         // (None = only the trivial bound is available).
         let (mut lo, mut hi, mut below, mut above) = match dir {
             Direction::Down => (
-                v.lower_bound(filter).max(self.query.range_min),
+                hint_lo.max(self.query.range_min),
                 filter - 1,
                 None,
                 Some(self.counts.n() - self.counts.l),
             ),
             Direction::Up => (
                 filter + 1,
-                v.upper_bound(filter).min(self.query.range_max),
+                hint_hi.min(self.query.range_max),
                 Some(self.counts.l + self.counts.e),
                 None,
             ),

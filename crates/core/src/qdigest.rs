@@ -27,7 +27,7 @@
 //! round is one convergecast of per-sensor singleton digests, merged and
 //! re-compressed at each hop inside the wave sweep, answered at the sink.
 
-use wsn_net::{Aggregate, MessageSizes, Network};
+use wsn_net::{Aggregate, MessageSizes, Network, NodeId, WaveStore};
 
 use crate::protocol::{ContinuousQuantile, QueryConfig};
 use crate::Value;
@@ -82,10 +82,23 @@ impl QDigest {
     /// `[range_min, range_max]`.
     pub fn singleton(range_min: Value, range_max: Value, k: u64, v: Value) -> Self {
         let mut d = QDigest::new(range_min, range_max, k);
-        let off = (v.clamp(range_min, range_max) - range_min) as u64;
-        d.entries.push((d.sigma + off, 1));
-        d.count = 1;
+        d.set_singleton(range_min, range_max, k, v);
         d
+    }
+
+    /// Overwrites the digest with [`QDigest::singleton`]`(range_min,
+    /// range_max, k, v)`, keeping the entry storage (a contribution written
+    /// into a reused wave slot).
+    pub(crate) fn set_singleton(&mut self, range_min: Value, range_max: Value, k: u64, v: Value) {
+        let mut entries = std::mem::take(&mut self.entries);
+        entries.clear();
+        *self = QDigest {
+            entries,
+            ..QDigest::new(range_min, range_max, k)
+        };
+        let off = (v.clamp(range_min, range_max) - range_min) as u64;
+        self.entries.push((self.sigma + off, 1));
+        self.count = 1;
     }
 
     /// Tree depth: `log2(σ)` (0 for a single-value universe).
@@ -215,7 +228,9 @@ impl QDigest {
     /// odd id first — and writes survivors from the back of the same
     /// vector: every survivor or queued promotion is backed by at least
     /// one consumed entry, so the write cursor never overtakes the read
-    /// cursor. `O(n)` time; allocates only to queue a promotion.
+    /// cursor. `O(n)` time; promotions queue in the vector's spare
+    /// capacity past the entries, so a digest whose storage is reused
+    /// compresses without allocating.
     pub fn compress(&mut self) {
         let threshold = self.threshold();
         // Every count is ≥ 1, so no triple sums below a threshold of 1.
@@ -226,8 +241,7 @@ impl QDigest {
         let len = e.len();
         let mut input = Backward {
             read: len,
-            queue: Vec::new(),
-            head: 0,
+            head: len,
         };
         // Survivors go to `e[write..]`, ascending by id; parents are found
         // in the unread prefix by the cursor `up`. Both only move down.
@@ -257,7 +271,7 @@ impl QDigest {
                 if present {
                     e[up - 1].1 += moved;
                 } else {
-                    input.queue.push((parent, moved));
+                    e.push((parent, moved));
                 }
             } else {
                 write -= 1;
@@ -268,6 +282,7 @@ impl QDigest {
                 }
             }
         }
+        // Survivors move to the front; truncating drops the queue too.
         e.copy_within(write..len, 0);
         e.truncate(len - write);
     }
@@ -349,11 +364,11 @@ impl QDigest {
 
 /// The compression pass's input in descending id order: the unread
 /// prefix `entries[..read]` merged with the promotions queued for absent
-/// parents, which are descending too and consumed from `head`. The two
-/// never share an id: a promotion into a present parent is added to it.
+/// parents, which are descending too, appended past the pass's entries
+/// and consumed from `head`. The two never share an id: a promotion into a
+/// present parent is added to it.
 struct Backward {
     read: usize,
-    queue: Vec<(u64, u64)>,
     head: usize,
 }
 
@@ -361,12 +376,12 @@ impl Backward {
     /// The id [`Backward::pop`] would return next.
     fn peek(&self, e: &[(u64, u64)]) -> Option<u64> {
         let unread = self.read.checked_sub(1).map(|r| e[r].0);
-        unread.max(self.queue.get(self.head).map(|q| q.0))
+        unread.max(e.get(self.head).map(|q| q.0))
     }
 
     /// Consumes the entry with the larger id.
     fn pop(&mut self, e: &[(u64, u64)]) -> Option<(u64, u64)> {
-        let queued = self.queue.get(self.head).copied();
+        let queued = e.get(self.head).copied();
         match self.read.checked_sub(1).map(|r| e[r]) {
             Some(x) if queued.is_none_or(|q| q.0 < x.0) => {
                 self.read -= 1;
@@ -383,6 +398,23 @@ impl Backward {
 impl Aggregate for QDigest {
     fn merge(&mut self, other: Self) {
         self.merge_digest(&other);
+    }
+    fn merge_from(&mut self, other: &mut Option<Self>) {
+        if let Some(other) = other {
+            self.merge_digest(other);
+        }
+    }
+    fn copy_from(slot: &mut Option<Self>, other: &mut Option<Self>) {
+        match (slot, other) {
+            (Some(to), Some(from)) => {
+                to.entries.clone_from(&from.entries);
+                *to = QDigest {
+                    entries: std::mem::take(&mut to.entries),
+                    ..*from
+                };
+            }
+            (to, from) => *to = from.clone(),
+        }
     }
     /// Wire size: the total count plus one sketch entry (node id +
     /// count) per live node — see [`MessageSizes::sketch_entry_bits`].
@@ -406,6 +438,8 @@ pub struct QDigestQuantile {
     /// `log2(σ)` for the query universe.
     depth: u32,
     last: Option<Value>,
+    /// Digest storage, reused every round.
+    digests: WaveStore<QDigest>,
 }
 
 impl QDigestQuantile {
@@ -423,6 +457,7 @@ impl QDigestQuantile {
             k_comp,
             depth,
             last: None,
+            digests: WaveStore::new(),
         }
     }
 
@@ -448,24 +483,18 @@ impl ContinuousQuantile for QDigestQuantile {
         net.set_phase(wsn_net::Phase::Init);
         let (range_min, range_max, k_comp) =
             (self.query.range_min, self.query.range_max, self.k_comp);
-        let digest = net
-            .convergecast_with(
-                |id| {
-                    Some(QDigest::singleton(
-                        range_min,
-                        range_max,
-                        k_comp,
-                        crate::protocol::measurement(values, id),
-                    ))
-                },
-                // Merge already re-compresses; nothing extra per hop.
-                |_, _: &mut QDigest| {},
-            )
-            .unwrap_or_else(|| QDigest::new(range_min, range_max, k_comp));
-        net.end_round();
+        let own = |id: NodeId, slot: &mut Option<QDigest>| {
+            let v = crate::protocol::measurement(values, id);
+            slot.get_or_insert_with(|| QDigest::new(range_min, range_max, k_comp))
+                .set_singleton(range_min, range_max, k_comp, v);
+            true
+        };
+        // Merge already re-compresses; nothing extra per hop.
+        let digest = net.convergecast_in(&mut self.digests, own, |_, _| {});
         let q = digest
-            .query(self.query.k)
+            .and_then(|d| d.query(self.query.k))
             .unwrap_or(self.last.unwrap_or(range_min));
+        net.end_round();
         self.last = Some(q);
         q
     }

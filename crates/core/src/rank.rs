@@ -76,10 +76,18 @@ pub fn kth_smallest(values: &[Value], k: u64) -> Value {
         "rank {k} out of range for {} values",
         values.len()
     );
-    let mut sorted = values.to_vec();
-    let idx = k as usize - 1;
+    kth_smallest_mut(&mut values.to_vec(), k)
+}
+
+/// [`kth_smallest`] selecting in place (reorders `values`).
+pub(crate) fn kth_smallest_mut(values: &mut [Value], k: u64) -> Value {
+    assert!(
+        k >= 1 && k as usize <= values.len(),
+        "rank {k} out of range for {} values",
+        values.len()
+    );
     // select_nth_unstable is O(n) expected.
-    let (_, v, _) = sorted.select_nth_unstable(idx);
+    let (_, v, _) = values.select_nth_unstable(k as usize - 1);
     *v
 }
 

@@ -12,69 +12,36 @@
 //! subtrees whose contribution never arrived, and re-issues the wave for
 //! exactly those nodes — repeating until the wave is complete or the
 //! re-issue budget is spent. Contribution closures must therefore be
-//! idempotent (cheap clones of precomputed payloads, not fresh state
-//! transitions).
+//! idempotent (they rewrite the same payload from unchanged inputs, not
+//! fresh state transitions).
 
-use wsn_net::{Aggregate, Network, NodeId, Phase};
+use wsn_net::{Aggregate, Network, NodeId, Phase, WaveStore};
 
 /// Upper bound on wave re-issues per [`collect_with_recovery`] call, so a
 /// hopeless wave (e.g. a partitioned subtree) terminates.
 pub const MAX_WAVE_REISSUES: u32 = 4;
 
-/// Runs a convergecast and, when the network reports an incomplete wave,
-/// re-issues it for the still-missing subtrees (up to
-/// [`MAX_WAVE_REISSUES`] times), merging late contributions into the
-/// result.
+/// Runs a convergecast over `store` ([`Network::convergecast_in`]) and,
+/// when the network reports an incomplete wave, re-issues it for the
+/// still-missing subtrees (up to [`MAX_WAVE_REISSUES`] times), merging
+/// late contributions into the result.
 ///
-/// `contribute` may be called more than once per node and must return the
+/// `contribute` may be called more than once per node and must write the
 /// same payload each time. With wave recovery disabled
-/// (`recovery_passes == 0`) this is exactly [`Network::convergecast`]: the
+/// (`recovery_passes == 0`) this is exactly one convergecast: the
 /// protocols keep their unreliable-path behaviour bit for bit.
-pub fn collect_with_recovery<T, F>(net: &mut Network, mut contribute: F) -> Option<T>
-where
-    T: Aggregate + Send + 'static,
-    F: FnMut(NodeId) -> Option<T>,
-{
-    let result = net.convergecast(&mut contribute);
-    reissue_incomplete(net, result, contribute)
-}
-
-/// [`collect_with_recovery`] over caller-materialised contribution slots
-/// (`slots[i]` is node `i`'s payload; the wave *takes* them). Steady-state
-/// loops that rebuild their contributions every round keep one reusable
-/// buffer this way instead of funnelling per-node clones through a closure.
-///
-/// `contribute` is only consulted for re-issued waves, to regenerate the
-/// payloads of nodes whose subtree dropped; it must reproduce exactly what
-/// the caller put in `slots`. With wave recovery disabled it is never
-/// called.
-pub fn collect_slots_with_recovery<T, F>(
+pub fn collect_with_recovery<'s, T, F>(
     net: &mut Network,
-    slots: &mut [Option<T>],
-    contribute: F,
-) -> Option<T>
-where
-    T: Aggregate + Send + 'static,
-    F: FnMut(NodeId) -> Option<T>,
-{
-    let result = net.convergecast_slots(slots, |_, _| {});
-    reissue_incomplete(net, result, contribute)
-}
-
-/// Shared re-issue loop: merges late contributions from the still-missing
-/// subtrees into `result` until the wave is complete or the budget is
-/// spent.
-fn reissue_incomplete<T, F>(
-    net: &mut Network,
-    mut result: Option<T>,
+    store: &'s mut WaveStore<T>,
     mut contribute: F,
-) -> Option<T>
+) -> Option<&'s mut T>
 where
-    T: Aggregate + Send + 'static,
-    F: FnMut(NodeId) -> Option<T>,
+    T: Aggregate,
+    F: FnMut(NodeId, &mut Option<T>) -> bool,
 {
+    net.convergecast_in(store, &mut contribute, |_, _| {});
     if net.reliability().recovery_passes == 0 || net.last_wave().is_complete() {
-        return result;
+        return store.result();
     }
 
     // Union of the dropped subtrees: the nodes whose contribution the sink
@@ -86,19 +53,9 @@ where
     net.mark_dropped_subtrees(&mut missing);
     let mut scratch = Vec::new();
     for _ in 0..MAX_WAVE_REISSUES {
-        let reissued = net.convergecast(|id| {
-            if missing[id.index()] {
-                contribute(id)
-            } else {
-                None
-            }
+        net.convergecast_late(store, |id, slot| {
+            missing[id.index()] && contribute(id, slot)
         });
-        if let Some(late) = reissued {
-            match result.as_mut() {
-                Some(acc) => acc.merge(late),
-                None => result = Some(late),
-            }
-        }
         if net.last_wave().is_complete() {
             break;
         }
@@ -115,7 +72,7 @@ where
         }
     }
     net.set_phase(caller_phase);
-    result
+    store.result()
 }
 
 #[cfg(test)]
@@ -137,6 +94,12 @@ mod tests {
         }
     }
 
+    /// Every sensor contributes a count of one.
+    fn one(_: NodeId, slot: &mut Option<Count>) -> bool {
+        *slot = Some(Count(1));
+        true
+    }
+
     fn line_network(n: usize) -> Network {
         let positions = (0..n).map(|i| Point::new(i as f64 * 10.0, 0.0)).collect();
         let topo = Topology::build(positions, 12.0);
@@ -147,11 +110,12 @@ mod tests {
     #[test]
     fn reissue_collects_every_contribution_exactly_once() {
         let mut net = line_network(8);
+        let mut store = WaveStore::new();
         net.set_loss(Some(LossModel::new(0.3, 17)));
         net.set_reliability(ReliabilityConfig::recovering(2, 2));
         let mut complete = 0;
         for _ in 0..200 {
-            let got = collect_with_recovery(&mut net, |_| Some(Count(1)));
+            let got = collect_with_recovery(&mut net, &mut store, one).cloned();
             // Recovery may still fall short under sustained bad luck, but a
             // complete collection must count every sensor exactly once —
             // never more (the double-count hazard this module guards
@@ -171,9 +135,10 @@ mod tests {
         let mut plain = line_network(5);
         plain.set_loss(Some(LossModel::new(0.3, 5)));
         let mut gated = plain.clone();
+        let mut store = WaveStore::new();
         for _ in 0..100 {
             let a = plain.convergecast(|_| Some(Count(1)));
-            let b = collect_with_recovery(&mut gated, |_| Some(Count(1)));
+            let b = collect_with_recovery(&mut gated, &mut store, one).cloned();
             assert_eq!(a, b);
         }
         assert_eq!(plain.stats(), gated.stats());
@@ -181,27 +146,23 @@ mod tests {
 
     #[test]
     fn slot_and_closure_collection_are_identical() {
-        // The slot-based entry point must replay the closure-based one bit
-        // for bit: same traffic, same results, same recovery behaviour.
-        let mut by_closure = line_network(8);
-        by_closure.set_loss(Some(LossModel::new(0.3, 99)));
-        by_closure.set_reliability(ReliabilityConfig::recovering(2, 2));
-        let mut by_slots = by_closure.clone();
-        let mut slots: Vec<Option<Count>> = Vec::new();
+        // Collecting into reused slots must replay collecting from fresh
+        // storage bit for bit: same traffic, same results, same recovery
+        // behaviour.
+        let mut fresh = line_network(8);
+        fresh.set_loss(Some(LossModel::new(0.3, 99)));
+        fresh.set_reliability(ReliabilityConfig::recovering(2, 2));
+        let mut reused = fresh.clone();
+        let mut store = WaveStore::new();
         for _ in 0..100 {
-            let a = collect_with_recovery(&mut by_closure, |_| Some(Count(1)));
-            slots.clear();
-            slots.resize(by_slots.len(), None);
-            for s in slots.iter_mut().skip(1) {
-                *s = Some(Count(1));
-            }
-            let b = collect_slots_with_recovery(&mut by_slots, &mut slots, |_| Some(Count(1)));
+            let a = collect_with_recovery(&mut fresh, &mut WaveStore::new(), one).cloned();
+            let b = collect_with_recovery(&mut reused, &mut store, one).cloned();
             assert_eq!(a, b);
         }
-        assert_eq!(by_closure.stats(), by_slots.stats());
+        assert_eq!(fresh.stats(), reused.stats());
         assert_eq!(
-            by_closure.ledger().consumed_per_node(),
-            by_slots.ledger().consumed_per_node(),
+            fresh.ledger().consumed_per_node(),
+            reused.ledger().consumed_per_node(),
             "bit-identical energy trace"
         );
     }
@@ -211,7 +172,8 @@ mod tests {
         let mut net = line_network(4);
         net.set_loss(Some(LossModel::new(1.0, 1)));
         net.set_reliability(ReliabilityConfig::recovering(1, 1));
-        let got = collect_with_recovery(&mut net, |_| Some(Count(1)));
+        let mut store = WaveStore::new();
+        let got = collect_with_recovery(&mut net, &mut store, one);
         assert!(got.is_none());
         // 1 initial wave + at most MAX_WAVE_REISSUES re-issues.
         assert!(net.stats().convergecasts <= 1 + MAX_WAVE_REISSUES as u64);

@@ -6,11 +6,57 @@
 //! lies inside responds, lists are merged on the way up, and the root
 //! selects the k-th value from the received multiset.
 
-use wsn_net::Network;
+use wsn_net::{Network, NodeBits, NodeId, RoutingTree, WaveStore};
 
 use crate::payloads::ValueList;
-use crate::rank::{kth_smallest, Counts};
+use crate::rank::{kth_smallest_mut, Counts};
 use crate::Value;
+
+/// What a direct retrieval reuses from one call to the next: the request's
+/// reception mask and the response wave's payload storage.
+#[derive(Debug, Clone, Default)]
+pub struct RetrievalStore {
+    received: NodeBits,
+    lists: WaveStore<ValueList>,
+}
+
+/// Room for measurements every slot of a retrieval or refinement wave's
+/// value lists starts with: a responder's own value and a few merged ones.
+pub(crate) const LIST_ROOM: usize = 4;
+
+/// A node's answer to a request for the values in `[lo, hi]`: its own
+/// measurement, written into `slot`, when it received the request and the
+/// value lies inside — a contribution for [`Network::convergecast_in`].
+pub(crate) fn values_inside<'a>(
+    received: &'a NodeBits,
+    values: &'a [Value],
+    lo: Value,
+    hi: Value,
+) -> impl FnMut(NodeId, &mut Option<ValueList>) -> bool + 'a {
+    move |id, slot| {
+        let v = values[id.index() - 1];
+        let inside = received.get(id.index()) && v >= lo && v <= hi;
+        if inside {
+            slot.get_or_insert_with(ValueList::default).set_single(v);
+        }
+        inside
+    }
+}
+
+/// The measurements a value-list wave delivered to the root (none when
+/// every node stayed silent).
+pub(crate) fn delivered(result: Option<&mut ValueList>) -> &mut [Value] {
+    result.map_or(&mut [][..], |l| &mut l.vals[..])
+}
+
+impl RetrievalStore {
+    /// Gives the value-list slots a wave over `tree` can need their storage
+    /// up front (see [`WaveStore::fill`]).
+    pub fn fill(&mut self, tree: &RoutingTree) {
+        self.lists
+            .fill(tree, || ValueList::with_capacity(LIST_ROOM));
+    }
+}
 
 /// What the root knows about ranks outside a retrieval interval `[lo, hi]`:
 /// either the exact count of values `< lo`, or the exact count of values
@@ -34,8 +80,10 @@ pub struct Retrieved {
 
 /// Broadcasts a request for all values in `[lo, hi]` and determines the
 /// global k-th value from the responses. `n_total` is `|N|`.
+#[allow(clippy::too_many_arguments)]
 pub fn direct_retrieval(
     net: &mut Network,
+    store: &mut RetrievalStore,
     values: &[Value],
     lo: Value,
     hi: Value,
@@ -43,22 +91,10 @@ pub fn direct_retrieval(
     n_total: u64,
     anchor: RankAnchor,
 ) -> Retrieved {
-    let n = net.len();
-    let received = net.broadcast(net.sizes().refinement_request_bits());
-    let mut contributions: Vec<Option<ValueList>> = vec![None; n];
-    for idx in 1..n {
-        if !received.get(idx) {
-            continue;
-        }
-        let v = values[idx - 1];
-        if v >= lo && v <= hi {
-            contributions[idx] = Some(ValueList::single(v));
-        }
-    }
-    let collected = net
-        .convergecast_slots(&mut contributions, |_, _| {})
-        .map(|l: ValueList| l.vals)
-        .unwrap_or_default();
+    let RetrievalStore { received, lists } = store;
+    net.broadcast_into(net.sizes().refinement_request_bits(), received);
+    let respond = values_inside(received, values, lo, hi);
+    let collected = delivered(net.convergecast_in(lists, respond, |_, _| {}));
 
     if collected.is_empty() {
         return Retrieved {
@@ -72,7 +108,7 @@ pub fn direct_retrieval(
         RankAnchor::AtMostHi(t) => t.saturating_sub(collected.len() as u64),
     };
     let rank_within = k.saturating_sub(below).max(1).min(collected.len() as u64);
-    let q = kth_smallest(&collected, rank_within);
+    let q = kth_smallest_mut(collected, rank_within);
 
     let in_lt = collected.iter().filter(|&&v| v < q).count() as u64;
     let in_eq = collected.iter().filter(|&&v| v == q).count() as u64;
@@ -106,7 +142,16 @@ mod tests {
         let mut net = line_net(10);
         let values: Vec<Value> = vec![1, 2, 3, 10, 11, 12, 13, 20, 21, 22];
         // k = 5 -> 11. Values < 10: three. Interval [10, 15].
-        let r = direct_retrieval(&mut net, &values, 10, 15, 5, 10, RankAnchor::BelowLo(3));
+        let r = direct_retrieval(
+            &mut net,
+            &mut RetrievalStore::default(),
+            &values,
+            10,
+            15,
+            5,
+            10,
+            RankAnchor::BelowLo(3),
+        );
         assert_eq!(r.quantile, Some(11));
         assert_eq!(r.counts, Counts { l: 4, e: 1, g: 5 });
     }
@@ -116,7 +161,16 @@ mod tests {
         let mut net = line_net(10);
         let values: Vec<Value> = vec![1, 2, 3, 10, 11, 12, 13, 20, 21, 22];
         // #<= 15 is 7; interval [10, 15] holds 4 values, so below = 3.
-        let r = direct_retrieval(&mut net, &values, 10, 15, 5, 10, RankAnchor::AtMostHi(7));
+        let r = direct_retrieval(
+            &mut net,
+            &mut RetrievalStore::default(),
+            &values,
+            10,
+            15,
+            5,
+            10,
+            RankAnchor::AtMostHi(7),
+        );
         assert_eq!(r.quantile, Some(11));
     }
 
@@ -124,7 +178,16 @@ mod tests {
     fn retrieval_handles_duplicates() {
         let mut net = line_net(8);
         let values: Vec<Value> = vec![5, 5, 5, 7, 7, 7, 7, 9];
-        let r = direct_retrieval(&mut net, &values, 6, 8, 5, 8, RankAnchor::BelowLo(3));
+        let r = direct_retrieval(
+            &mut net,
+            &mut RetrievalStore::default(),
+            &values,
+            6,
+            8,
+            5,
+            8,
+            RankAnchor::BelowLo(3),
+        );
         assert_eq!(r.quantile, Some(7));
         assert_eq!(r.counts.e, 4);
         assert_eq!(r.counts.l, 3);
@@ -134,7 +197,16 @@ mod tests {
     fn empty_interval_returns_none() {
         let mut net = line_net(4);
         let values: Vec<Value> = vec![1, 2, 3, 4];
-        let r = direct_retrieval(&mut net, &values, 50, 60, 2, 4, RankAnchor::BelowLo(4));
+        let r = direct_retrieval(
+            &mut net,
+            &mut RetrievalStore::default(),
+            &values,
+            50,
+            60,
+            2,
+            4,
+            RankAnchor::BelowLo(4),
+        );
         assert_eq!(r.quantile, None);
     }
 
@@ -142,7 +214,16 @@ mod tests {
     fn only_interval_nodes_transmit() {
         let mut net = line_net(6);
         let values: Vec<Value> = vec![1, 2, 50, 51, 90, 91];
-        direct_retrieval(&mut net, &values, 40, 60, 3, 6, RankAnchor::BelowLo(2));
+        direct_retrieval(
+            &mut net,
+            &mut RetrievalStore::default(),
+            &values,
+            40,
+            60,
+            3,
+            6,
+            RankAnchor::BelowLo(2),
+        );
         // Exactly the values 50 and 51 travel; along the line each is
         // forwarded toward the root by every intermediate hop.
         // Node ids 3,4 hold 50,51 at depths 3 and 4 -> 3 + 4 = 7 value hops.

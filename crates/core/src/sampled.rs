@@ -9,11 +9,12 @@
 //! dial the paper's related work points at. The `sampling` experiment
 //! quantifies that dial against the exact protocols.
 
-use wsn_net::Network;
+use wsn_net::{Network, WaveStore};
 
 use crate::payloads::ValueList;
 use crate::protocol::{measurement, ContinuousQuantile, QueryConfig};
-use crate::rank::{kth_smallest, rank_of_phi};
+use crate::rank::{kth_smallest_mut, rank_of_phi};
+use crate::retrieval::delivered;
 use crate::Value;
 
 /// TAG over a sampled layer: per round, only layer members report, pruned
@@ -26,6 +27,8 @@ pub struct SampledQuantile {
     member: Vec<bool>,
     sample_size: usize,
     last: Option<Value>,
+    /// Collection storage, reused every round.
+    lists: WaveStore<ValueList>,
 }
 
 impl SampledQuantile {
@@ -61,6 +64,7 @@ impl SampledQuantile {
             member,
             sample_size,
             last: None,
+            lists: WaveStore::new(),
         }
     }
 
@@ -83,19 +87,22 @@ impl ContinuousQuantile for SampledQuantile {
     fn round(&mut self, net: &mut Network, values: &[Value]) -> Value {
         let k_sample = self.sample_rank() as usize;
         let member = &self.member;
-        let collected = net
-            .convergecast_with(
-                |id| member[id.index() - 1].then(|| ValueList::single(measurement(values, id))),
-                |_, l: &mut ValueList| l.keep_smallest(k_sample),
-            )
-            .map(|l| l.vals)
-            .unwrap_or_default();
+        let own = |id: wsn_net::NodeId, slot: &mut Option<ValueList>| {
+            let v = measurement(values, id);
+            let sampled = member[id.index() - 1];
+            if sampled {
+                slot.get_or_insert_with(ValueList::default).set_single(v);
+            }
+            sampled
+        };
+        let prune = |_, l: &mut ValueList| l.keep_smallest(k_sample);
+        let collected = delivered(net.convergecast_in(&mut self.lists, own, prune));
         net.end_round();
         let q = if collected.is_empty() {
             self.last.unwrap_or(self.query.range_min)
         } else {
-            kth_smallest(
-                &collected,
+            kth_smallest_mut(
+                collected,
                 (k_sample as u64).min(collected.len() as u64).max(1),
             )
         };
@@ -127,7 +134,10 @@ mod tests {
         let mut net = line_net(n);
         for t in 0..10i64 {
             let values: Vec<Value> = (0..n as i64).map(|i| (i * 31 + t * 7) % 1024).collect();
-            assert_eq!(alg.round(&mut net, &values), kth_smallest(&values, query.k));
+            assert_eq!(
+                alg.round(&mut net, &values),
+                crate::rank::kth_smallest(&values, query.k)
+            );
         }
     }
 

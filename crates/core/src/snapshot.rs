@@ -11,7 +11,7 @@
 use wsn_net::Network;
 
 use crate::cost_model;
-use crate::descent::{descend, DescentConfig};
+use crate::descent::{descend, DescentConfig, DescentStore};
 use crate::protocol::QueryConfig;
 use crate::rank::Counts;
 use crate::retrieval::RankAnchor;
@@ -86,6 +86,7 @@ impl SnapshotQuery {
         let mut refinements = 0;
         let outcome = descend(
             net,
+            &mut DescentStore::default(),
             values,
             cfg,
             self.query.range_min,

@@ -58,6 +58,18 @@ impl RankSummary {
         }
     }
 
+    /// Overwrites the summary with [`RankSummary::singleton`]`(value)`,
+    /// keeping the entry storage.
+    pub(crate) fn set_singleton(&mut self, value: Value) {
+        self.entries.clear();
+        self.entries.push(Entry {
+            value,
+            rmin: 1,
+            rmax: 1,
+        });
+        self.count = 1;
+    }
+
     /// An empty summary.
     pub fn empty() -> Self {
         RankSummary::default()
@@ -74,7 +86,8 @@ impl RankSummary {
             return;
         }
         if self.count == 0 {
-            *self = other.clone();
+            self.entries.clone_from(&other.entries);
+            self.count = other.count;
             return;
         }
         // An entry's peers on the other side (`peer_count` values) split
@@ -190,6 +203,20 @@ impl RankSummary {
 impl Aggregate for RankSummary {
     fn merge(&mut self, other: Self) {
         self.merge_summary(&other);
+    }
+    fn merge_from(&mut self, other: &mut Option<Self>) {
+        if let Some(other) = other {
+            self.merge_summary(other);
+        }
+    }
+    fn copy_from(slot: &mut Option<Self>, other: &mut Option<Self>) {
+        match (slot, other) {
+            (Some(to), Some(from)) => {
+                to.entries.clone_from(&from.entries);
+                to.count = from.count;
+            }
+            (to, from) => *to = from.clone(),
+        }
     }
     /// Wire size: per entry one value and two counters (rmin, rmax), plus
     /// one counter for the total count.

@@ -5,11 +5,12 @@
 //! each node only forwards the `k` smallest values of its subtree — the
 //! worst-case `O(|N|)` per-node transmitted values the paper quotes.
 
-use wsn_net::Network;
+use wsn_net::{Network, WaveStore};
 
 use crate::payloads::ValueList;
 use crate::protocol::{measurement, ContinuousQuantile, QueryConfig};
-use crate::rank::kth_smallest;
+use crate::rank::kth_smallest_mut;
+use crate::retrieval::delivered;
 use crate::Value;
 
 /// The TAG quantile protocol.
@@ -17,12 +18,18 @@ use crate::Value;
 pub struct Tag {
     query: QueryConfig,
     last: Option<Value>,
+    /// Collection storage, reused every round.
+    store: WaveStore<ValueList>,
 }
 
 impl Tag {
     /// Creates a TAG query for the given configuration.
     pub fn new(query: QueryConfig) -> Self {
-        Tag { query, last: None }
+        Tag {
+            query,
+            last: None,
+            store: WaveStore::new(),
+        }
     }
 
     /// The most recent result, if any round has run.
@@ -42,13 +49,13 @@ impl ContinuousQuantile for Tag {
         // traffic is attributed to the Init phase.
         net.set_phase(wsn_net::Phase::Init);
         let k = self.query.k as usize;
-        let collected = net
-            .convergecast_with(
-                |id| Some(ValueList::single(measurement(values, id))),
-                |_, l: &mut ValueList| l.keep_smallest(k),
-            )
-            .map(|l| l.vals)
-            .unwrap_or_default();
+        let own = |id, slot: &mut Option<ValueList>| {
+            let v = measurement(values, id);
+            slot.get_or_insert_with(ValueList::default).set_single(v);
+            true
+        };
+        let prune = |_, l: &mut ValueList| l.keep_smallest(k);
+        let collected = delivered(net.convergecast_in(&mut self.store, own, prune));
         net.end_round();
         // The root holds the k smallest network values; the answer is their
         // maximum. An empty collection (total message loss) keeps the last
@@ -56,7 +63,8 @@ impl ContinuousQuantile for Tag {
         let q = if collected.is_empty() {
             self.last.unwrap_or(self.query.range_min)
         } else {
-            kth_smallest(&collected, self.query.k.min(collected.len() as u64).max(1))
+            let k = self.query.k.min(collected.len() as u64).max(1);
+            kth_smallest_mut(collected, k)
         };
         self.last = Some(q);
         q

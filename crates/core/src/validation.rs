@@ -53,7 +53,8 @@ pub struct ValidationPayload {
 }
 
 impl ValidationPayload {
-    fn empty(style: HintStyle) -> Self {
+    /// A payload that records no movement.
+    pub(crate) fn empty(style: HintStyle) -> Self {
         ValidationPayload {
             counters: MovementCounters::default(),
             hint_min: Value::MAX,
@@ -92,6 +93,29 @@ impl Aggregate for ValidationPayload {
         self.extra.merge(other.extra);
     }
 
+    fn merge_from(&mut self, other: &mut Option<Self>) {
+        if let Some(other) = other {
+            self.counters.merge(&other.counters);
+            self.hint_min = self.hint_min.min(other.hint_min);
+            self.hint_max = self.hint_max.max(other.hint_max);
+            self.max_diff = self.max_diff.max(other.max_diff);
+            self.extra.vals.extend_from_slice(&other.extra.vals);
+        }
+    }
+
+    fn copy_from(slot: &mut Option<Self>, other: &mut Option<Self>) {
+        match (slot, other) {
+            (Some(to), Some(from)) => {
+                to.extra.vals.clone_from(&from.extra.vals);
+                *to = ValidationPayload {
+                    extra: std::mem::take(&mut to.extra),
+                    ..*from
+                };
+            }
+            (to, from) => *to = from.clone(),
+        }
+    }
+
     fn payload_bits(&self, sizes: &MessageSizes) -> u64 {
         4 * sizes.counter_bits
             + self.style.hint_fields() as u64 * sizes.value_bits
@@ -117,21 +141,38 @@ pub fn node_validation(
     style: HintStyle,
     xi: Option<(Value, Value)>,
 ) -> Option<ValidationPayload> {
-    node_validation_interval(prev, cur, filter, filter, style, xi)
+    let mut slot = None;
+    write_node_validation(&mut slot, prev, cur, filter, style, xi);
+    slot
 }
 
-/// Interval-filter generalization of [`node_validation`], used by the
-/// §4.1.2 variant of HBC: the `eq` interval is `[lb, ub]` (the bounds of
-/// the last refinement request) rather than a single threshold. `xi`
+/// [`node_validation`] written into a reused wave slot: overwrites `slot`
+/// (keeping its storage) and returns `true` when the node contributes,
+/// leaves it as it was and returns `false` when it stays silent.
+pub(crate) fn write_node_validation(
+    slot: &mut Option<ValidationPayload>,
+    prev: Value,
+    cur: Value,
+    filter: Value,
+    style: HintStyle,
+    xi: Option<(Value, Value)>,
+) -> bool {
+    write_node_validation_interval(slot, prev, cur, filter, filter, style, xi)
+}
+
+/// Interval-filter generalization of [`write_node_validation`], used by
+/// the §4.1.2 variant of HBC: the `eq` interval is `[lb, ub]` (the bounds
+/// of the last refinement request) rather than a single threshold. `xi`
 /// offsets, when given, are relative to `lb`/`ub` respectively.
-pub fn node_validation_interval(
+pub(crate) fn write_node_validation_interval(
+    slot: &mut Option<ValidationPayload>,
     prev: Value,
     cur: Value,
     lb: Value,
     ub: Value,
     style: HintStyle,
     xi: Option<(Value, Value)>,
-) -> Option<ValidationPayload> {
+) -> bool {
     let old_side = side_interval(prev, lb, ub);
     let new_side = side_interval(cur, lb, ub);
     let changed = old_side != new_side;
@@ -142,10 +183,16 @@ pub fn node_validation_interval(
     };
 
     if !changed && !in_xi {
-        return None;
+        return false;
     }
 
-    let mut p = ValidationPayload::empty(style);
+    let p = slot.get_or_insert_with(|| ValidationPayload::empty(style));
+    let mut extra = std::mem::take(&mut p.extra);
+    extra.vals.clear();
+    *p = ValidationPayload {
+        extra,
+        ..ValidationPayload::empty(style)
+    };
     if changed {
         match old_side {
             Side::Lt => p.counters.outof_lt = 1,
@@ -172,7 +219,7 @@ pub fn node_validation_interval(
     if in_xi {
         p.extra.vals.push(cur);
     }
-    Some(p)
+    true
 }
 
 #[cfg(test)]

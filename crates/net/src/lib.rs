@@ -73,7 +73,7 @@ pub use energy::{EnergyLedger, RadioModel};
 pub use geometry::Point;
 pub use loss::{LossDrift, LossModel};
 pub use message::{MessageSizes, PayloadSize};
-pub use network::{Aggregate, Network, TrafficStats};
+pub use network::{Aggregate, Network, TrafficStats, WaveStore};
 pub use reliability::{FailureModel, ReliabilityConfig, ReliabilityStats, WaveReport};
 pub use topology::{NodeId, Topology};
 pub use tree::RoutingTree;

@@ -38,7 +38,7 @@ use crate::message::MessageSizes;
 use crate::reliability::{FailureModel, ReliabilityConfig, ReliabilityStats, WaveReport};
 use crate::topology::{NodeId, Topology};
 use crate::tree::RoutingTree;
-use wsn_obs::{HistKind, NodeHistograms, Recorder, SpanStart};
+use wsn_obs::{HistKind, HistogramSet, NodeHistograms, Recorder, SpanStart};
 
 /// A mergeable convergecast payload.
 ///
@@ -48,6 +48,32 @@ pub trait Aggregate {
     /// Merges `other` into `self` (TAG-style in-network aggregation).
     fn merge(&mut self, other: Self);
 
+    /// Merges the payload held in `other` (always `Some`) into `self`, as
+    /// [`Aggregate::merge`] does. The default takes it out of `other` and
+    /// forwards to `merge`; payloads that own heap storage override this to
+    /// merge by borrowing and leave `other` holding its spent payload, whose
+    /// storage a [`WaveStore`] reuses for a later one.
+    fn merge_from(&mut self, other: &mut Option<Self>)
+    where
+        Self: Sized,
+    {
+        if let Some(other) = other.take() {
+            self.merge(other);
+        }
+    }
+
+    /// Overwrites `slot` — a spent payload, or nothing yet — with an exact
+    /// copy of the payload held in `other` (always `Some`). The default
+    /// moves it out of `other`; payloads that own heap storage override
+    /// this to copy into `slot`'s storage (cloning when it has none) and
+    /// leave `other` its own, so every slot keeps the storage it was given.
+    fn copy_from(slot: &mut Option<Self>, other: &mut Option<Self>)
+    where
+        Self: Sized,
+    {
+        *slot = other.take();
+    }
+
     /// Size of this payload on the wire, in bits, excluding headers.
     fn payload_bits(&self, sizes: &MessageSizes) -> u64;
 
@@ -56,6 +82,115 @@ pub trait Aggregate {
     /// counter-only payloads.
     fn value_count(&self) -> usize {
         0
+    }
+}
+
+/// Moves the live payload in `from` into `into`: merged into `into`'s
+/// payload when that is live, otherwise copied over whatever `into` held.
+fn fold<T: Aggregate>(from: &mut Option<T>, into: &mut Option<T>, live: bool) {
+    match into {
+        Some(acc) if live => acc.merge_from(from),
+        _ => T::copy_from(into, from),
+    }
+}
+
+/// Convergecast payload storage that outlives the wave: one slot per wave
+/// slot (slot `s` belongs to the node at `tree.bottom_up()[s]`), holding the
+/// payloads the node's children send it; a spare, into which each node
+/// writes its own contribution ([`Network::convergecast_in`]); and the
+/// wave's result.
+///
+/// A slot keeps its payload after the wave, spent, and the next payload to
+/// pass through that slot overwrites it in place: a payload moves up the
+/// tree by [`Aggregate::merge_from`] or [`Aggregate::copy_from`] into its
+/// parent's slot, never by handing its storage on (only the root's
+/// aggregate trades places with the previous result). So each slot's
+/// storage settles at the largest payload that slot carries, and with both
+/// methods borrowing, a steady-state wave neither allocates nor frees.
+///
+/// The storage holds no observable state: a wave's result never depends on
+/// what the slots held before, and clones start empty.
+pub struct WaveStore<T> {
+    slots: Vec<Option<T>>,
+    spare: Option<T>,
+    result: Option<T>,
+    /// Whether `result` holds the last wave's aggregate (else it is spent).
+    has_result: bool,
+}
+
+impl<T> WaveStore<T> {
+    /// Empty storage; the first waves through it allocate.
+    pub fn new() -> Self {
+        WaveStore {
+            slots: Vec::new(),
+            spare: None,
+            result: None,
+            has_result: false,
+        }
+    }
+
+    /// Gives every slot a wave over `tree` can need — the slots of nodes
+    /// with children (a childless node sends from the spare), the spare and
+    /// the result — storage made by `make`, where it has none yet. A wave
+    /// that reaches a different few slots each time (a refinement or
+    /// retrieval wave, answered only by the nodes whose value falls in the
+    /// requested interval) would otherwise allocate whenever it first
+    /// reaches a slot, for as many rounds as it takes to reach them all;
+    /// filled, the store allocates only when a payload outgrows its slot.
+    pub fn fill(&mut self, tree: &RoutingTree, mut make: impl FnMut() -> T) {
+        let order = tree.bottom_up();
+        if self.slots.len() < order.len() {
+            self.slots.resize_with(order.len(), || None);
+        }
+        let relays = self
+            .slots
+            .iter_mut()
+            .zip(order)
+            .filter(|(_, &u)| !tree.is_leaf(u))
+            .map(|(slot, _)| slot);
+        for slot in relays.chain([&mut self.spare, &mut self.result]) {
+            if slot.is_none() {
+                *slot = Some(make());
+            }
+        }
+    }
+
+    /// The aggregate of the last wave through this store, or `None` when
+    /// every node stayed silent.
+    pub fn result(&mut self) -> Option<&mut T> {
+        if self.has_result {
+            self.result.as_mut()
+        } else {
+            None
+        }
+    }
+
+    /// Takes the last wave's aggregate out of the store.
+    fn take_result(&mut self) -> Option<T> {
+        std::mem::take(&mut self.has_result)
+            .then(|| self.result.take())
+            .flatten()
+    }
+}
+
+impl<T> Default for WaveStore<T> {
+    fn default() -> Self {
+        WaveStore::new()
+    }
+}
+
+impl<T> Clone for WaveStore<T> {
+    /// Storage is not meaningful state; clones start empty.
+    fn clone(&self) -> Self {
+        WaveStore::new()
+    }
+}
+
+impl<T> std::fmt::Debug for WaveStore<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WaveStore")
+            .field("slots", &self.slots.len())
+            .finish()
     }
 }
 
@@ -85,47 +220,41 @@ impl TrafficStats {
     }
 }
 
-/// Reusable convergecast inboxes, so the wave hot path performs no heap
-/// allocation in steady state. Inboxes are generic over the payload type,
-/// so they are stored type-erased and recycled per payload type: the first
-/// wave of each type allocates, every later wave reuses that buffer.
+/// The [`WaveStore`]s behind the by-value entry points
+/// ([`Network::convergecast`], [`Network::convergecast_with`],
+/// [`Network::convergecast_slots`]), one per payload type, so those stay
+/// allocation-free in steady state for payloads without heap storage.
+/// Payload types are open-ended, so the stores are kept type-erased.
 ///
 /// Scratch holds no observable state — clearing (or cloning to empty) never
 /// changes simulation results, only allocation behaviour.
 #[derive(Default)]
 struct ScratchPool {
-    /// One recycled `Vec<Option<T>>` per payload type.
-    bufs: Vec<(TypeId, Box<dyn Any + Send>)>,
+    stores: Vec<(TypeId, Box<dyn Any + Send>)>,
 }
 
 impl ScratchPool {
-    /// Takes the recycled buffer for payload type `T` (empty on first
-    /// use), cleared and resized to `n` empty slots.
-    fn take_buf<T: Send + 'static>(&mut self, n: usize) -> Vec<Option<T>> {
-        let key = TypeId::of::<Vec<Option<T>>>();
-        let mut buf = self
-            .bufs
+    /// Takes the store for payload type `T` (empty on first use).
+    fn take<T: Send + 'static>(&mut self) -> WaveStore<T> {
+        let key = TypeId::of::<WaveStore<T>>();
+        self.stores
             .iter_mut()
             .find(|(k, _)| *k == key)
-            .and_then(|(_, b)| b.downcast_mut::<Vec<Option<T>>>())
+            .and_then(|(_, b)| b.downcast_mut::<WaveStore<T>>())
             .map(std::mem::take)
-            .unwrap_or_default();
-        buf.clear();
-        buf.resize_with(n, || None);
-        buf
+            .unwrap_or_default()
     }
 
-    /// Returns a buffer to the pool for later reuse.
-    fn put_buf<T: Send + 'static>(&mut self, mut buf: Vec<Option<T>>) {
-        buf.clear();
-        let key = TypeId::of::<Vec<Option<T>>>();
-        match self.bufs.iter_mut().find(|(k, _)| *k == key) {
+    /// Returns a store to the pool for later reuse.
+    fn put<T: Send + 'static>(&mut self, store: WaveStore<T>) {
+        let key = TypeId::of::<WaveStore<T>>();
+        match self.stores.iter_mut().find(|(k, _)| *k == key) {
             Some((_, b)) => {
-                if let Some(slot) = b.downcast_mut::<Vec<Option<T>>>() {
-                    *slot = buf;
+                if let Some(slot) = b.downcast_mut::<WaveStore<T>>() {
+                    *slot = store;
                 }
             }
-            None => self.bufs.push((key, Box::new(buf))),
+            None => self.stores.push((key, Box::new(store))),
         }
     }
 }
@@ -133,7 +262,7 @@ impl ScratchPool {
 impl std::fmt::Debug for ScratchPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScratchPool")
-            .field("bufs", &self.bufs.len())
+            .field("stores", &self.stores.len())
             .finish()
     }
 }
@@ -183,8 +312,14 @@ pub struct Network {
     /// Open span for the current phase (null while telemetry is off).
     phase_start: SpanStart,
     /// Per-wave scratch: delivered-child-payload counts for the fan-in
-    /// histogram (cleared each convergecast; no steady-state allocation).
+    /// histogram, and so which wave slots hold a live payload (cleared each
+    /// convergecast; no steady-state allocation).
     fanin: Vec<u32>,
+    /// Per-wave scratch: `(holder, slot)` of every payload that died on a
+    /// link, for the recovery passes. The payload waits in the wave slot of
+    /// the node that first sent it — the root of the subtree whose
+    /// contributions it carries.
+    stranded: Vec<(NodeId, u32)>,
     /// Reusable reception mask for [`Network::broadcast`]; steady-state
     /// broadcasts perform no heap allocation.
     bcast_recv: NodeBits,
@@ -471,6 +606,18 @@ impl Hists {
         out
     }
 
+    /// Network-wide totals, folded straight from the slot-ordered blocks
+    /// and the pending runs: no id-ordered copy. Exact — counts and `max`
+    /// are plain integers and `sum` saturates, so no grouping or order of
+    /// the samples changes the totals.
+    fn total(&self) -> HistogramSet {
+        let mut out = self.blocks.total();
+        for (i, cell) in self.hot.iter().enumerate() {
+            out.record_n(HistKind::ALL[i % HistKind::COUNT], cell.value, cell.repeat);
+        }
+        out
+    }
+
     /// Re-slots the storage for `tree` so every node keeps its own history.
     /// The hot cache is flushed first: its cells are keyed by the old slots.
     fn reslot(&mut self, tree: &RoutingTree) {
@@ -592,6 +739,7 @@ impl Network {
             round_start: SpanStart::default(),
             phase_start: SpanStart::default(),
             fanin: Vec::new(),
+            stranded: Vec::new(),
             bcast_recv: NodeBits::new(),
         }
     }
@@ -727,6 +875,12 @@ impl Network {
     /// call it per run, not per round.
     pub fn histograms(&self) -> NodeHistograms {
         self.books.hists.snapshot()
+    }
+
+    /// Network-wide totals of the per-node telemetry histograms: exactly
+    /// `histograms().total()`, folded without the id-ordered copy.
+    pub fn histogram_totals(&self) -> HistogramSet {
+        self.books.hists.total()
     }
 
     /// Enables Bernoulli message loss (the §6 future-work extension).
@@ -1033,16 +1187,90 @@ impl Network {
     ///
     /// Pruning at the root is deliberate: the root applies the same logic
     /// (e.g. keeping the `f` largest values) when consuming the data.
+    ///
+    /// A by-value front to [`Network::convergecast_in`] over a pooled
+    /// [`WaveStore`]: payloads that own heap storage are better sent
+    /// through a store of the caller's, which keeps that storage.
     pub fn convergecast_with<T: Aggregate + Send + 'static>(
         &mut self,
         mut local: impl FnMut(NodeId) -> Option<T>,
-        mut prune: impl FnMut(NodeId, &mut T),
+        prune: impl FnMut(NodeId, &mut T),
     ) -> Option<T> {
+        let mut store = self.scratch.take::<T>();
+        let own = |u, slot: &mut Option<T>| match local(u) {
+            Some(payload) => {
+                *slot = Some(payload);
+                true
+            }
+            None => false,
+        };
+        self.wave(&mut store, own, prune, false);
+        let result = store.take_result();
+        self.scratch.put(store);
+        result
+    }
+
+    /// Runs a convergecast whose contributions are already materialised in
+    /// a per-node slot array: `contributions[i]` is node `i`'s payload,
+    /// taken by the engine (slots of nodes outside the routing tree are
+    /// left in place). Exactly [`Network::convergecast_with`] with a
+    /// take-from-slot closure.
+    pub fn convergecast_slots<T: Aggregate + Send + 'static>(
+        &mut self,
+        contributions: &mut [Option<T>],
+        prune: impl FnMut(NodeId, &mut T),
+    ) -> Option<T> {
+        assert_eq!(contributions.len(), self.len(), "one slot per node");
+        self.convergecast_with(|u| contributions[u.index()].take(), prune)
+    }
+
+    /// Runs a convergecast over `store`'s payload storage and returns the
+    /// aggregate that reaches the root (kept in the store), or `None` if
+    /// every node stayed silent.
+    ///
+    /// `local(u, slot)` writes sensor `u`'s own contribution into `slot` and
+    /// returns `true`, or returns `false` to stay silent. `slot` holds
+    /// either nothing or a spent payload from an earlier wave, which the
+    /// contribution overwrites in place (keeping its storage) — so whatever
+    /// `slot` held must not show in what `local` writes. `prune` is as for
+    /// [`Network::convergecast_with`].
+    pub fn convergecast_in<'s, T: Aggregate>(
+        &mut self,
+        store: &'s mut WaveStore<T>,
+        local: impl FnMut(NodeId, &mut Option<T>) -> bool,
+        prune: impl FnMut(NodeId, &mut T),
+    ) -> Option<&'s mut T> {
+        self.wave(store, local, prune, false);
+        store.result()
+    }
+
+    /// [`Network::convergecast_in`] for a re-issued wave: its aggregate
+    /// merges into the store's standing result (as `result.merge(late)`),
+    /// which it returns, instead of replacing it — so the late
+    /// contributions of dropped subtrees join what earlier waves collected.
+    pub fn convergecast_late<'s, T: Aggregate>(
+        &mut self,
+        store: &'s mut WaveStore<T>,
+        local: impl FnMut(NodeId, &mut Option<T>) -> bool,
+    ) -> Option<&'s mut T> {
+        self.wave(store, local, |_, _| {}, true);
+        store.result()
+    }
+
+    /// The one convergecast engine behind every entry point; see
+    /// [`Network::convergecast_in`]. With `late`, the wave's aggregate
+    /// merges into `store`'s standing result instead of replacing it.
+    fn wave<T: Aggregate>(
+        &mut self,
+        store: &mut WaveStore<T>,
+        mut local: impl FnMut(NodeId, &mut Option<T>) -> bool,
+        mut prune: impl FnMut(NodeId, &mut T),
+        late: bool,
+    ) {
         let wire = self.wire();
         self.books.stats.convergecasts += 1;
         self.wave.clear();
         let tsize = self.tree.tree_size();
-        let mut inbox = self.scratch.take_buf::<T>(tsize);
 
         // Split field borrows: the traversal reads the tree while the
         // charging mutates the books, so the wave walks `bottom_up()` in
@@ -1056,6 +1284,7 @@ impl Network {
             phase,
             share,
             fanin,
+            stranded,
             recorder,
             ..
         } = self;
@@ -1064,6 +1293,9 @@ impl Network {
         let round = books.audit.round();
         fanin.clear();
         fanin.resize(tsize, 0);
+        stranded.clear();
+        store.slots.resize_with(tsize, || None);
+        let WaveStore { slots, spare, .. } = store;
 
         let order = tree.bottom_up();
         let parent_slot = tree.parent_slots();
@@ -1072,50 +1304,48 @@ impl Network {
         // draws must see the solo fragment stream).
         let sharing = share.enabled && loss.is_none();
 
-        // (holder, origin, payload): payloads that died on a link, stashed
-        // at the last node that held them so the recovery passes can resume
-        // the climb where it stopped. `origin` is the node that first sent
-        // the payload — the root of the subtree whose contributions it
-        // carries (the tree gives a unique path, so the subtrees of the
-        // origins are exactly the unaccounted nodes, with no overlap).
-        let mut stranded: Vec<(NodeId, NodeId, T)> = Vec::new();
-
         // Level-batched waves over the struct-of-arrays order: each run of
         // `bottom_up` is one tree level (deepest first, children before
-        // parents), so by the time a run starts, every inbox in it already
-        // holds the merged payloads of its children, written by the
-        // previous (denser) run. Depth is constant per run; inbox, fan-in
-        // and histograms are indexed by wave slot, i.e. walked densely in
-        // exactly this order. The final run is the root alone — its inbox
-        // is collected after the loop.
+        // parents), so by the time a run starts, every slot in it already
+        // holds the merged payloads of its children (`fanin` of them),
+        // written by the previous (denser) run. Depth is constant per run;
+        // payload slots, fan-in and histograms are indexed by wave slot,
+        // i.e. walked densely in exactly this order. The final run is the
+        // root alone — its slot is collected after the loop.
         for lvl in 0..tree.levels().saturating_sub(1) {
             let start = level_offsets[lvl] as usize;
             let end = level_offsets[lvl + 1] as usize;
             let depth = tree.depth(order[start]) as u64;
             for pos in start..end {
                 let u = order[pos];
-                let from_children = inbox[pos].take();
-                let own = local(u);
-                let merged_in = fanin[pos] as u64 + own.is_some() as u64;
-                let combined = match (from_children, own) {
-                    (Some(mut a), Some(b)) => {
-                        a.merge(b);
-                        Some(a)
-                    }
-                    (Some(a), None) => Some(a),
-                    (None, Some(b)) => Some(b),
-                    (None, None) => None,
-                };
-                let Some(mut payload) = combined else {
+                // The node's own contribution is written into the spare. It
+                // merges into the children's payloads in the node's slot,
+                // or, when none arrived, is sent from the spare itself: a
+                // node's slot needs storage only once a child sends to it.
+                let from_children = fanin[pos] > 0;
+                let own = local(u, spare);
+                if !(from_children || own) {
                     continue;
+                }
+                let pslot = parent_slot[pos] as usize;
+                let (below, above) = slots.split_at_mut(pslot);
+                let held = if from_children {
+                    let acc = below[pos].as_mut().expect("a live slot holds a payload");
+                    if own {
+                        acc.merge_from(spare);
+                    }
+                    &mut below[pos]
+                } else {
+                    &mut *spare
                 };
-                prune(u, &mut payload);
+                let merged_in = fanin[pos] as u64 + own as u64;
+                let payload = held.as_mut().expect("a live payload");
+                prune(u, payload);
                 wave.senders += 1;
                 books.hists.record(pos, HistKind::HopDepth, depth);
                 books.hists.record(pos, HistKind::FanIn, merged_in);
                 let bits = payload.payload_bits(&wire.sizes);
                 let values = payload.value_count();
-                let pslot = parent_slot[pos] as usize;
                 let parent = order[pslot];
                 let shared =
                     sharing.then(|| SharedWave::frame(&mut share.up[u.index()], bits, &wire.sizes));
@@ -1123,20 +1353,25 @@ impl Network {
                     books, loss, &wire, phase, u, pos, parent, bits, values, shared,
                 );
                 if arrived {
+                    let live = fanin[pslot] > 0;
                     fanin[pslot] += 1;
-                    match &mut inbox[pslot] {
-                        Some(existing) => existing.merge(payload),
-                        None => inbox[pslot] = Some(payload),
-                    }
+                    fold(held, &mut above[0], live);
                 } else if reliability.recovery_passes > 0 {
-                    stranded.push((u, u, payload));
+                    // The payload waits in its own slot (nothing writes
+                    // there again this wave), the spare's storage trading
+                    // places with whatever the slot held.
+                    if !from_children {
+                        std::mem::swap(&mut below[pos], spare);
+                    }
+                    stranded.push((u, pos as u32));
                 } else {
                     wave.dropped_roots.push(u);
                 }
             }
         }
         // The root is always the last wave slot (the only depth-0 node).
-        let mut result = inbox[tsize - 1].take();
+        let root = tsize - 1;
+        let mut root_live = fanin[root] > 0;
 
         // Recovery passes: stranded payloads resume their climb towards the
         // root hop by hop, each hop a fresh (ARQ-protected) transmission
@@ -1147,16 +1382,17 @@ impl Network {
         let mut pass = 0;
         while !stranded.is_empty() && pass < reliability.recovery_passes {
             pass += 1;
-            let mut still = Vec::new();
-            for (start, origin, payload) in stranded {
+            stranded.retain_mut(|(holder, slot)| {
+                let slot = *slot as usize;
+                let payload = slots[slot].as_ref().expect("a stranded payload");
                 let bits = payload.payload_bits(&wire.sizes);
                 let values = payload.value_count();
-                let mut at = start;
+                let mut at = *holder;
                 let delivered = loop {
                     let parent = tree.parent(at).expect("stranded below the root");
-                    let slot = tree.wave_slot(at).expect("stranded node is in the tree");
+                    let hop = tree.wave_slot(at).expect("stranded node is in the tree");
                     let arrived = send_over_link(
-                        books, loss, &wire, recovery, at, slot, parent, bits, values, None,
+                        books, loss, &wire, recovery, at, hop, parent, bits, values, None,
                     );
                     if !arrived {
                         break false;
@@ -1166,20 +1402,18 @@ impl Network {
                     }
                     at = parent;
                 };
+                *holder = at;
                 if delivered {
                     books.rel.recovered += 1;
-                    match result.as_mut() {
-                        Some(existing) => (*existing).merge(payload),
-                        None => result = Some(payload),
-                    }
-                } else {
-                    still.push((at, origin, payload));
+                    let (below, above) = slots.split_at_mut(root);
+                    fold(&mut below[slot], &mut above[0], root_live);
+                    root_live = true;
                 }
-            }
-            stranded = still;
+                !delivered
+            });
         }
-        for (_, origin, _) in &stranded {
-            wave.dropped_roots.push(*origin);
+        for &(_, slot) in stranded.iter() {
+            wave.dropped_roots.push(order[slot as usize]);
         }
 
         recorder.end("convergecast", round, wave_span);
@@ -1187,26 +1421,22 @@ impl Network {
         // The root applies its prune exactly once, after recovery merged in
         // the late arrivals (it applies the same logic when consuming the
         // data, e.g. keeping the `f` largest values).
-        if let Some(p) = result.as_mut() {
-            prune(NodeId::ROOT, p);
+        if root_live {
+            let payload = slots[root].as_mut().expect("a live slot holds a payload");
+            prune(NodeId::ROOT, payload);
         }
-        self.scratch.put_buf(inbox);
-        result
-    }
-
-    /// Runs a convergecast whose contributions are already materialised in
-    /// a per-node slot array: `contributions[i]` is node `i`'s payload,
-    /// taken by the engine (slots of nodes outside the routing tree are
-    /// left in place). Exactly [`Network::convergecast_with`] with a
-    /// take-from-slot closure; steady-state loops that rebuild their
-    /// contributions every round keep one reusable buffer this way.
-    pub fn convergecast_slots<T: Aggregate + Send + 'static>(
-        &mut self,
-        contributions: &mut [Option<T>],
-        prune: impl FnMut(NodeId, &mut T),
-    ) -> Option<T> {
-        assert_eq!(contributions.len(), self.len(), "one slot per node");
-        self.convergecast_with(|u| contributions[u.index()].take(), prune)
+        if late && store.has_result {
+            if root_live {
+                let result = store.result.as_mut().expect("a standing result");
+                result.merge_from(&mut store.slots[root]);
+            }
+        } else {
+            // The root's slot keeps the previous result's spent storage.
+            store.has_result = root_live;
+            if root_live {
+                std::mem::swap(&mut store.result, &mut store.slots[root]);
+            }
+        }
     }
 
     /// Floods a payload of `payload_bits` bits from the root to every node.
@@ -1344,6 +1574,7 @@ mod tests {
     use super::*;
     use crate::audit::EnergyAuditor;
     use crate::geometry::Point;
+    use wsn_obs::LogHistogram;
 
     /// Payload: a sum plus a vector of values.
     #[derive(Debug, Clone, PartialEq)]
@@ -1789,6 +2020,55 @@ mod tests {
         for id in 1..5 {
             assert_eq!(depth(id).count(), 2, "two samples per node");
         }
+    }
+
+    #[test]
+    fn histogram_totals_fold_the_slot_ordered_store_exactly() {
+        // Random samples straight into the slot-ordered store, re-slotted
+        // by rebuilds that move node 4 next to the sink and back, with one
+        // slot drawing from a wide value range so its node spills past the
+        // inline counters, and runs left pending in the hot cache: the fold
+        // must equal the id-ordered copy's totals after every step.
+        let mut net = line_network(6);
+        let mut rng = crate::splitmix::SplitMix64::new(7);
+        let line: Vec<Point> = (0..6).map(|i| Point::new(i as f64 * 10.0, 0.0)).collect();
+        let mut moved = line.clone();
+        moved[4] = Point::new(0.0, 10.0);
+        let mut runs = false;
+        for step in 0..600 {
+            let slot = (rng.next_u64() % 6) as usize;
+            let kind = HistKind::ALL[(rng.next_u64() % HistKind::COUNT as u64) as usize];
+            let value = match slot {
+                0 => rng.next_u64() % (1 << 30),
+                _ => rng.next_u64() % 3,
+            };
+            net.books.hists.record(slot, kind, value);
+            if step % 150 == 149 {
+                let positions = if step % 300 == 149 { &moved } else { &line };
+                net.dynamics_rebuild(Some(Topology::build(positions.clone(), 12.0)));
+            }
+            assert_eq!(
+                net.histogram_totals(),
+                net.histograms().total(),
+                "step {step}"
+            );
+            runs |= net.books.hists.hot.iter().any(|c| c.repeat > 1);
+        }
+        // More than the 16 inline counters: that node spilled.
+        let hists = net.histograms();
+        let counters = |id: usize| -> usize {
+            let set = hists.node(id);
+            let kinds = HistKind::ALL.iter().map(|&k| set.get(k));
+            kinds
+                .map(|h| {
+                    (0..LogHistogram::BUCKETS)
+                        .filter(|&b| h.bucket_count(b) > 0)
+                        .count()
+                })
+                .sum()
+        };
+        assert!((0..6).any(|id| counters(id) > 16), "a node spilled");
+        assert!(runs, "runs of repeated samples were pending");
     }
 
     #[test]

@@ -17,6 +17,28 @@ pub const AREA: f64 = 200.0;
 /// How often a disconnected random placement is re-drawn before giving up.
 pub const MAX_PLACEMENT_ATTEMPTS: u32 = 200;
 
+/// No connected placement within [`MAX_PLACEMENT_ATTEMPTS`] draws — a sign
+/// the configuration's radio range is far too small for its node density.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UnconnectableWorld {
+    /// Sensors `|N|` of the configuration.
+    pub sensors: usize,
+    /// Radio range `ρ` of the configuration.
+    pub radio_range: f64,
+}
+
+impl std::fmt::Display for UnconnectableWorld {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "could not find a connected placement for |N|={} ρ={} after {} attempts",
+            self.sensors, self.radio_range, MAX_PLACEMENT_ATTEMPTS
+        )
+    }
+}
+
+impl std::error::Error for UnconnectableWorld {}
+
 /// Builds dataset + connected topology + routing tree for one run,
 /// re-drawing disconnected placements. [`World::new`] builds every run's
 /// world through it; it stays public so harnesses can time world
@@ -24,12 +46,21 @@ pub const MAX_PLACEMENT_ATTEMPTS: u32 = 200;
 ///
 /// # Panics
 /// Panics when no connected placement is found within
-/// [`MAX_PLACEMENT_ATTEMPTS`] draws — a sign the configuration's radio
-/// range is far too small for its node density.
+/// [`MAX_PLACEMENT_ATTEMPTS`] draws; [`World::try_new`] returns that as an
+/// error instead.
 pub fn build_world(
     cfg: &SimulationConfig,
     rng: &mut Rng,
 ) -> (Box<dyn Dataset>, Topology, RoutingTree) {
+    try_build_world(cfg, rng).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`build_world`], returning [`UnconnectableWorld`] when no connected
+/// placement is found within [`MAX_PLACEMENT_ATTEMPTS`] draws.
+pub(crate) fn try_build_world(
+    cfg: &SimulationConfig,
+    rng: &mut Rng,
+) -> Result<(Box<dyn Dataset>, Topology, RoutingTree), UnconnectableWorld> {
     for _ in 0..MAX_PLACEMENT_ATTEMPTS {
         let (dataset, positions): (Box<dyn Dataset>, Vec<Point>) = match &cfg.dataset {
             DatasetSpec::Synthetic(scfg) => {
@@ -79,13 +110,13 @@ pub fn build_world(
         };
         let topo = Topology::build(positions, cfg.radio_range);
         if let Ok(tree) = RoutingTree::shortest_path_tree(&topo) {
-            return (dataset, topo, tree);
+            return Ok((dataset, topo, tree));
         }
     }
-    panic!(
-        "could not find a connected placement for |N|={} ρ={} after {} attempts",
-        cfg.sensor_count, cfg.radio_range, MAX_PLACEMENT_ATTEMPTS
-    );
+    Err(UnconnectableWorld {
+        sensors: cfg.sensor_count,
+        radio_range: cfg.radio_range,
+    })
 }
 
 /// Absolute rank error of answer `v` against the true rank `k` (0 when `v`
@@ -194,7 +225,7 @@ pub fn run_once_capture(
         phase_bits: net.phases().bits(),
         audit_events,
         audit_discrepancies,
-        hists: net.histograms().total(),
+        hists: net.histogram_totals(),
     };
     (metrics, net)
 }
@@ -274,6 +305,23 @@ mod tests {
             runs: 2,
             ..SimulationConfig::default()
         }
+    }
+
+    #[test]
+    fn unconnectable_configurations_are_a_typed_error() {
+        let cfg = SimulationConfig {
+            sensor_count: 5,
+            ..SimulationConfig::default()
+        };
+        let err = World::try_new(&cfg, 0)
+            .err()
+            .expect("5 sensors never connect");
+        assert_eq!(err.sensors, 5);
+        assert!(err
+            .to_string()
+            .starts_with("could not find a connected placement"));
+        let panic = std::panic::catch_unwind(|| build_world(&cfg, &mut Rng::seed_from_u64(1)));
+        assert!(panic.is_err(), "build_world keeps its panic");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use wsn_net::{FailureModel, Network, NodeId};
 
 use crate::config::SimulationConfig;
 use crate::dynamics::DynamicsState;
-use crate::runner::{build_world, rank_error};
+use crate::runner::{rank_error, try_build_world, UnconnectableWorld};
 use crate::Value;
 
 /// The population the oracle judges, fixed by the configuration.
@@ -54,21 +54,29 @@ pub struct World {
 
 impl World {
     /// Builds run `run_index` of `cfg`: mixes the run seed, builds the
-    /// dataset, topology and routing tree ([`build_world`]), enables audit
-    /// and telemetry as configured, then draws the loss seed, installs the
-    /// reliability layer, draws the failure seed and forks the dynamics
-    /// stream — in that order, which fixes every RNG stream of the run.
+    /// dataset, topology and routing tree ([`crate::runner::build_world`]),
+    /// enables audit and telemetry as configured, then draws the loss seed,
+    /// installs the reliability layer, draws the failure seed and forks the
+    /// dynamics stream — in that order, which fixes every RNG stream of the
+    /// run.
     ///
     /// # Panics
-    /// Panics when [`build_world`] finds no connected placement.
+    /// Panics when [`crate::runner::build_world`] finds no connected
+    /// placement; [`World::try_new`] returns that as an error instead.
     pub fn new(cfg: &SimulationConfig, run_index: u32) -> World {
+        World::try_new(cfg, run_index).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`World::new`], returning [`UnconnectableWorld`] when no connected
+    /// placement is found.
+    pub fn try_new(cfg: &SimulationConfig, run_index: u32) -> Result<World, UnconnectableWorld> {
         let mut rng = Rng::seed_from_u64(
             cfg.seed
                 ^ (run_index as u64)
                     .wrapping_mul(0x9E3779B97F4A7C15)
                     .wrapping_add(1),
         );
-        let (dataset, topo, tree) = build_world(cfg, &mut rng);
+        let (dataset, topo, tree) = try_build_world(cfg, &mut rng)?;
         let n = dataset.sensor_count();
         assert_eq!(n + 1, topo.len(), "dataset and topology disagree");
         let mut net = Network::new(topo, tree, cfg.radio, cfg.sizes);
@@ -102,7 +110,7 @@ impl World {
         } else {
             Population::Every
         };
-        World {
+        Ok(World {
             net,
             dataset,
             dynamics,
@@ -110,7 +118,7 @@ impl World {
             reachable: Vec::new(),
             population,
             cycle: cfg.rounds.max(1),
-        }
+        })
     }
 
     /// Number of sensors `|N|`.
