@@ -45,8 +45,8 @@ impl BucketPartition {
         if v < self.lo || v > self.hi {
             return None;
         }
-        let offset = (v - self.lo) as u128;
-        Some((offset * self.buckets as u128 / self.width() as u128) as usize)
+        let offset = (v - self.lo) as u64;
+        Some(mul_div(offset, self.buckets as u64, self.width(), false) as usize)
     }
 
     /// Inclusive value range `[start, end]` of bucket `i`.
@@ -55,11 +55,26 @@ impl BucketPartition {
     /// Panics if `i >= buckets`.
     pub fn bounds(&self, i: usize) -> (Value, Value) {
         assert!(i < self.buckets, "bucket {i} out of {}", self.buckets);
-        let w = self.width() as u128;
-        let b = self.buckets as u128;
-        let start = self.lo + ((i as u128 * w).div_ceil(b)) as Value;
-        let end = self.lo + (((i as u128 + 1) * w).div_ceil(b)) as Value - 1;
+        let (w, b) = (self.width(), self.buckets as u64);
+        let start = self.lo + mul_div(i as u64, w, b, true) as Value;
+        let end = self.lo + mul_div(i as u64 + 1, w, b, true) as Value - 1;
         (start, end)
+    }
+}
+
+/// `a · b / d`, rounded up when `ceil`, else down. Computed in `u64` when
+/// the product fits — the common case, which spares every responding node
+/// a software `u128` division — and in `u128` otherwise; both give the same
+/// quotient.
+#[inline]
+fn mul_div(a: u64, b: u64, d: u64, ceil: bool) -> u64 {
+    match a.checked_mul(b) {
+        Some(p) if ceil => p.div_ceil(d),
+        Some(p) => p / d,
+        None => {
+            let (p, d) = (a as u128 * b as u128, d as u128);
+            (if ceil { p.div_ceil(d) } else { p / d }) as u64
+        }
     }
 }
 
@@ -126,6 +141,39 @@ mod tests {
         let min = *widths.iter().min().unwrap();
         let max = *widths.iter().max().unwrap();
         assert!(max - min <= 1, "widths {widths:?}");
+    }
+
+    #[test]
+    fn u64_arithmetic_matches_u128_on_random_partitions() {
+        // The u128 formulas `mul_div` replaced, on random intervals, bucket
+        // counts and values: narrow spans take the u64 path, spans past
+        // 2^40 force the u128 fallback for most products.
+        let index_u128 = |p: &BucketPartition, v: Value| {
+            ((v - p.lo) as u128 * p.buckets as u128 / p.width() as u128) as usize
+        };
+        let bounds_u128 = |p: &BucketPartition, i: usize| {
+            let (w, b) = (p.width() as u128, p.buckets as u128);
+            let at = |i: u128| p.lo + (i * w).div_ceil(b) as Value;
+            (at(i as u128), at(i as u128 + 1) - 1)
+        };
+        let mut rng = wsn_net::splitmix::SplitMix64::new(0xb0c4);
+        let mut fallbacks = 0;
+        for case in 0..4_000 {
+            let span_bits = [8, 20, 40, 62][case % 4];
+            let width = 1 + rng.next_u64() % (1u64 << span_bits);
+            let lo = (rng.next_u64() % (1 << 40)) as Value - (1 << 39);
+            let hi = lo + (width - 1) as Value;
+            let b = 1 + (rng.next_u64() % [4, 64, 4096, 1 << 24][case / 4 % 4]) as usize;
+            let p = BucketPartition::new(lo, hi, b);
+            let v = lo + (rng.next_u64() % width) as Value;
+            let i = p.index_of(v).unwrap();
+            assert_eq!(i, index_u128(&p, v), "index_of({v}) in {p:?}");
+            assert_eq!(p.bounds(i), bounds_u128(&p, i), "bounds({i}) of {p:?}");
+            let last = p.buckets - 1;
+            assert_eq!(p.bounds(last), bounds_u128(&p, last), "last of {p:?}");
+            fallbacks += usize::from(((v - lo) as u64).checked_mul(p.buckets as u64).is_none());
+        }
+        assert!(fallbacks > 100, "only {fallbacks} cases took the u128 path");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! sub-interval; (3) direct value retrieval once few enough candidates
 //! remain.
 
-use wsn_net::{Aggregate, MessageSizes, Network};
+use wsn_net::{Aggregate, MessageSizes, Network, NodeBits, NodeId, WaveStore};
 
 use crate::protocol::{ContinuousQuantile, QueryConfig};
 use crate::retrieval::{direct_retrieval, RankAnchor, RetrievalStore};
@@ -25,9 +25,9 @@ use crate::Value;
 
 /// Exact counting response: values below / inside a probed sub-interval.
 #[derive(Debug, Clone, Copy, Default)]
-struct CountPair {
-    below: u64,
-    inside: u64,
+pub(crate) struct CountPair {
+    pub(crate) below: u64,
+    pub(crate) inside: u64,
 }
 
 impl Aggregate for CountPair {
@@ -48,9 +48,11 @@ pub struct Gk {
     capacity: usize,
     last: Option<Value>,
     last_iterations: u32,
-    /// Reusable reception-flag buffer for the per-iteration broadcasts
-    /// (scratch only, never observable state).
-    recv: wsn_net::NodeBits,
+    /// Reception flags, summary and retrieval wave storage, reused every
+    /// round (scratch only, never observable state).
+    recv: NodeBits,
+    summaries: WaveStore<RankSummary>,
+    retrieval: RetrievalStore,
 }
 
 /// Hard cap on narrowing iterations per round.
@@ -67,7 +69,9 @@ impl Gk {
             capacity,
             last: None,
             last_iterations: 0,
-            recv: wsn_net::NodeBits::new(),
+            recv: NodeBits::new(),
+            summaries: WaveStore::new(),
+            retrieval: RetrievalStore::default(),
         }
     }
 
@@ -80,76 +84,66 @@ impl Gk {
     pub fn last_iterations(&self) -> u32 {
         self.last_iterations
     }
+}
 
-    /// Summary convergecast over values inside `[lo, hi]`.
-    fn summary_pass(
-        &mut self,
-        net: &mut Network,
-        values: &[Value],
-        lo: Value,
-        hi: Value,
-    ) -> RankSummary {
-        // Interval announcement.
-        net.broadcast_into(net.sizes().refinement_request_bits(), &mut self.recv);
-        let n = net.len();
-        let mut contributions: Vec<Option<RankSummary>> = vec![None; n];
-        for idx in 1..n {
-            if !self.recv.get(idx) {
-                continue;
-            }
-            let v = values[idx - 1];
-            if v >= lo && v <= hi {
-                contributions[idx] = Some(RankSummary::singleton(v));
-            }
+/// Summary convergecast over the values inside `[lo, hi]` of the sensors
+/// that hear the interval announcement, pruned to `capacity` entries at
+/// every hop; `None` when no value answered. GK's and GKS's.
+pub(crate) fn summary_pass<'s>(
+    net: &mut Network,
+    summaries: &'s mut WaveStore<RankSummary>,
+    recv: &mut NodeBits,
+    capacity: usize,
+    values: &[Value],
+    lo: Value,
+    hi: Value,
+) -> Option<&'s mut RankSummary> {
+    net.broadcast_into(net.sizes().refinement_request_bits(), recv);
+    let respond = |id: NodeId, slot: &mut Option<RankSummary>| {
+        let v = values[id.index() - 1];
+        let inside = recv.get(id.index()) && v >= lo && v <= hi;
+        if inside {
+            slot.get_or_insert_with(RankSummary::empty).set_singleton(v);
         }
-        let capacity = self.capacity;
-        net.convergecast_with(
-            |id| contributions[id.index()].take(),
-            |_, s: &mut RankSummary| s.prune(capacity),
-        )
-        .unwrap_or_else(RankSummary::empty)
-    }
+        inside
+    };
+    net.convergecast_in(summaries, respond, |_, s: &mut RankSummary| {
+        s.prune(capacity)
+    })
+}
 
-    /// Exact counting round-trip: how many values of `[lo, hi]` fall below
-    /// `probe_lo`, and how many inside `[probe_lo, probe_hi]`.
-    fn counting_pass(
-        &mut self,
-        net: &mut Network,
-        values: &[Value],
-        lo: Value,
-        hi: Value,
-        probe_lo: Value,
-        probe_hi: Value,
-    ) -> CountPair {
-        let bits = 2 * net.sizes().value_bits + net.sizes().refinement_request_bits();
-        net.broadcast_into(bits, &mut self.recv);
-        let n = net.len();
-        let mut contributions: Vec<Option<CountPair>> = vec![None; n];
-        for idx in 1..n {
-            if !self.recv.get(idx) {
-                continue;
-            }
-            let v = values[idx - 1];
-            if v >= lo && v <= hi {
-                let pair = if v < probe_lo {
-                    CountPair {
-                        below: 1,
-                        inside: 0,
-                    }
-                } else if v <= probe_hi {
-                    CountPair {
-                        below: 0,
-                        inside: 1,
-                    }
-                } else {
-                    continue;
-                };
-                contributions[idx] = Some(pair);
-            }
+/// Exact counting round-trip: how many values of `[lo, hi]` fall below
+/// `probe_lo`, and how many inside `[probe_lo, probe_hi]`. GK's and GKS's.
+pub(crate) fn counting_pass(
+    net: &mut Network,
+    recv: &mut NodeBits,
+    values: &[Value],
+    lo: Value,
+    hi: Value,
+    probe_lo: Value,
+    probe_hi: Value,
+) -> CountPair {
+    let bits = 2 * net.sizes().value_bits + net.sizes().refinement_request_bits();
+    net.broadcast_into(bits, recv);
+    let count = |id: NodeId| {
+        let v = values[id.index() - 1];
+        if !recv.get(id.index()) || v < lo || v > hi {
+            None
+        } else if v < probe_lo {
+            Some(CountPair {
+                below: 1,
+                inside: 0,
+            })
+        } else if v <= probe_hi {
+            Some(CountPair {
+                below: 0,
+                inside: 1,
+            })
+        } else {
+            None
         }
-        net.convergecast_slots(&mut contributions, |_, _| {})
-            .unwrap_or_default()
-    }
+    };
+    net.convergecast(count).unwrap_or_default()
 }
 
 impl ContinuousQuantile for Gk {
@@ -158,6 +152,11 @@ impl ContinuousQuantile for Gk {
     }
 
     fn round(&mut self, net: &mut Network, values: &[Value]) -> Value {
+        if self.last.is_none() {
+            // The retrieval wave is answered by a different few nodes each
+            // round: give its slots storage up front.
+            self.retrieval.fill(net.tree());
+        }
         self.last_iterations = 0;
         let n_total = values.len() as u64;
         let k = self.query.k;
@@ -178,7 +177,7 @@ impl ContinuousQuantile for Gk {
             if inside <= capacity_direct {
                 self.last_iterations += 1;
                 let anchor = RankAnchor::BelowLo(below);
-                let store = &mut RetrievalStore::default();
+                let store = &mut self.retrieval;
                 let r = direct_retrieval(net, store, values, lo, hi, k, n_total, anchor);
                 break match r.quantile {
                     Some(q) => q,
@@ -187,17 +186,18 @@ impl ContinuousQuantile for Gk {
             }
 
             self.last_iterations += 1;
-            let summary = self.summary_pass(net, values, lo, hi);
+            let (summaries, recv) = (&mut self.summaries, &mut self.recv);
+            let summary = summary_pass(net, summaries, recv, self.capacity, values, lo, hi);
             let rank_in = k.saturating_sub(below);
-            if rank_in == 0 || rank_in > summary.count {
+            let Some(summary) = summary.filter(|s| rank_in != 0 && rank_in <= s.count) else {
                 break self.last.unwrap_or(lo); // loss inconsistency
-            }
+            };
             let Some((s_lo, s_hi)) = summary.enclosing_interval(rank_in) else {
                 break self.last.unwrap_or(lo);
             };
 
             // Exact counting pins the anchor for the next iteration.
-            let counts = self.counting_pass(net, values, lo, hi, s_lo, s_hi);
+            let counts = counting_pass(net, &mut self.recv, values, lo, hi, s_lo, s_hi);
             let new_below = below + counts.below;
             if k <= new_below || k > new_below + counts.inside {
                 // Bounds were conservative but the count disagrees — only
@@ -207,7 +207,7 @@ impl ContinuousQuantile for Gk {
             if (s_lo, s_hi) == (lo, hi) && counts.inside == inside {
                 // No progress (pathological duplicates): bisect instead.
                 let mid = lo + (hi - lo) / 2;
-                let half = self.counting_pass(net, values, lo, hi, lo, mid);
+                let half = counting_pass(net, &mut self.recv, values, lo, hi, lo, mid);
                 self.last_iterations += 1;
                 if k <= below + half.inside {
                     hi = mid;

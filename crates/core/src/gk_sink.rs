@@ -22,28 +22,12 @@
 
 use wsn_net::{Aggregate, MessageSizes, Network, NodeId, WaveStore};
 
+use crate::gk::{counting_pass, summary_pass};
 use crate::protocol::{ContinuousQuantile, QueryConfig};
 use crate::rank::{Counts, Side};
 use crate::retrieval::{direct_retrieval, RankAnchor, RetrievalStore};
 use crate::summary::RankSummary;
 use crate::Value;
-
-/// Exact counting response: values below / inside a probed sub-interval.
-#[derive(Debug, Clone, Copy, Default)]
-struct CountPair {
-    below: u64,
-    inside: u64,
-}
-
-impl Aggregate for CountPair {
-    fn merge(&mut self, other: Self) {
-        self.below += other.below;
-        self.inside += other.inside;
-    }
-    fn payload_bits(&self, sizes: &MessageSizes) -> u64 {
-        2 * sizes.counter_bits
-    }
-}
 
 /// Validation counts aggregate: `(l, e, g)` against the standing answer.
 #[derive(Debug, Clone, Copy, Default)]
@@ -163,66 +147,6 @@ impl GkSinkQuantile {
         net.convergecast(count).unwrap_or_default().0
     }
 
-    /// Summary convergecast over values inside `[lo, hi]`; `None` when no
-    /// value answered.
-    fn summary_pass<'s>(
-        net: &mut Network,
-        summaries: &'s mut WaveStore<RankSummary>,
-        recv: &mut wsn_net::NodeBits,
-        capacity: usize,
-        values: &[Value],
-        lo: Value,
-        hi: Value,
-    ) -> Option<&'s mut RankSummary> {
-        net.broadcast_into(net.sizes().refinement_request_bits(), recv);
-        let respond = |id: NodeId, slot: &mut Option<RankSummary>| {
-            let v = values[id.index() - 1];
-            let inside = recv.get(id.index()) && v >= lo && v <= hi;
-            if inside {
-                slot.get_or_insert_with(RankSummary::empty).set_singleton(v);
-            }
-            inside
-        };
-        net.convergecast_in(summaries, respond, |_, s: &mut RankSummary| {
-            s.prune(capacity)
-        })
-    }
-
-    /// Exact counting round-trip: how many values of `[lo, hi]` fall
-    /// below `probe_lo`, and how many inside `[probe_lo, probe_hi]`.
-    fn counting_pass(
-        &mut self,
-        net: &mut Network,
-        values: &[Value],
-        lo: Value,
-        hi: Value,
-        probe_lo: Value,
-        probe_hi: Value,
-    ) -> CountPair {
-        let bits = 2 * net.sizes().value_bits + net.sizes().refinement_request_bits();
-        net.broadcast_into(bits, &mut self.recv);
-        let recv = &self.recv;
-        let count = |id: NodeId| {
-            let v = values[id.index() - 1];
-            if !recv.get(id.index()) || v < lo || v > hi {
-                None
-            } else if v < probe_lo {
-                Some(CountPair {
-                    below: 1,
-                    inside: 0,
-                })
-            } else if v <= probe_hi {
-                Some(CountPair {
-                    below: 0,
-                    inside: 1,
-                })
-            } else {
-                None
-            }
-        };
-        net.convergecast(count).unwrap_or_default()
-    }
-
     /// An entry whose certified global rank interval
     /// `[below + rmin, below + rmax]` fits inside `[k − tol, k + tol]`
     /// (an answer provably within the budget), if any. Prefers the entry
@@ -261,7 +185,7 @@ impl GkSinkQuantile {
         if let Some(state) = self.state.clone() {
             if (state.lo, state.hi) != (lo, hi) {
                 self.last_iterations += 1;
-                let c = self.counting_pass(net, values, lo, hi, state.lo, state.hi);
+                let c = counting_pass(net, &mut self.recv, values, lo, hi, state.lo, state.hi);
                 if c.below < k && k <= c.below + c.inside {
                     lo = state.lo;
                     hi = state.hi;
@@ -291,7 +215,7 @@ impl GkSinkQuantile {
 
             self.last_iterations += 1;
             let (summaries, recv) = (&mut self.summaries, &mut self.recv);
-            let summary = Self::summary_pass(net, summaries, recv, self.capacity, values, lo, hi);
+            let summary = summary_pass(net, summaries, recv, self.capacity, values, lo, hi);
             let rank_in = k.saturating_sub(below);
             let Some(summary) = summary.filter(|s| rank_in != 0 && rank_in <= s.count) else {
                 break self.last.unwrap_or(lo); // loss inconsistency
@@ -305,7 +229,7 @@ impl GkSinkQuantile {
                 break self.last.unwrap_or(lo);
             };
 
-            let counts = self.counting_pass(net, values, lo, hi, s_lo, s_hi);
+            let counts = counting_pass(net, &mut self.recv, values, lo, hi, s_lo, s_hi);
             let new_below = below + counts.below;
             if k <= new_below || k > new_below + counts.inside {
                 break self.last.unwrap_or(lo); // loss inconsistency
@@ -313,7 +237,7 @@ impl GkSinkQuantile {
             if (s_lo, s_hi) == (lo, hi) && counts.inside == inside {
                 // No progress (pathological duplicates): bisect instead.
                 let mid = lo + (hi - lo) / 2;
-                let half = self.counting_pass(net, values, lo, hi, lo, mid);
+                let half = counting_pass(net, &mut self.recv, values, lo, hi, lo, mid);
                 self.last_iterations += 1;
                 if k <= below + half.inside {
                     hi = mid;

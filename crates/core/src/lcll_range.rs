@@ -28,12 +28,12 @@
 //! buckets, fewer escapes, fewer refinements (§5.2.5's pessimistic-setting
 //! behaviour of LCLL-H).
 
-use wsn_net::Network;
+use wsn_net::{Network, NodeId, WaveStore};
 
 use crate::buckets::BucketPartition;
-use crate::descent::{descend, DescentConfig, DescentStore};
+use crate::descent::{descend, histogram_request, DescentConfig, DescentStore};
 use crate::init::{run_init, InitStrategy};
-use crate::payloads::{DeltaHistogram, Histogram};
+use crate::payloads::DeltaHistogram;
 use crate::protocol::{ContinuousQuantile, QueryConfig};
 use crate::retrieval::RankAnchor;
 use crate::Value;
@@ -61,7 +61,8 @@ pub struct LcllRange {
     initialized: bool,
     last_refinements: u32,
     init: InitStrategy,
-    /// Descent wave storage, reused every round.
+    /// Validation and descent wave storage, reused every round.
+    deltas: WaveStore<DeltaHistogram>,
     descent: DescentStore,
 }
 
@@ -86,6 +87,7 @@ impl LcllRange {
             initialized: false,
             last_refinements: 0,
             init: InitStrategy::default(),
+            deltas: WaveStore::new(),
             descent: DescentStore::default(),
         }
     }
@@ -106,24 +108,6 @@ impl LcllRange {
         self.last_refinements
     }
 
-    /// Wire code of a value in the disjoint partition {top buckets except
-    /// the focus} ∪ {sub-buckets of the focus}: codes `0..b` are top-level
-    /// buckets, codes `b..b+sub.buckets` are focus cells.
-    fn code(&self, v: Value, focus: usize, sub: &BucketPartition) -> usize {
-        let t = self.top.index_of(v).expect("values stay in range");
-        if t == focus {
-            self.top.buckets + sub.index_of(v).expect("inside focus")
-        } else {
-            t
-        }
-    }
-
-    /// Re-derives the partition of top bucket `i`.
-    fn sub_partition(&self, i: usize) -> BucketPartition {
-        let (lo, hi) = self.top.bounds(i);
-        BucketPartition::new(lo, hi, self.top.buckets)
-    }
-
     /// Rebuilds root state from a full collection (initialization).
     fn rebuild_from_values(&mut self, sorted: &[Value], quantile: Value) {
         self.top_counts = vec![0; self.top.buckets];
@@ -131,7 +115,7 @@ impl LcllRange {
             self.top_counts[self.top.index_of(v).expect("in range")] += 1;
         }
         self.focus = self.top.index_of(quantile).expect("in range");
-        self.sub = self.sub_partition(self.focus);
+        self.sub = sub_partition(&self.top, self.focus);
         self.sub_counts = vec![0; self.sub.buckets];
         for &v in sorted {
             if let Some(j) = self.sub.index_of(v) {
@@ -183,27 +167,17 @@ impl LcllRange {
         // The old focus bucket's total re-materializes at top level.
         self.top_counts[self.focus] = self.sub_counts.iter().sum();
 
-        let part = self.sub_partition(bucket);
+        let part = sub_partition(&self.top, bucket);
         self.last_refinements += 1;
-        let n = net.len();
-        let received = net.broadcast(net.sizes().refinement_request_bits());
-        let mut contributions: Vec<Option<Histogram>> = vec![None; n];
-        for idx in 1..n {
-            if !received.get(idx) {
-                continue;
-            }
-            self.node_focus[idx] = bucket;
-            if let Some(j) = part.index_of(values[idx - 1]) {
-                contributions[idx] = Some(Histogram::unit(part.buckets, j));
-            }
-        }
-        let hist = net
-            .convergecast_slots(&mut contributions, |_, _| {})
-            .unwrap_or_else(|| Histogram::zeros(part.buckets));
+        let node_focus = &mut self.node_focus;
+        let hist = histogram_request(net, &mut self.descent, values, part, |idx, _, _| {
+            node_focus[idx] = bucket
+        });
 
         self.focus = bucket;
         self.sub = part;
-        self.sub_counts = hist.counts().to_vec();
+        self.sub_counts.clear();
+        self.sub_counts.extend_from_slice(hist.counts());
 
         // Locate within the fresh sub histogram.
         let k = self.query.k;
@@ -258,6 +232,10 @@ impl LcllRange {
 
     fn init_round(&mut self, net: &mut Network, values: &[Value]) -> Value {
         self.node_focus = vec![self.focus; net.len()];
+        let b = self.top.buckets;
+        self.deltas
+            .fill(net.tree(), || DeltaHistogram::zeros(2 * b));
+        self.descent.fill(net.tree(), b);
         let out = run_init(net, values, self.query, self.init);
         let q = out.quantile;
         // LCLL-R needs the full histogram; with a b-ary init we fall back
@@ -270,27 +248,14 @@ impl LcllRange {
             None => {
                 // One histogram convergecast over the full range plus one
                 // over the focus bucket re-establishes the exact state.
-                let top = self.top;
                 self.last_refinements += 1;
-                let n = net.len();
-                let received = net.broadcast(net.sizes().refinement_request_bits());
-                let mut contributions: Vec<Option<Histogram>> = vec![None; n];
-                for idx in 1..n {
-                    if !received.get(idx) {
-                        continue;
-                    }
-                    if let Some(j) = top.index_of(values[idx - 1]) {
-                        contributions[idx] = Some(Histogram::unit(top.buckets, j));
-                    }
-                }
-                let hist = net
-                    .convergecast_slots(&mut contributions, |_, _| {})
-                    .unwrap_or_else(|| Histogram::zeros(top.buckets));
+                let hist =
+                    histogram_request(net, &mut self.descent, values, self.top, |_, _, _| {});
                 self.top_counts = hist.counts().to_vec();
                 // Materialize focus from the known values (root-side
                 // bookkeeping only; focus histogram is fetched next).
                 self.focus = self.top.index_of(q).expect("in range");
-                self.sub = self.sub_partition(self.focus);
+                self.sub = sub_partition(&self.top, self.focus);
                 let below: u64 = self.top_counts[..self.focus].iter().sum();
                 let q2 = self.refocus(net, values, self.focus, below);
                 debug_assert_eq!(q2, q);
@@ -317,6 +282,24 @@ impl LcllRange {
     }
 }
 
+/// Wire code of a value in the disjoint partition {top buckets except the
+/// focus} ∪ {sub-buckets of the focus}: codes `0..b` are top-level buckets,
+/// codes `b..b+sub.buckets` are focus cells.
+fn code(top: &BucketPartition, v: Value, focus: usize, sub: &BucketPartition) -> usize {
+    let t = top.index_of(v).expect("values stay in range");
+    if t == focus {
+        top.buckets + sub.index_of(v).expect("inside focus")
+    } else {
+        t
+    }
+}
+
+/// The partition of top bucket `i` into at most `top.buckets` cells.
+fn sub_partition(top: &BucketPartition, i: usize) -> BucketPartition {
+    let (lo, hi) = top.bounds(i);
+    BucketPartition::new(lo, hi, top.buckets)
+}
+
 /// Where the k-th value sits in the two-level histogram.
 #[derive(Debug, Clone, Copy)]
 enum Located {
@@ -341,37 +324,39 @@ impl ContinuousQuantile for LcllRange {
             return self.init_round(net, values);
         }
         self.last_refinements = 0;
-        let n = net.len();
-        let code_len = self.top.buckets + self.sub.buckets;
+        let (top, focus, sub) = (self.top, self.focus, self.sub);
+        let code_len = top.buckets + sub.buckets;
 
         // --- Validation: deltas over the two-level partition ---
         net.set_phase(wsn_net::Phase::Validation);
-        let mut contributions: Vec<Option<DeltaHistogram>> = Vec::with_capacity(n);
-        contributions.push(None);
-        for idx in 1..n {
+        let (node_focus, prev) = (&self.node_focus, &self.prev);
+        let report = |id: NodeId, slot: &mut Option<DeltaHistogram>| {
+            let idx = id.index();
             // Nodes with a stale focus view (loss) classify against their
             // own view; their codes may then disagree with the root's —
             // exactly the desynchronization loss causes in reality. For
             // wire-length simplicity the stale view is clamped to the
             // current sub length.
-            let focus = self.node_focus[idx];
-            let sub = if focus == self.focus {
-                self.sub
+            let own = node_focus[idx];
+            let own_sub = if own == focus {
+                sub
             } else {
-                self.sub_partition(focus)
+                sub_partition(&top, own)
             };
-            let old = self.code(self.prev[idx - 1], focus, &sub);
-            let new = self.code(values[idx - 1], focus, &sub);
-            contributions.push((old != new).then(|| {
-                DeltaHistogram::movement(
-                    code_len.max(self.top.buckets + sub.buckets),
-                    old.min(code_len - 1),
-                    new.min(code_len - 1),
-                )
-            }));
-        }
-        self.prev.copy_from_slice(values);
-        if let Some(deltas) = net.convergecast_slots(&mut contributions, |_, _| {}) {
+            let old = code(&top, prev[idx - 1], own, &own_sub);
+            let new = code(&top, values[idx - 1], own, &own_sub);
+            if old != new {
+                slot.get_or_insert_with(|| DeltaHistogram::zeros(0))
+                    .set_movement(
+                        code_len.max(top.buckets + own_sub.buckets),
+                        old.min(code_len - 1),
+                        new.min(code_len - 1),
+                    );
+            }
+            old != new
+        };
+        let deltas = net.convergecast_in(&mut self.deltas, report, |_, _| {});
+        if let Some(deltas) = deltas {
             let apply = |base: u64, d: i64| {
                 if d >= 0 {
                     base + d as u64
@@ -389,6 +374,7 @@ impl ContinuousQuantile for LcllRange {
                 self.sub_counts[j] = apply(self.sub_counts[j], d);
             }
         }
+        self.prev.copy_from_slice(values);
 
         // --- Locate; refocus only when the quantile escaped ---
         // (Refocus/descent traffic below is refinement; during the init

@@ -501,7 +501,8 @@ fn send_over_link(
 /// the wave engines touch the blocks in their iteration order instead of
 /// scattering over node ids. In front of the blocks sits a hot cache of one
 /// run-length [`HistDelta`] cell per `(slot, HistKind)`, slot-major,
-/// through which every sample is recorded.
+/// through which every sample is recorded — except those of lossless,
+/// solo-framed broadcasts, which a [`BroadcastTally`] counts once per wave.
 #[derive(Debug, Clone)]
 struct Hists {
     blocks: NodeHistograms,
@@ -509,6 +510,9 @@ struct Hists {
     /// Node id → storage slot; re-derived (with a matching permutation of
     /// the blocks) whenever the routing tree is replaced.
     slot: Vec<u32>,
+    /// Broadcasts over the current routing tree whose samples are not yet
+    /// in the blocks.
+    tally: BroadcastTally,
 }
 
 /// One run-length cell of the histogram hot cache: `repeat` pending samples
@@ -536,6 +540,7 @@ impl Hists {
             blocks: NodeHistograms::new(n),
             hot: vec![HistDelta::default(); n * HistKind::COUNT],
             slot: Hists::slots(tree, n),
+            tally: BroadcastTally::default(),
         }
     }
 
@@ -597,30 +602,58 @@ impl Hists {
         }
     }
 
+    /// Counts one lossless, solo-framed broadcast over `tree` in the tally
+    /// instead of recording each transmitter's samples. A tally full of
+    /// other sizes is folded into the blocks first.
+    fn tally_broadcast(&mut self, tree: &RoutingTree, sizes: &MessageSizes, payload_bits: u64) {
+        if !self.tally.add(payload_bits) {
+            self.fold_tally(tree, sizes);
+            self.tally.add(payload_bits);
+        }
+    }
+
+    /// Applies the tally, kept over `tree`, to the blocks and clears it.
+    fn fold_tally(&mut self, tree: &RoutingTree, sizes: &MessageSizes) {
+        self.tally.samples(tree, sizes, |slot, kind, value, times| {
+            self.blocks.record_n(slot, kind, value, times)
+        });
+        self.tally = BroadcastTally::default();
+    }
+
     /// The id-ordered view (index `i` = node `i`), with the pending runs
-    /// folded in; the live cells stay put.
-    fn snapshot(&self) -> NodeHistograms {
+    /// and the tally over the current `tree` folded in; the live cells and
+    /// the tally stay put.
+    fn snapshot(&self, tree: &RoutingTree, sizes: &MessageSizes) -> NodeHistograms {
         let mut out = self.blocks.clone();
         fold_runs(&self.hot, &mut out);
+        self.tally.samples(tree, sizes, |slot, kind, value, times| {
+            out.record_n(slot, kind, value, times)
+        });
         out.reindex(|id| self.slot[id] as usize);
         out
     }
 
-    /// Network-wide totals, folded straight from the slot-ordered blocks
-    /// and the pending runs: no id-ordered copy. Exact — counts and `max`
-    /// are plain integers and `sum` saturates, so no grouping or order of
-    /// the samples changes the totals.
-    fn total(&self) -> HistogramSet {
+    /// Network-wide totals, folded straight from the slot-ordered blocks,
+    /// the pending runs and the tally over the current `tree`: no
+    /// id-ordered copy. Exact — counts and `max` are plain integers and
+    /// `sum` saturates, so no grouping or order of the samples changes the
+    /// totals.
+    fn total(&self, tree: &RoutingTree, sizes: &MessageSizes) -> HistogramSet {
         let mut out = self.blocks.total();
         for (i, cell) in self.hot.iter().enumerate() {
             out.record_n(HistKind::ALL[i % HistKind::COUNT], cell.value, cell.repeat);
         }
+        self.tally.samples(tree, sizes, |_, kind, value, times| {
+            out.record_n(kind, value, times)
+        });
         out
     }
 
-    /// Re-slots the storage for `tree` so every node keeps its own history.
-    /// The hot cache is flushed first: its cells are keyed by the old slots.
-    fn reslot(&mut self, tree: &RoutingTree) {
+    /// Re-slots the storage from the outgoing routing tree `old` to `tree`
+    /// so every node keeps its own history. The hot cache and the tally
+    /// are folded first: both are keyed by `old`.
+    fn reslot(&mut self, old: &RoutingTree, tree: &RoutingTree, sizes: &MessageSizes) {
+        self.fold_tally(old, sizes);
         fold_runs(&self.hot, &mut self.blocks);
         self.hot.fill(HistDelta::default());
         let n = self.slot.len();
@@ -641,6 +674,76 @@ fn fold_runs(hot: &[HistDelta], blocks: &mut NodeHistograms) {
         if cell.repeat != 0 {
             let kind = HistKind::ALL[i % HistKind::COUNT];
             blocks.record_n(i / HistKind::COUNT, kind, cell.value, cell.repeat);
+        }
+    }
+}
+
+/// Most distinct payload sizes a [`BroadcastTally`] holds. Protocols
+/// broadcast a handful (a value, a refinement request, a filter pair), so
+/// the tally is folded on overflow only by a protocol that keeps sending new
+/// sizes, and it never grows.
+const TALLY_SIZES: usize = 8;
+
+/// The telemetry of the lossless, solo-framed broadcasts sent over one
+/// routing tree: `waves` broadcasts of each distinct `payload_bits`, in
+/// first-sent order.
+///
+/// Such a wave reaches every tree node, so every tree node with children
+/// transmits the same frames and records its own depth: the tree and the
+/// counts determine every sample, and [`BroadcastTally::samples`] replays
+/// them. Folding them in later, in bulk, is exact for the same reason as a
+/// [`HistDelta`] run: counters are plain integers, `sum` saturates (which is
+/// associative over unsigned samples) and `max` is a max. The tally must be
+/// folded before the tree changes, as [`Hists::reslot`] does.
+#[derive(Debug, Clone, Copy, Default)]
+struct BroadcastTally {
+    sizes: [(u64, u64); TALLY_SIZES],
+    len: usize,
+}
+
+impl BroadcastTally {
+    /// Counts one wave of `payload_bits`; `false` when the tally is full
+    /// of other sizes.
+    #[inline]
+    fn add(&mut self, payload_bits: u64) -> bool {
+        let live = &mut self.sizes[..self.len];
+        if let Some((_, waves)) = live.iter_mut().find(|(bits, _)| *bits == payload_bits) {
+            *waves += 1;
+        } else if self.len < TALLY_SIZES {
+            self.sizes[self.len] = (payload_bits, 1);
+            self.len += 1;
+        } else {
+            return false;
+        }
+        true
+    }
+
+    /// Calls `sample(slot, kind, value, times)` with every sample the
+    /// tallied waves would have recorded over `tree`: per transmitter,
+    /// `waves` of each frame of each size under `MsgBits` and one per wave
+    /// of its depth under `HopDepth` — exactly the broadcast loop's
+    /// transmitters when nothing is lost.
+    fn samples(
+        &self,
+        tree: &RoutingTree,
+        sizes: &MessageSizes,
+        mut sample: impl FnMut(usize, HistKind, u64, u64),
+    ) {
+        let tallied = &self.sizes[..self.len];
+        if tallied.is_empty() {
+            return;
+        }
+        let all: u64 = tallied.iter().map(|&(_, waves)| waves).sum();
+        for (slot, &u) in tree.bottom_up().iter().enumerate() {
+            if tree.is_leaf(u) {
+                continue;
+            }
+            for &(payload_bits, waves) in tallied {
+                for frag_bits in sizes.fragment_bits(payload_bits) {
+                    sample(slot, HistKind::MsgBits, frag_bits, waves);
+                }
+            }
+            sample(slot, HistKind::HopDepth, tree.depth(u) as u64, all);
         }
     }
 }
@@ -869,18 +972,19 @@ impl Network {
 
     /// Per-node telemetry histograms: message bits, hop depth, ARQ
     /// retries, convergecast fan-in. Always recorded (run-length cells and
-    /// inline counters on the hot path, no allocation). Internally the
-    /// compact blocks live in wave-slot order for locality; this assembles
-    /// an id-ordered copy (index `i` = node `i`, 216 bytes per node), so
-    /// call it per run, not per round.
+    /// inline counters on the hot path, lossless broadcasts tallied once
+    /// per wave; no allocation). Internally the compact blocks live in
+    /// wave-slot order for locality; this assembles an id-ordered copy
+    /// (index `i` = node `i`, 216 bytes per node) with the tally replayed
+    /// over the current tree, so call it per run, not per round.
     pub fn histograms(&self) -> NodeHistograms {
-        self.books.hists.snapshot()
+        self.books.hists.snapshot(&self.tree, &self.sizes)
     }
 
     /// Network-wide totals of the per-node telemetry histograms: exactly
     /// `histograms().total()`, folded without the id-ordered copy.
     pub fn histogram_totals(&self) -> HistogramSet {
-        self.books.hists.total()
+        self.books.hists.total(&self.tree, &self.sizes)
     }
 
     /// Enables Bernoulli message loss (the §6 future-work extension).
@@ -977,7 +1081,7 @@ impl Network {
     /// and dynamics-driven rebuilds ([`Network::dynamics_rebuild`]);
     /// charges nothing.
     fn install_tree(&mut self, tree: RoutingTree, orphans: usize) {
-        self.books.hists.reslot(&tree);
+        self.books.hists.reslot(&self.tree, &tree, &self.sizes);
         self.tree = tree;
         self.books.rel.orphaned_nodes = orphans as u64;
     }
@@ -1487,6 +1591,12 @@ impl Network {
         // (per-fragment loss draws must see the solo fragment stream).
         let solo = wire.sizes.fragment(payload_bits);
         let sharing = share.enabled && loss.is_none();
+        // A lossless, solo-framed wave is tallied once instead of recorded
+        // per transmitter (see `BroadcastTally`).
+        let tallied = loss.is_none() && !share.enabled;
+        if tallied {
+            books.hists.tally_broadcast(tree, &wire.sizes, payload_bits);
+        }
         // Walk the wave slots in reverse (parents before children, the
         // top-down order): histogram blocks and CSR child lists are then
         // visited in storage order.
@@ -1504,9 +1614,11 @@ impl Network {
             // frames are unacknowledged, as in 802.15.4; reliability comes
             // from the repair passes below.
             books.charge(phase, TxKind::BroadcastTx, u, u, fragments, bits, tx, 0.0);
-            books.hists.frames(pos, &wire.sizes, payload_bits, shared);
-            let depth = tree.depth(u) as u64;
-            books.hists.record(pos, HistKind::HopDepth, depth);
+            if !tallied {
+                books.hists.frames(pos, &wire.sizes, payload_bits, shared);
+                let depth = tree.depth(u) as u64;
+                books.hists.record(pos, HistKind::HopDepth, depth);
+            }
             for &c in tree.children(u) {
                 books.charge(phase, TxKind::BroadcastRx, u, c, fragments, bits, 0.0, rx);
                 let arrived = match loss {
@@ -2020,6 +2132,88 @@ mod tests {
         for id in 1..5 {
             assert_eq!(depth(id).count(), 2, "two samples per node");
         }
+    }
+
+    #[test]
+    fn a_tree_change_folds_pending_broadcast_telemetry_against_the_old_tree() {
+        // Lossless broadcasts are tallied per tree, not recorded per
+        // transmitter. Relay 2 (depth 2, parent of 3) then walks next to
+        // the sink and becomes a leaf, and 3 re-parents to 4: relay 2 must
+        // keep its earlier broadcast samples at its old depth and get none
+        // as a leaf, whichever tree a read or a repair folds against.
+        let world = |two: Point| {
+            let points = [
+                (0.0, 0.0),
+                (10.0, 0.0),
+                (two.x, two.y),
+                (30.0, 0.0),
+                (20.0, 6.0),
+            ];
+            Topology::build(
+                points.iter().map(|&(x, y)| Point::new(x, y)).collect(),
+                12.0,
+            )
+        };
+        let topo = world(Point::new(20.0, 0.0));
+        let tree = RoutingTree::shortest_path_tree(&topo).unwrap();
+        let mut net = Network::new(topo, tree, RadioModel::default(), MessageSizes::default());
+        assert_eq!(net.tree().parent(NodeId(3)), Some(NodeId(2)));
+        let header = net.sizes().header_bits;
+        for bits in [16, 16, 16, 100, 100] {
+            net.broadcast(bits);
+        }
+        let before = net.histograms();
+        let pending = net.clone();
+        let sample = |h: &NodeHistograms, id: usize, kind| *h.node(id).get(kind);
+        let depth = sample(&before, 2, HistKind::HopDepth);
+        assert_eq!((depth.count(), depth.sum(), depth.max()), (5, 2 * 5, 2));
+        let frames = sample(&before, 2, HistKind::MsgBits);
+        assert_eq!(frames.count(), 5);
+        assert_eq!(frames.sum(), 3 * (16 + header) + 2 * (100 + header));
+        assert_eq!(
+            sample(&before, 4, HistKind::HopDepth).count(),
+            0,
+            "4 is a leaf"
+        );
+
+        net.dynamics_rebuild(Some(world(Point::new(0.0, 10.0))));
+        assert!(net.tree().is_leaf(NodeId(2)) && net.tree().depth(NodeId(2)) == 1);
+        assert_eq!(net.tree().parent(NodeId(3)), Some(NodeId(4)));
+        let rebuilt = net.histograms();
+        for id in 0..5 {
+            let kinds = [HistKind::HopDepth, HistKind::FanIn];
+            for kind in kinds {
+                assert_eq!(sample(&rebuilt, id, kind), sample(&before, id, kind));
+            }
+        }
+        // One beacon frame per non-root node, nothing else.
+        let beacons = rebuilt.total().get(HistKind::MsgBits).count();
+        assert_eq!(beacons, before.total().get(HistKind::MsgBits).count() + 4);
+
+        for _ in 0..4 {
+            net.broadcast(16);
+        }
+        net.set_failures(Some(FailureModel::new(1.0, 3)));
+        let read = net.histograms();
+        assert_eq!(net.fail_round(), 4, "a repair down to the sink alone");
+        assert_eq!(
+            net.histograms(),
+            read,
+            "a repair moves samples, never changes them"
+        );
+        assert_eq!(net.histogram_totals(), read.total());
+        let depth = sample(&read, 2, HistKind::HopDepth);
+        assert_eq!((depth.count(), depth.max()), (5, 2), "no samples as a leaf");
+        let depth = sample(&read, 4, HistKind::HopDepth);
+        assert_eq!(
+            (depth.count(), depth.sum()),
+            (4, 2 * 4),
+            "4 relays at depth 2"
+        );
+
+        // The clone kept the tally pending and reads as before.
+        assert_eq!(pending.histograms(), before);
+        assert_eq!(pending.histogram_totals(), before.total());
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Battery rounds must not allocate per sensor.
+//! Protocol rounds must not allocate per sensor.
 //!
-//! Every convergecast payload of the eight battery protocols lives in wave
-//! storage that outlives the wave, so once the storage has reached the
-//! sizes a world needs, a protocol round writes its contributions into
-//! reused slots and merges them by borrowing. This test pins that with a
-//! counting global allocator: after two warm-up rounds (the init round and
-//! one continuous round), each protocol's measured rounds must average at
-//! most 0.05 allocations per sensor — the few per-round scratch vectors
-//! (a root-side selection copy, a q-digest query order) and an occasional
-//! storage growth, never one per sensor.
+//! Every convergecast payload of the eight battery protocols, LCLL-R and
+//! GK lives in wave storage that outlives the wave, so once the storage
+//! has reached the sizes a world needs, a protocol round writes its
+//! contributions into reused slots and merges them by borrowing. This test
+//! pins that with a counting global allocator: after two warm-up rounds
+//! (the init round and one continuous round), each protocol's measured
+//! rounds must average at most 0.05 allocations per sensor — the few
+//! per-round scratch vectors (a root-side selection copy, a q-digest query
+//! order) and an occasional storage growth, never one per sensor.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -86,7 +86,8 @@ fn battery_rounds_allocate_nothing_per_sensor() {
                     .collect()
             })
             .collect();
-        for kind in AlgorithmKind::battery(100, 0) {
+        let kinds = AlgorithmKind::battery(100, 0).into_iter();
+        for kind in kinds.chain([AlgorithmKind::LcllR, AlgorithmKind::Gk]) {
             let mut net = grid_network(side);
             let mut alg = kind.build(query, net.sizes());
             for values in &rounds[..WARM_UP] {

@@ -174,11 +174,11 @@ while read -r workload want; do
     fi
     echo "    $workload $got"
     # The heap pins: the reference units' peak heap, rounded up to the
-    # next 0.05 MiB (scale_10k keeps its older, looser pin), so that
-    # retained storage cannot creep back in unseen. wsnbench's allocator
-    # counts requested bytes, so each figure repeats exactly on any host.
+    # next 0.05 MiB, so that retained storage cannot creep back in unseen.
+    # wsnbench's allocator counts requested bytes, so each figure repeats
+    # exactly on any host.
     case "$workload" in
-        scale_10k) pin=8.0 ;;
+        scale_10k) pin=5.90 ;;
         paper_batch) pin=0.65 ;;
         dynamic_lossy) pin=0.85 ;;
         *) pin="" ;;
