@@ -46,6 +46,20 @@ impl NodeBits {
         }
     }
 
+    /// Makes this set an exact copy of `other`, keeping the backing
+    /// allocation when it is already large enough.
+    pub(crate) fn copy_from(&mut self, other: &NodeBits) {
+        self.words.clear();
+        self.words.extend_from_slice(&other.words);
+        self.len = other.len;
+    }
+
+    /// The packed words: bit `i` is bit `i & 63` of word `i >> 6`, and the
+    /// bits past [`len`](NodeBits::len) in the last word are zero.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Number of bits.
     pub fn len(&self) -> usize {
         self.len
@@ -148,6 +162,19 @@ mod tests {
         let got: Vec<usize> = b.iter_ones().collect();
         assert_eq!(got, picks);
         assert_eq!(b.count_ones(), picks.len());
+    }
+
+    #[test]
+    fn copy_from_replaces_length_and_bits() {
+        let mut src = NodeBits::new();
+        src.reset(130);
+        src.set(0);
+        src.set(129);
+        let mut dst = NodeBits::new();
+        dst.set_all(300);
+        dst.copy_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.words(), &[1, 0, 2]);
     }
 
     #[test]

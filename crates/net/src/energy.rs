@@ -6,6 +6,7 @@
 //! constants as "50mJ/bit" / "10pJ/bit/m²" with 30 mJ initial supply — the
 //! mJ is a unit typo for nJ (see DESIGN.md §3.2); we use nanojoules.
 
+use crate::bitset::NodeBits;
 use crate::topology::NodeId;
 
 /// Radio energy parameters. All energies in joules, sizes in bits,
@@ -112,6 +113,40 @@ impl EnergyLedger {
         debug_assert!(joules >= 0.0, "cannot credit energy");
         self.consumed[id.index()] += joules;
         self.consumed_tx[id.index()] += joules;
+    }
+
+    /// Books one lossless broadcast wave in a single pass over the nodes:
+    /// every node in `receivers` pays `rx`, then every node in
+    /// `transmitters` pays `tx` as transmit energy — for each node the
+    /// additions, and their order, of one reception from its parent
+    /// followed by its own transmission.
+    ///
+    /// Every node takes both additions: a node outside a mask adds `-0.0`,
+    /// which leaves every total unchanged bit for bit (`x + -0.0` is `x` for
+    /// either zero and every other number; `+0.0` would turn a `-0.0` total
+    /// into `+0.0`), so the totals are the ones per-reception charges would
+    /// leave.
+    pub(crate) fn charge_broadcast(
+        &mut self,
+        receivers: &NodeBits,
+        rx: f64,
+        transmitters: &NodeBits,
+        tx: f64,
+    ) {
+        debug_assert!(rx >= 0.0 && tx >= 0.0, "cannot credit energy");
+        let masks = receivers.words().iter().zip(transmitters.words());
+        let nodes = self
+            .consumed
+            .chunks_mut(64)
+            .zip(self.consumed_tx.chunks_mut(64));
+        for ((&rw, &tw), (consumed, consumed_tx)) in masks.zip(nodes) {
+            for (k, (c, ct)) in consumed.iter_mut().zip(consumed_tx).enumerate() {
+                let rx = if rw >> k & 1 != 0 { rx } else { -0.0 };
+                let tx = if tw >> k & 1 != 0 { tx } else { -0.0 };
+                *c = *c + rx + tx;
+                *ct += tx;
+            }
+        }
     }
 
     /// Total energy consumed by `id` so far.

@@ -15,12 +15,16 @@
 //!
 //! The engine charges transmit/receive energy per the [`RadioModel`] and
 //! fragments payloads per [`MessageSizes`]. Protocol logic never touches the
-//! ledger directly, and inside the engine one function books every radio
-//! charge — data frame, ACK, broadcast transmission or reception, idle
-//! listening — into the ledger, the traffic stats, the phase and lane
-//! breakdowns and the audit log, by one per-kind booking rule. One function
-//! sends every unicast, whatever the telemetry setting: wall-clock spans
-//! time rounds, phases and waves, never a single send.
+//! ledger directly. Inside the engine one per-kind booking rule
+//! (`TxKind::tally`) prices every radio charge — data frame, ACK,
+//! broadcast transmission or reception, idle listening — into the ledger,
+//! the traffic stats, the phase and lane breakdowns and the audit log, and
+//! two loops apply it: one function books one charge at a time, and a
+//! lossless, unaudited broadcast books its whole wave at once from a
+//! per-tree plan, leaving every book bit for bit where the one-at-a-time
+//! charges would. One function sends every unicast, whatever the telemetry
+//! setting: wall-clock spans time rounds, phases and waves, never a single
+//! send.
 //!
 //! With a [`LossModel`] installed, every 802.15.4 fragment is lost
 //! independently; the optional reliability layer (see
@@ -38,6 +42,7 @@ use crate::message::MessageSizes;
 use crate::reliability::{FailureModel, ReliabilityConfig, ReliabilityStats, WaveReport};
 use crate::topology::{NodeId, Topology};
 use crate::tree::RoutingTree;
+use wsn_obs::hist::permute_in_place;
 use wsn_obs::{HistKind, HistogramSet, NodeHistograms, Recorder, SpanStart};
 
 /// A mergeable convergecast payload.
@@ -323,6 +328,8 @@ pub struct Network {
     /// Reusable reception mask for [`Network::broadcast`]; steady-state
     /// broadcasts perform no heap allocation.
     bcast_recv: NodeBits,
+    /// The charges of a lossless broadcast over the current tree.
+    broadcast_plan: BroadcastPlan,
 }
 
 /// Everything a send writes, split off [`Network`] so the wave engines can
@@ -330,8 +337,10 @@ pub struct Network {
 ///
 /// The five accounting books — energy ledger, traffic stats, per-phase and
 /// per-lane breakdowns, audit log — change only through [`Books::charge`],
-/// one call per radio charge, so they cannot disagree with each other or
-/// with the audit log's own books ([`crate::audit::lane_breakdowns`]).
+/// one call per radio charge, or [`BroadcastPlan::charge`], which books an
+/// unaudited lossless broadcast as exactly those calls would. So they
+/// cannot disagree with each other or with the audit log's own books
+/// ([`crate::audit::lane_breakdowns`]).
 #[derive(Debug, Clone)]
 struct Books {
     ledger: EnergyLedger,
@@ -491,18 +500,19 @@ fn send_over_link(
 }
 
 /// Per-node telemetry histograms: message bits, hop depth, ARQ retries,
-/// convergecast fan-in. Always on: a sample extends a run-length cell, and
-/// a flushed run bumps one inline counter of the node's compact 216-byte
-/// [`NodeHistograms`] block, all in storage allocated once at construction.
+/// convergecast fan-in. Always on: a sample extends a run in a two-run
+/// cell, and a flushed run bumps one inline counter of the node's compact
+/// 216-byte [`NodeHistograms`] block, all in storage allocated once at
+/// construction.
 ///
 /// The blocks live in *wave-slot* order — slot `s` belongs to the node at
 /// `tree.bottom_up()[s]`, and nodes outside the routing tree (dead or
 /// orphaned) are packed after the tree nodes in ascending id order — so
 /// the wave engines touch the blocks in their iteration order instead of
 /// scattering over node ids. In front of the blocks sits a hot cache of one
-/// run-length [`HistDelta`] cell per `(slot, HistKind)`, slot-major,
-/// through which every sample is recorded — except those of lossless,
-/// solo-framed broadcasts, which a [`BroadcastTally`] counts once per wave.
+/// [`HistDelta`] cell per `(slot, HistKind)`, slot-major, through which
+/// every sample is recorded — except those of lossless, solo-framed
+/// broadcasts, which a [`BroadcastTally`] counts once per wave.
 #[derive(Debug, Clone)]
 struct Hists {
     blocks: NodeHistograms,
@@ -515,23 +525,33 @@ struct Hists {
     tally: BroadcastTally,
 }
 
-/// One run-length cell of the histogram hot cache: `repeat` pending samples
-/// of `value`, not yet applied to the node's 216-byte [`NodeHistograms`]
-/// block. `repeat == 0` means empty.
+/// One cell of the histogram hot cache: two runs of pending samples not yet
+/// applied to the node's 216-byte [`NodeHistograms`] block, most recent
+/// first — `repeat` samples of `value`, then `older_repeat` samples of
+/// `older`. A run of length 0 is empty.
 ///
 /// Wave traffic records the *same* value per (node, kind) almost every wave
 /// — hop depth and fan-in are topology constants, retries are 0 on a
 /// perfect channel — so coalescing runs here shrinks the engines' per-wave
 /// histogram traffic from a search of the node's block to one 16-byte cell
-/// (the node's four cells share a cache line). `MsgBits` coalesces least:
-/// where broadcast and convergecast frame sizes alternate, nearly every
-/// frame flushes a run of one. Deferral is exact: histogram counters are
-/// plain integers, so applying a run later via [`NodeHistograms::record_n`]
-/// yields bit-identical state to recording each sample eagerly.
+/// (the node's four cells share a cache line). The second run catches two
+/// alternating values, such as the frame sizes of a protocol's validation
+/// and refinement convergecasts in a node's `MsgBits` cell: a value that
+/// matches neither run flushes the older one and takes the front. Values
+/// and run lengths are `u32`, which keeps the cell at 16 bytes: a value
+/// above `u32::MAX` goes straight to the block, and a run about to pass
+/// `u32::MAX` flushes first.
+///
+/// Deferral is exact: histogram counters are plain integers, `sum`
+/// saturates and `max` is a max, so applying runs later, and in any order
+/// via [`NodeHistograms::record_n`], yields the state eager recording
+/// would.
 #[derive(Debug, Clone, Copy, Default)]
 struct HistDelta {
-    value: u64,
-    repeat: u64,
+    value: u32,
+    repeat: u32,
+    older: u32,
+    older_repeat: u32,
 }
 
 impl Hists {
@@ -561,19 +581,51 @@ impl Hists {
         slot
     }
 
-    /// Records one sample: extends the cell's run when the value repeats,
-    /// otherwise flushes the old run into the block and starts a new one.
+    /// Records one sample: extends the cell's front run when the value
+    /// repeats it (an empty run of the same value included), otherwise
+    /// [`Hists::record_miss`].
     #[inline(always)]
     fn record(&mut self, slot: usize, kind: HistKind, value: u64) {
-        let cell = &mut self.hot[slot * HistKind::COUNT + kind.index()];
-        if cell.repeat != 0 && cell.value == value {
-            cell.repeat += 1;
-        } else {
-            if cell.repeat != 0 {
-                self.blocks.record_n(slot, kind, cell.value, cell.repeat);
+        let at = slot * HistKind::COUNT + kind.index();
+        match u32::try_from(value) {
+            Ok(v) if self.hot[at].value == v && self.hot[at].repeat < u32::MAX => {
+                self.hot[at].repeat += 1;
             }
-            *cell = HistDelta { value, repeat: 1 };
+            Ok(v) => self.record_miss(slot, kind, at, v),
+            Err(_) => self.blocks.record_n(slot, kind, value, 1),
         }
+    }
+
+    /// Records a sample that does not extend cell `at`'s front run. A full
+    /// front run of the value is flushed and restarted. Otherwise the old
+    /// front run moves behind a front run of the value: the older run
+    /// extended, when it holds the value (flushed first if full), else a
+    /// new one, the older run flushed.
+    fn record_miss(&mut self, slot: usize, kind: HistKind, at: usize, v: u32) {
+        let blocks = &mut self.blocks;
+        let mut flush = |value: u32, n: u32| blocks.record_n(slot, kind, value.into(), n.into());
+        let cell = &mut self.hot[at];
+        if cell.value == v {
+            flush(v, cell.repeat);
+            cell.repeat = 1;
+            return;
+        }
+        let mut repeat = 0;
+        if cell.older == v {
+            repeat = cell.older_repeat;
+        } else {
+            flush(cell.older, cell.older_repeat);
+        }
+        if repeat == u32::MAX {
+            flush(v, repeat);
+            repeat = 0;
+        }
+        *cell = HistDelta {
+            value: v,
+            repeat: repeat + 1,
+            older: cell.value,
+            older_repeat: cell.repeat,
+        };
     }
 
     /// One `MsgBits` sample per frame of a delivered payload: solo frames
@@ -625,7 +677,12 @@ impl Hists {
     /// the tally stay put.
     fn snapshot(&self, tree: &RoutingTree, sizes: &MessageSizes) -> NodeHistograms {
         let mut out = self.blocks.clone();
-        fold_runs(&self.hot, &mut out);
+        for (i, cell) in self.hot.iter().enumerate() {
+            let kind = HistKind::ALL[i % HistKind::COUNT];
+            for (value, repeat) in cell.runs() {
+                out.record_n(i / HistKind::COUNT, kind, value, repeat);
+            }
+        }
         self.tally.samples(tree, sizes, |slot, kind, value, times| {
             out.record_n(slot, kind, value, times)
         });
@@ -641,7 +698,9 @@ impl Hists {
     fn total(&self, tree: &RoutingTree, sizes: &MessageSizes) -> HistogramSet {
         let mut out = self.blocks.total();
         for (i, cell) in self.hot.iter().enumerate() {
-            out.record_n(HistKind::ALL[i % HistKind::COUNT], cell.value, cell.repeat);
+            for (value, repeat) in cell.runs() {
+                out.record_n(HistKind::ALL[i % HistKind::COUNT], value, repeat);
+            }
         }
         self.tally.samples(tree, sizes, |_, kind, value, times| {
             out.record_n(kind, value, times)
@@ -650,31 +709,31 @@ impl Hists {
     }
 
     /// Re-slots the storage from the outgoing routing tree `old` to `tree`
-    /// so every node keeps its own history. The hot cache and the tally
-    /// are folded first: both are keyed by `old`.
+    /// so every node keeps its own history: each node's block and hot
+    /// cells, pending runs included, move to its new slot. The tally is
+    /// folded first: it is kept over `old`.
     fn reslot(&mut self, old: &RoutingTree, tree: &RoutingTree, sizes: &MessageSizes) {
         self.fold_tally(old, sizes);
-        fold_runs(&self.hot, &mut self.blocks);
-        self.hot.fill(HistDelta::default());
         let n = self.slot.len();
         let old = std::mem::replace(&mut self.slot, Hists::slots(tree, n));
         let mut id_of_slot = vec![0u32; n];
         for (id, &s) in self.slot.iter().enumerate() {
             id_of_slot[s as usize] = id as u32;
         }
-        self.blocks
-            .reindex(|s| old[id_of_slot[s] as usize] as usize);
+        let from = |s: usize| old[id_of_slot[s] as usize] as usize;
+        self.blocks.reindex(from);
+        let (cells, _) = self.hot.as_chunks_mut::<{ HistKind::COUNT }>();
+        permute_in_place(cells, from);
     }
 }
 
-/// Applies every pending hot-cache run to `blocks` (exact: see
-/// [`HistDelta`]).
-fn fold_runs(hot: &[HistDelta], blocks: &mut NodeHistograms) {
-    for (i, cell) in hot.iter().enumerate() {
-        if cell.repeat != 0 {
-            let kind = HistKind::ALL[i % HistKind::COUNT];
-            blocks.record_n(i / HistKind::COUNT, kind, cell.value, cell.repeat);
-        }
+impl HistDelta {
+    /// Both runs as `(value, samples)`; an empty run has 0 samples.
+    fn runs(&self) -> [(u64, u64); 2] {
+        [
+            (self.value.into(), self.repeat.into()),
+            (self.older.into(), self.older_repeat.into()),
+        ]
     }
 }
 
@@ -744,6 +803,116 @@ impl BroadcastTally {
                 }
             }
             sample(slot, HistKind::HopDepth, tree.depth(u) as u64, all);
+        }
+    }
+}
+
+/// What one lossless, solo-framed broadcast charges over a routing tree,
+/// which is the same for every such wave over that tree. The paper's radio
+/// model (§5.1.4) has one transmission reach all of a node's children and
+/// every child pay the same reception, so with nothing lost every tree
+/// node receives, every tree node with children transmits once, and the
+/// tree and the payload's framing fix every charge.
+///
+/// Built on the first such wave after a tree change and marked stale by
+/// [`Network::install_tree`] (its storage is kept); it costs five bits
+/// per node or fewer. [`BroadcastPlan::charge`] books a wave from it in
+/// one pass.
+#[derive(Debug, Clone, Default)]
+struct BroadcastPlan {
+    /// Whether the masks describe the current routing tree.
+    current: bool,
+    /// The tree's nodes: a lossless wave's reception mask.
+    members: NodeBits,
+    /// Members that receive: all but the root.
+    receivers: NodeBits,
+    /// Members that transmit: those with children.
+    transmitters: NodeBits,
+    /// The order of the per-child loop's joules, top-down: per transmitter
+    /// a set bit for its transmission, then a clear bit per child.
+    addends: NodeBits,
+    transmitter_count: u64,
+    receiver_count: u64,
+}
+
+impl BroadcastPlan {
+    /// Rebuilds the plan for `tree` over `n` nodes, unless it is current.
+    fn refresh(&mut self, tree: &RoutingTree, n: usize) {
+        if self.current {
+            return;
+        }
+        let order = tree.bottom_up();
+        let transmitters = order.iter().filter(|&&u| !tree.is_leaf(u)).count();
+        let receivers = order.len() - 1;
+        self.members.reset(n);
+        self.receivers.reset(n);
+        self.transmitters.reset(n);
+        self.addends.reset(transmitters + receivers);
+        let mut at = 0;
+        for &u in order.iter().rev() {
+            self.members.set(u.index());
+            if tree.parent(u).is_some() {
+                self.receivers.set(u.index());
+            }
+            if !tree.is_leaf(u) {
+                self.transmitters.set(u.index());
+                self.addends.set(at);
+                at += 1 + tree.children(u).len();
+            }
+        }
+        self.transmitter_count = transmitters as u64;
+        self.receiver_count = receivers as u64;
+        self.current = true;
+    }
+
+    /// Books one wave of `(fragments, bits)` per transmission, `tx` joules
+    /// per transmission and `rx` per reception, as the per-child loop of
+    /// [`Network::broadcast_into`] would. The ledger takes each node's
+    /// reception, then its transmission, in one pass. The phase and lane
+    /// joules replay the loop's addends in its order, with the joules
+    /// [`TxKind::tally`] gives each kind. The integer counters take the
+    /// wave's totals at once. A wave with no transmitter books nothing.
+    fn charge(
+        &self,
+        books: &mut Books,
+        phase: Phase,
+        (fragments, bits): (u64, u64),
+        tx: f64,
+        rx: f64,
+    ) {
+        if self.transmitter_count == 0 {
+            return;
+        }
+        books
+            .ledger
+            .charge_broadcast(&self.receivers, rx, &self.transmitters, tx);
+        let (tx_messages, tx_bits, tx_joules) = TxKind::BroadcastTx.tally(fragments, bits, tx, 0.0);
+        let (rx_messages, rx_bits, rx_joules) = TxKind::BroadcastRx.tally(fragments, bits, 0.0, rx);
+        let (t, r) = (self.transmitter_count, self.receiver_count);
+        let messages = tx_messages * t + rx_messages * r;
+        let counted = tx_bits * t + rx_bits * r;
+        books.stats.messages += messages;
+        books.stats.bits += counted;
+        let by_phase = books.phases.get_mut(phase);
+        let by_lane = books.lanes.get_mut(books.audit.lane()).get_mut(phase);
+        let (mut joules, mut lane_joules) = (by_phase.joules, by_lane.joules);
+        let mut left = self.addends.len();
+        for &word in self.addends.words() {
+            for k in 0..left.min(64) {
+                let addend = if word >> k & 1 != 0 {
+                    tx_joules
+                } else {
+                    rx_joules
+                };
+                joules += addend;
+                lane_joules += addend;
+            }
+            left = left.saturating_sub(64);
+        }
+        for (c, j) in [(by_phase, joules), (by_lane, lane_joules)] {
+            c.messages += messages;
+            c.bits += counted;
+            c.joules = j;
         }
     }
 }
@@ -844,6 +1013,7 @@ impl Network {
             fanin: Vec::new(),
             stranded: Vec::new(),
             bcast_recv: NodeBits::new(),
+            broadcast_plan: BroadcastPlan::default(),
         }
     }
 
@@ -1076,12 +1246,13 @@ impl Network {
     }
 
     /// Installs a freshly built routing tree, re-slotting the histogram
-    /// storage so every node keeps its own history, and updating the orphan
-    /// count. Shared by failure-driven repairs ([`Network::fail_round`])
-    /// and dynamics-driven rebuilds ([`Network::dynamics_rebuild`]);
-    /// charges nothing.
+    /// storage so every node keeps its own history, marking the broadcast
+    /// plan stale and updating the orphan count. Shared by failure-driven
+    /// repairs ([`Network::fail_round`]) and dynamics-driven rebuilds
+    /// ([`Network::dynamics_rebuild`]); charges nothing.
     fn install_tree(&mut self, tree: RoutingTree, orphans: usize) {
         self.books.hists.reslot(&self.tree, &tree, &self.sizes);
+        self.broadcast_plan.current = false;
         self.tree = tree;
         self.books.rel.orphaned_nodes = orphans as u64;
     }
@@ -1543,9 +1714,10 @@ impl Network {
         }
     }
 
-    /// Floods a payload of `payload_bits` bits from the root to every node.
-    /// Returns the set of nodes that actually received it (all of them
-    /// without loss; possibly a subtree-prefix with loss enabled).
+    /// Floods a payload of `payload_bits` bits from the root down the
+    /// routing tree. Returns the set of nodes that actually received it:
+    /// every tree node without loss (dead and orphaned nodes are outside
+    /// the tree and never receive), possibly fewer with loss enabled.
     ///
     /// The mask lives in a reusable scratch bitset owned by the network, so
     /// repeated broadcasts perform no heap allocation. Callers that need to
@@ -1563,11 +1735,19 @@ impl Network {
     /// [`Network::broadcast`] writing the per-node reception flags into a
     /// caller-owned bitset (cleared and resized in place), so repeated
     /// waves perform no heap allocation.
+    ///
+    /// A lossless, solo-framed, unaudited wave is booked in bulk from the
+    /// tree's broadcast plan (built on the first such wave after a tree
+    /// change): the reception mask is the plan's member mask, the ledger is
+    /// charged in one pass over the nodes, and every book ends bit for bit
+    /// where the per-child loop would leave it. Audited, lossy and
+    /// shared-frame waves run that loop: the audit witnesses each
+    /// reception, loss draws per child and shared frames are priced per
+    /// transmitter.
     pub fn broadcast_into(&mut self, payload_bits: u64, received: &mut NodeBits) {
         let wire = self.wire();
+        let n = self.len();
         self.books.stats.broadcasts += 1;
-        received.reset(self.len());
-        received.set(NodeId::ROOT.index());
 
         // Split field borrows, as in `convergecast_with`: traversal and
         // child lookups read the tree in place while the books and the
@@ -1580,6 +1760,7 @@ impl Network {
             phase,
             share,
             recorder,
+            broadcast_plan: plan,
             ..
         } = self;
         let phase = *phase;
@@ -1592,11 +1773,22 @@ impl Network {
         let solo = wire.sizes.fragment(payload_bits);
         let sharing = share.enabled && loss.is_none();
         // A lossless, solo-framed wave is tallied once instead of recorded
-        // per transmitter (see `BroadcastTally`).
+        // per transmitter (see `BroadcastTally`), and booked in bulk unless
+        // the audit must witness it.
         let tallied = loss.is_none() && !share.enabled;
         if tallied {
             books.hists.tally_broadcast(tree, &wire.sizes, payload_bits);
+            if !books.audit.is_enabled() {
+                plan.refresh(tree, n);
+                let (tx, rx) = wire.energy(solo.1);
+                plan.charge(books, phase, solo, tx, rx);
+                received.copy_from(&plan.members);
+                recorder.end("broadcast", round, wave_span);
+                return;
+            }
         }
+        received.reset(n);
+        received.set(NodeId::ROOT.index());
         // Walk the wave slots in reverse (parents before children, the
         // top-down order): histogram blocks and CSR child lists are then
         // visited in storage order.
@@ -2263,6 +2455,97 @@ mod tests {
         };
         assert!((0..6).any(|id| counters(id) > 16), "a node spilled");
         assert!(runs, "runs of repeated samples were pending");
+    }
+
+    #[test]
+    fn two_run_cells_read_as_eager_recording() {
+        // Random per-(node, kind) streams through the two-run cells — two
+        // and three alternating values, long bursts, values above
+        // `u32::MAX` — and cells one sample short of full runs, re-slotted
+        // between two trees now and then: the snapshot, the totals and each
+        // re-slot must read as the same samples recorded eagerly by id.
+        let sizes = MessageSizes::default();
+        let points = |moved: bool| {
+            let mut p: Vec<Point> = (0..6).map(|i| Point::new(i as f64 * 10.0, 0.0)).collect();
+            if moved {
+                p[4] = Point::new(0.0, 10.0);
+            }
+            RoutingTree::spanning_alive(&Topology::build(p, 12.0), &[true; 6]).0
+        };
+        // Moving node 4 next to the sink orphans node 5.
+        let trees = [points(false), points(true)];
+        let mut on = 0;
+        let mut hists = Hists::new(&trees[on], 6);
+        let mut eager = NodeHistograms::new(6);
+        let mut rng = crate::splitmix::SplitMix64::new(23);
+        let check = |hists: &Hists, eager: &NodeHistograms, tree: &RoutingTree, ctx: &str| {
+            assert_eq!(hists.snapshot(tree, &sizes), *eager, "{ctx}");
+            assert_eq!(hists.total(tree, &sizes), eager.total(), "{ctx}");
+        };
+
+        // Node 2's MsgBits cell holds a front run one short of full and a
+        // full older run; node 3's FanIn cell an older run one short.
+        let full = u32::MAX;
+        let cells = [
+            (2, HistKind::MsgBits, [7, full - 1, 9, full]),
+            (3, HistKind::FanIn, [5, 3, 6, full - 1]),
+        ];
+        for (id, kind, [value, repeat, older, older_repeat]) in cells {
+            let at = hists.slot[id] as usize * HistKind::COUNT + kind.index();
+            hists.hot[at] = HistDelta {
+                value,
+                repeat,
+                older,
+                older_repeat,
+            };
+            eager.record_n(id, kind, value.into(), repeat.into());
+            eager.record_n(id, kind, older.into(), older_repeat.into());
+        }
+        let edges = [
+            (2, HistKind::MsgBits, [7, 7, 9, 7, 9, 9]),
+            (3, HistKind::FanIn, [6, 6, 5, 6, 6, 4]),
+        ];
+        for (id, kind, values) in edges {
+            for value in values {
+                hists.record(hists.slot[id] as usize, kind, value);
+                eager.record(id, kind, value);
+                check(&hists, &eager, &trees[on], "full runs");
+            }
+        }
+
+        let wide = u64::from(u32::MAX);
+        let (mut front, mut older) = (false, false);
+        for stream in 0..400 {
+            let id = (rng.next_u64() % 6) as usize;
+            let kind = HistKind::ALL[(rng.next_u64() % HistKind::COUNT as u64) as usize];
+            let mut pick = || match rng.next_u64() % 4 {
+                0 => rng.next_u64() % 3,
+                1 => 100 + rng.next_u64() % 1_100,
+                2 => wide - 1 + rng.next_u64() % 3,
+                _ => rng.next_u64(),
+            };
+            let distinct = [pick(), pick(), pick()];
+            let len = 1 + rng.next_u64() % 40;
+            let values: Vec<u64> = match rng.next_u64() % 3 {
+                0 => (0..len).map(|i| distinct[(i % 2) as usize]).collect(),
+                1 => (0..len).map(|i| distinct[(i % 3) as usize]).collect(),
+                _ => vec![distinct[0]; 200 + len as usize],
+            };
+            for value in values {
+                hists.record(hists.slot[id] as usize, kind, value);
+                eager.record(id, kind, value);
+            }
+            let ctx = format!("stream {stream}");
+            check(&hists, &eager, &trees[on], &ctx);
+            front |= hists.hot.iter().any(|c| c.repeat > 1);
+            older |= hists.hot.iter().any(|c| c.older_repeat > 1);
+            if stream % 25 == 24 {
+                hists.reslot(&trees[on], &trees[1 - on], &sizes);
+                on = 1 - on;
+                check(&hists, &eager, &trees[on], &ctx);
+            }
+        }
+        assert!(front && older, "both runs held pending repeats");
     }
 
     #[test]

@@ -404,33 +404,7 @@ impl NodeHistograms {
     /// them. A spilled node's dense set stays put: its block carries the
     /// index.
     pub fn reindex(&mut self, map: impl Fn(usize) -> usize) {
-        let n = self.blocks.len();
-        debug_assert!(
-            {
-                let mut hit = vec![false; n];
-                (0..n).all(|i| map(i) < n && !std::mem::replace(&mut hit[map(i)], true))
-            },
-            "reindex map is not a permutation of 0..{n}"
-        );
-        let mut done = vec![false; n];
-        for first in 0..n {
-            if done[first] {
-                continue;
-            }
-            let held = self.blocks[first];
-            let mut at = first;
-            loop {
-                done[at] = true;
-                let from = map(at);
-                // In a permutation only the cycle's first slot is done here.
-                if done[from] {
-                    self.blocks[at] = held;
-                    break;
-                }
-                self.blocks[at] = self.blocks[from];
-                at = from;
-            }
-        }
+        permute_in_place(&mut self.blocks, map);
     }
 
     /// Network-wide totals: every node's histograms merged.
@@ -440,6 +414,42 @@ impl NodeHistograms {
             block.merge_into(&self.spilled, &mut out);
         }
         out
+    }
+}
+
+/// Rearranges `items` in place so that item `new` afterwards holds what
+/// item `map(new)` held before. `map` must be a permutation of
+/// `0..items.len()` (checked in debug builds).
+///
+/// Follows the permutation's cycles, moving each item once and holding one
+/// aside per cycle, instead of copying all of them.
+pub fn permute_in_place<T: Copy>(items: &mut [T], map: impl Fn(usize) -> usize) {
+    let n = items.len();
+    debug_assert!(
+        {
+            let mut hit = vec![false; n];
+            (0..n).all(|i| map(i) < n && !std::mem::replace(&mut hit[map(i)], true))
+        },
+        "map is not a permutation of 0..{n}"
+    );
+    let mut done = vec![false; n];
+    for first in 0..n {
+        if done[first] {
+            continue;
+        }
+        let held = items[first];
+        let mut at = first;
+        loop {
+            done[at] = true;
+            let from = map(at);
+            // In a permutation only the cycle's first item is done here.
+            if done[from] {
+                items[at] = held;
+                break;
+            }
+            items[at] = items[from];
+            at = from;
+        }
     }
 }
 

@@ -17,7 +17,11 @@
 # won and a verdict against the metric's bound: "regressed" beyond the
 # bound, "gain" when at least 10 pairs ran, the change wins at least 9 of
 # every 10 and its median beats the parent's by more than the parent's
-# quartile spread, "ok" otherwise.
+# quartile spread, "ok" otherwise. Each pair's line and each workload's
+# "units run" row also show how many timed units each run finished:
+# wsnbench's peak_heap_mib includes its own per-unit vectors (about 32
+# bytes a unit, doubling at powers of two), so a side that runs more units
+# can read a higher peak heap with no program change.
 #
 # Exit status: 0 on a clean comparison; 1 when any sim_digest differs
 # between the sides, the change fails more units than the parent or a
@@ -65,7 +69,10 @@ root="$(pwd)"
 out=".bench_build/pairs"
 rm -rf "$out/parent-src"
 mkdir -p "$out/parent-src" "$out/runs"
-git archive "$parent_rev" | tar -x -C "$out/parent-src"
+# Extract with fresh mtimes (-m): git archive stamps every file with the
+# commit time, which can predate the parent build left by an earlier
+# run, and cargo would then keep that build for a different revision.
+git archive "$parent_rev" | tar -x -m -C "$out/parent-src"
 
 echo "==> building parent ($parent_rev) and change"
 CARGO_TARGET_DIR="$root/$out/parent" cargo build --quiet --release --offline \
@@ -74,7 +81,7 @@ CARGO_TARGET_DIR="$root/$out/change" cargo build --quiet --release --offline \
     --manifest-path wsnbench/Cargo.toml
 
 exec python3 - "$root" "$out" "$pairs" "$seed" ${workloads[@]+"${workloads[@]}"} <<'EOF'
-import json, os, statistics, subprocess, sys
+import json, os, re, statistics, subprocess, sys
 
 root, out, pairs, seed = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 bench = json.load(open(os.path.join(root, "BENCHMARK.json")))
@@ -110,13 +117,18 @@ for i in range(pairs):
                 sys.exit(f"{w} seed {s} {side}: exit {run.returncode}, no result (see {log})")
             digest = next((l.split()[1] for l in lines if l.startswith("sim_digest")), None)
             digests[side] = digest
+            # wsnbench's "unit_ms  median … over N units" line.
+            units = next((int(m.group(1)) for l in lines if l.startswith("unit_ms")
+                          for m in [re.search(r"over (\d+) units", l)] if m), 0)
             metrics = {k: v["value"] for k, v in result["metrics"].items()}
-            results[w][side].append((metrics, result["failed"], digest))
+            results[w][side].append((metrics, result["failed"], digest, units))
         if digests["parent"] != digests["change"]:
             bad.append(f"{w} seed {s}: sim_digest {digests['parent']} (parent) != {digests['change']} (change)")
         p, c = results[w]["parent"][-1], results[w]["change"][-1]
         print(f"    pair {i + 1}/{pairs} seed {s} {w}: unit_ms {p[0].get('unit_ms', 0):.3f} -> "
-              f"{c[0].get('unit_ms', 0):.3f}, digest {'ok' if digests['parent'] == digests['change'] else 'MISMATCH'}",
+              f"{c[0].get('unit_ms', 0):.3f} over {p[3]} -> {c[3]} units, peak_heap_mib "
+              f"{p[0].get('peak_heap_mib', 0):.3f} -> {c[0].get('peak_heap_mib', 0):.3f}, "
+              f"digest {'ok' if digests['parent'] == digests['change'] else 'MISMATCH'}",
               flush=True)
 
 def quartiles(v):
@@ -152,6 +164,8 @@ for w in workloads:
         print(f"{w:<14} {name:<14} {f'{pm:.4g} ({p1:.4g}-{p3:.4g})':<28} {f'{cm:.4g} ({c1:.4g}-{c3:.4g})':<28} "
               f"{ratio:>6.3f} {f'{wins}/{len(pv)}':>6}  {verdict} ({bound})")
     print(f"{w:<14} {'failed units':<14} {failed['parent']:<28} {failed['change']:<28}")
+    pu, cu = (f"{statistics.median(r[3] for r in results[w][side]):g} (median)" for side in sides)
+    print(f"{w:<14} {'units run':<14} {pu:<28} {cu:<28}")
 
 if bad:
     print()

@@ -143,8 +143,8 @@ for args in "" "HEAD no_such_workload" "HEAD --pairs 0" "no-such-rev"; do
 done
 
 echo "==> scale smoke (10k-node HBC throughput under a wall-clock budget)"
-# The internal budget catches throughput regressions (0.66-0.76 s on a
-# shared 2-vCPU Xeon; 60 s is ~80x headroom for slow CI hardware); the
+# The internal budget catches throughput regressions (0.22-0.38 s on a
+# shared 2-vCPU Xeon; 60 s is ~150x headroom for slow CI hardware); the
 # outer timeout(1) additionally converts a hang into a hard failure.
 timeout --signal=KILL 120 \
     ./target/release/simulate scale --nodes 10000 --rounds 200 --budget-secs 60
