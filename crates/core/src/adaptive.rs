@@ -129,23 +129,19 @@ impl Adaptive {
         }
     }
 
-    /// Transfers shared state into `target` and charges the mode
-    /// announcement broadcast.
+    /// Transfers the current protocol's shared state into the other one,
+    /// `target`, and charges the mode announcement broadcast.
     fn switch_to(&mut self, net: &mut Network, target: Mode) {
         let n = net.len();
-        let (filter, counts, prev) = match self.mode {
+        match target {
             Mode::Iq => {
-                let (f, c, p) = self.iq.shared_state();
-                (f, c, p.to_vec())
+                let (filter, counts, prev) = self.hbc.shared_state();
+                self.iq.adopt(n, filter, counts, prev);
             }
             Mode::Hbc => {
-                let (f, c, p) = self.hbc.shared_state();
-                (f, c, p.to_vec())
+                let (filter, counts, prev) = self.iq.shared_state();
+                self.hbc.adopt(n, filter, counts, prev);
             }
-        };
-        match target {
-            Mode::Iq => self.iq.adopt(n, filter, counts, &prev),
-            Mode::Hbc => self.hbc.adopt(n, filter, counts, &prev),
         }
         // Mode announcement: one value-sized flag.
         net.broadcast(net.sizes().value_bits);

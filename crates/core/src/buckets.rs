@@ -62,6 +62,24 @@ impl BucketPartition {
     }
 }
 
+/// The bucket holding the `rank`-th smallest value (1-based) of a
+/// histogram with per-bucket `counts`, and how many values the buckets
+/// before it hold; `None` when the buckets hold fewer than `rank` values
+/// (message loss). Callers choose their own fallback for `None`.
+pub(crate) fn bucket_holding(
+    counts: impl IntoIterator<Item = u64>,
+    rank: u64,
+) -> Option<(usize, u64)> {
+    let mut before = 0u64;
+    for (i, c) in counts.into_iter().enumerate() {
+        if before + c >= rank {
+            return Some((i, before));
+        }
+        before += c;
+    }
+    None
+}
+
 /// `a · b / d`, rounded up when `ceil`, else down. Computed in `u64` when
 /// the product fits — the common case, which spares every responding node
 /// a software `u128` division — and in `u128` otherwise; both give the same

@@ -11,7 +11,7 @@
 
 use wsn_net::{Network, WaveStore};
 
-use crate::buckets::BucketPartition;
+use crate::buckets::{bucket_holding, BucketPartition};
 use crate::payloads::Histogram;
 use crate::rank::Counts;
 use crate::retrieval::{direct_retrieval, RankAnchor, RetrievalStore};
@@ -137,17 +137,9 @@ pub fn descend(
         }
         if lo == hi {
             if let Some(e) = inside {
-                let below = match anchor {
-                    RankAnchor::BelowLo(b) => b,
-                    RankAnchor::AtMostHi(t) => t.saturating_sub(e),
-                };
                 return Some(DescentOutcome {
                     quantile: lo,
-                    counts: Counts {
-                        l: below,
-                        e,
-                        g: cfg.n_total.saturating_sub(below + e),
-                    },
+                    counts: Counts::new(anchor.below(e), e, cfg.n_total),
                     last_request,
                     last_request_counts,
                 });
@@ -180,35 +172,17 @@ pub fn descend(
         let part = BucketPartition::new(lo, hi, cfg.b);
         let hist = histogram_request(net, store, values, part, &mut on_receive);
         let total = hist.total();
-        let mut below = match anchor {
-            RankAnchor::BelowLo(b) => b,
-            RankAnchor::AtMostHi(t) => t.saturating_sub(total),
-        };
+        let below = anchor.below(total);
         last_request = Some((part.lo, part.hi));
-        last_request_counts = Some(Counts {
-            l: below,
-            e: total,
-            g: cfg.n_total.saturating_sub(below + total),
-        });
+        last_request_counts = Some(Counts::new(below, total, cfg.n_total));
         let rank_in = cfg.k.saturating_sub(below);
         if rank_in == 0 || rank_in > total {
             return None;
         }
-        let mut cum = 0u64;
-        let mut chosen = part.buckets - 1;
-        for i in 0..part.buckets {
-            let c = hist.counts()[i];
-            if cum + c >= rank_in {
-                chosen = i;
-                break;
-            }
-            cum += c;
-        }
-        below += cum;
-        let (s, e) = part.bounds(chosen);
-        lo = s;
-        hi = e;
-        anchor = RankAnchor::BelowLo(below);
+        let found = bucket_holding(hist.counts().iter().copied(), rank_in);
+        let (chosen, before) = found.unwrap_or((part.buckets - 1, total));
+        (lo, hi) = part.bounds(chosen);
+        anchor = RankAnchor::BelowLo(below + before);
         inside = Some(hist.counts()[chosen]);
     }
 }

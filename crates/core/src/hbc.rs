@@ -16,6 +16,7 @@ use wsn_net::{Network, WaveStore};
 
 use crate::cost_model;
 use crate::descent::{descend, DescentConfig, DescentStore};
+use crate::filter::Sensors;
 use crate::init::{run_init, InitStrategy};
 use crate::protocol::{ContinuousQuantile, QueryConfig};
 use crate::rank::{Counts, Direction};
@@ -65,10 +66,9 @@ pub struct Hbc {
     /// Root's current `eq` interval (a single value in the basic variant).
     root_lb: Value,
     root_ub: Value,
-    /// Per-node `eq` interval bounds.
-    node_lb: Vec<Value>,
-    node_ub: Vec<Value>,
-    prev: Vec<Value>,
+    /// Each node's `eq` interval bounds and each sensor's previous
+    /// measurement.
+    sensors: Sensors<(Value, Value)>,
     /// Validation and refinement wave storage, reused every round.
     validations: WaveStore<ValidationPayload>,
     descent: DescentStore,
@@ -90,9 +90,7 @@ impl Hbc {
             counts: Counts::default(),
             root_lb: 0,
             root_ub: 0,
-            node_lb: Vec::new(),
-            node_ub: Vec::new(),
-            prev: Vec::new(),
+            sensors: Sensors::default(),
             validations: WaveStore::new(),
             descent: DescentStore::default(),
             initialized: false,
@@ -118,7 +116,7 @@ impl Hbc {
     /// used by [`crate::adaptive::Adaptive`] to switch algorithms without
     /// reinitializing the network (§4.2).
     pub(crate) fn shared_state(&self) -> (Value, Counts, &[Value]) {
-        (self.root_lb, self.counts, &self.prev)
+        (self.root_lb, self.counts, self.sensors.prev())
     }
 
     /// Adopts shared state exported by a sibling protocol. `n` is the node
@@ -126,10 +124,8 @@ impl Hbc {
     pub(crate) fn adopt(&mut self, n: usize, filter: Value, counts: Counts, prev: &[Value]) {
         self.root_lb = filter;
         self.root_ub = filter;
-        self.node_lb = vec![filter; n];
-        self.node_ub = vec![filter; n];
+        self.sensors.start(n, prev, (filter, filter));
         self.counts = counts;
-        self.prev = prev.to_vec();
         self.initialized = true;
     }
 
@@ -139,14 +135,10 @@ impl Hbc {
         self.counts = out.counts;
         self.root_lb = q;
         self.root_ub = q;
-        self.node_lb = vec![q; net.len()];
-        self.node_ub = vec![q; net.len()];
-        self.prev = values.to_vec();
+        self.sensors.start(net.len(), values, (q, q));
         self.descent.fill(net.tree(), self.b);
-        for i in net.broadcast(net.sizes().value_bits).iter_ones() {
-            self.node_lb[i] = q;
-            self.node_ub[i] = q;
-        }
+        let bits = net.sizes().value_bits;
+        self.sensors.broadcast(net, bits, (q, q));
         self.initialized = true;
         net.end_round();
         q
@@ -173,8 +165,7 @@ impl Hbc {
             max_refinements: MAX_REFINEMENTS,
         };
         let variant = self.variant();
-        let node_lb = &mut self.node_lb;
-        let node_ub = &mut self.node_ub;
+        let sensors = &mut self.sensors;
         let outcome = descend(
             net,
             &mut self.descent,
@@ -189,8 +180,7 @@ impl Hbc {
                 if variant {
                     // §4.1.2: refinement bounds take over the node's
                     // partition of the value space.
-                    node_lb[idx] = req_lo;
-                    node_ub[idx] = req_hi;
+                    sensors.set(idx, (req_lo, req_hi));
                 }
             },
         );
@@ -223,10 +213,8 @@ impl Hbc {
         self.root_lb = q;
         self.root_ub = q;
         if changed {
-            for i in net.broadcast(net.sizes().value_bits).iter_ones() {
-                self.node_lb[i] = q;
-                self.node_ub[i] = q;
-            }
+            let bits = net.sizes().value_bits;
+            self.sensors.broadcast(net, bits, (q, q));
         }
     }
 }
@@ -252,18 +240,12 @@ impl ContinuousQuantile for Hbc {
         // the wave for missing subtrees when wave recovery is enabled. The
         // contribution is rewritten from the same inputs on a re-issue
         // (`prev` only rolls forward afterwards).
-        let (prev, node_lb, node_ub) = (&self.prev, &self.node_lb, &self.node_ub);
+        let sensors = &self.sensors;
         let changed = |id: wsn_net::NodeId, slot: &mut Option<ValidationPayload>| {
             let idx = id.index();
-            write_node_validation_interval(
-                slot,
-                prev[idx - 1],
-                values[idx - 1],
-                node_lb[idx],
-                node_ub[idx],
-                HintStyle::MaxDiff,
-                None,
-            )
+            let (old, (lb, ub)) = sensors.node(idx);
+            let cur = values[idx - 1];
+            write_node_validation_interval(slot, old, cur, lb, ub, HintStyle::MaxDiff, None)
         };
         let validation = recovery::collect_with_recovery(net, &mut self.validations, changed);
         // The counters and the hint bounds are all the rest of the round
@@ -277,17 +259,10 @@ impl ContinuousQuantile for Hbc {
             ),
             None => (None, root_lb, root_ub),
         };
-        self.prev.copy_from_slice(values);
+        self.sensors.roll(values);
 
         if let Some(c) = moved {
-            let n_total = self.counts.n();
-            let l = (self.counts.l + c.into_lt).saturating_sub(c.outof_lt);
-            let g = (self.counts.g + c.into_gt).saturating_sub(c.outof_gt);
-            self.counts = Counts {
-                l,
-                g,
-                e: n_total.saturating_sub(l + g),
-            };
+            self.counts = self.counts.moved(&c);
         }
 
         let k = self.query.k;

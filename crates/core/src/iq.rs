@@ -24,6 +24,7 @@ use std::collections::VecDeque;
 
 use wsn_net::{Network, NodeId, PayloadSize, WaveStore};
 
+use crate::filter::Sensors;
 use crate::init::{initial_xi_mean_gap, initial_xi_median_gap, run_init, InitStrategy};
 use crate::payloads::ValueList;
 use crate::protocol::{ContinuousQuantile, QueryConfig};
@@ -82,16 +83,14 @@ pub struct Iq {
     root_filter: Value,
     root_history: VecDeque<Value>,
     root_xi: (Value, Value),
-    node_filter: Vec<Value>,
+    /// Each node's filter and each sensor's previous measurement.
+    sensors: Sensors<Value>,
+    /// Each node's Ξ offsets and quantile history.
     node_xi: Vec<(Value, Value)>,
     node_history: Vec<VecDeque<Value>>,
-    prev: Vec<Value>,
     initialized: bool,
     last_refinements: u32,
     last_a_size: usize,
-    /// Reusable reception-flag buffer for broadcasts (scratch only, never
-    /// observable state).
-    recv: wsn_net::NodeBits,
     /// Validation and refinement wave storage, reused every round.
     validations: WaveStore<ValidationPayload>,
     lists: WaveStore<ValueList>,
@@ -108,14 +107,12 @@ impl Iq {
             root_filter: 0,
             root_history: VecDeque::new(),
             root_xi: (0, 0),
-            node_filter: Vec::new(),
+            sensors: Sensors::default(),
             node_xi: Vec::new(),
             node_history: Vec::new(),
-            prev: Vec::new(),
             initialized: false,
             last_refinements: 0,
             last_a_size: 0,
-            recv: wsn_net::NodeBits::new(),
             validations: WaveStore::new(),
             lists: WaveStore::new(),
         }
@@ -139,7 +136,7 @@ impl Iq {
     /// The state shared by all POS-family protocols (see
     /// [`crate::adaptive::Adaptive`]).
     pub(crate) fn shared_state(&self) -> (Value, Counts, &[Value]) {
-        (self.root_filter, self.counts, &self.prev)
+        (self.root_filter, self.counts, self.sensors.prev())
     }
 
     /// Adopts shared state exported by a sibling protocol. Ξ restarts
@@ -147,10 +144,9 @@ impl Iq {
     pub(crate) fn adopt(&mut self, n: usize, filter: Value, counts: Counts, prev: &[Value]) {
         self.root_filter = filter;
         self.counts = counts;
-        self.prev = prev.to_vec();
         self.root_xi = (0, 0);
         self.root_history = VecDeque::from(vec![filter]);
-        self.node_filter = vec![filter; n];
+        self.sensors.start(n, prev, filter);
         self.node_xi = vec![(0, 0); n];
         self.node_history = vec![VecDeque::from(vec![filter]); n];
         self.initialized = true;
@@ -183,11 +179,11 @@ impl Iq {
         self.root_history = VecDeque::with_capacity(self.config.m);
         self.root_history.push_back(q);
 
+        // Every node starts from the init filter and Ξ (see crate::filter).
         let n = net.len();
-        self.node_filter = vec![q; n];
+        self.sensors.start(n, values, q);
         self.node_xi = vec![(-xi, xi); n];
         self.node_history = vec![VecDeque::with_capacity(self.config.m); n];
-        self.prev = values.to_vec();
         let room = crate::retrieval::LIST_ROOM;
         self.validations.fill(net.tree(), || ValidationPayload {
             extra: ValueList::with_capacity(room),
@@ -198,13 +194,9 @@ impl Iq {
 
         // Filter broadcast carries the tuple (v_k, ξ) (§4.2.1).
         let bits = PayloadSize::new(net.sizes()).values(2).bits();
-        net.broadcast_into(bits, &mut self.recv);
-        for i in 0..n {
-            self.node_history[i].push_back(q);
-            if self.recv.get(i) {
-                self.node_filter[i] = q;
-                self.node_xi[i] = (-xi, xi);
-            }
+        self.sensors.broadcast(net, bits, q);
+        for history in &mut self.node_history {
+            history.push_back(q);
         }
         self.initialized = true;
         net.end_round();
@@ -218,7 +210,7 @@ impl Iq {
     fn refine<'s>(
         net: &mut Network,
         lists: &'s mut WaveStore<ValueList>,
-        recv: &mut wsn_net::NodeBits,
+        sensors: &mut Sensors<Value>,
         values: &[Value],
         lo: Value,
         hi: Value,
@@ -228,8 +220,7 @@ impl Iq {
         net.set_phase(wsn_net::Phase::Refinement);
         // Request: f plus the interval bounds.
         let bits = PayloadSize::new(net.sizes()).counters(1).values(2).bits();
-        net.broadcast_into(bits, recv);
-        let respond = values_inside(recv, values, lo, hi);
+        let respond = values_inside(sensors.request(net, bits), values, lo, hi);
         let f = f as usize;
         let prune = |_: NodeId, l: &mut ValueList| {
             if largest {
@@ -271,19 +262,14 @@ impl Iq {
         self.root_xi = Self::update_history(&mut self.root_history, self.config.m, q);
 
         if changed {
-            net.broadcast_into(net.sizes().value_bits, &mut self.recv);
+            let bits = net.sizes().value_bits;
+            self.sensors.broadcast(net, bits, q);
         } else {
-            self.recv.set_all(net.len());
+            self.sensors.install_everywhere(q);
         }
-        for i in 0..self.node_filter.len() {
-            let node_q = if self.recv.get(i) {
-                q
-            } else {
-                self.node_filter[i]
-            };
-            self.node_filter[i] = node_q;
-            self.node_xi[i] =
-                Self::update_history(&mut self.node_history[i], self.config.m, node_q);
+        let histories = self.node_xi.iter_mut().zip(&mut self.node_history);
+        for (i, (xi, history)) in histories.enumerate() {
+            *xi = Self::update_history(history, self.config.m, self.sensors.filter(i));
         }
     }
 }
@@ -305,26 +291,19 @@ impl ContinuousQuantile for Iq {
         // the wave for missing subtrees when wave recovery is enabled,
         // rewriting each contribution from the same inputs (`prev` only
         // rolls forward afterwards).
-        let (prev, node_filter, node_xi) = (&self.prev, &self.node_filter, &self.node_xi);
+        let (sensors, node_xi) = (&self.sensors, &self.node_xi);
         let changed = |id: NodeId, slot: &mut Option<ValidationPayload>| {
             let idx = id.index();
-            let (old, cur) = (prev[idx - 1], values[idx - 1]);
+            let (old, filter) = sensors.node(idx);
             let xi = Some(node_xi[idx]);
-            write_node_validation(slot, old, cur, node_filter[idx], HintStyle::MaxDiff, xi)
+            write_node_validation(slot, old, values[idx - 1], filter, HintStyle::MaxDiff, xi)
         };
         let validation = recovery::collect_with_recovery(net, &mut self.validations, changed);
-        self.prev.copy_from_slice(values);
+        self.sensors.roll(values);
 
         let (a_set, max_diff) = match validation {
             Some(v) => {
-                let n_total = self.counts.n();
-                let l = (self.counts.l + v.counters.into_lt).saturating_sub(v.counters.outof_lt);
-                let g = (self.counts.g + v.counters.into_gt).saturating_sub(v.counters.outof_gt);
-                self.counts = Counts {
-                    l,
-                    g,
-                    e: n_total.saturating_sub(l + g),
-                };
+                self.counts = self.counts.moved(&v.counters);
                 (&mut v.extra.vals[..], v.max_diff)
             }
             None => (&mut [][..], 0),
@@ -349,11 +328,7 @@ impl ContinuousQuantile for Iq {
                     let lt = a_set[..a as usize].partition_point(|&x| x < q) as u64;
                     let lnew = (l - a) + lt;
                     let enew = a_set.iter().filter(|&&x| x == q).count() as u64;
-                    self.counts = Counts {
-                        l: lnew,
-                        e: enew,
-                        g: n_total.saturating_sub(lnew + enew),
-                    };
+                    self.counts = Counts::new(lnew, enew, n_total);
                     q
                 } else {
                     // One refinement: the f₁ largest values below Ξ.
@@ -365,8 +340,8 @@ impl ContinuousQuantile for Iq {
                         self.query.range_min
                     };
                     self.last_refinements += 1;
-                    let (lists, recv) = (&mut self.lists, &mut self.recv);
-                    let r = Self::refine(net, lists, recv, values, lo, hi, f1, true);
+                    let (lists, sensors) = (&mut self.lists, &mut self.sensors);
+                    let r = Self::refine(net, lists, sensors, values, lo, hi, f1, true);
                     r.sort_unstable_by(|x, y| y.cmp(x)); // descending
                     if (r.len() as u64) < f1 {
                         q_old // inconsistency: only possible under loss
@@ -375,11 +350,7 @@ impl ContinuousQuantile for Iq {
                         let count_ge = r.iter().filter(|&&x| x >= q).count() as u64;
                         let lnew = (l - a).saturating_sub(count_ge);
                         let enew = r.iter().filter(|&&x| x == q).count() as u64;
-                        self.counts = Counts {
-                            l: lnew,
-                            e: enew,
-                            g: n_total.saturating_sub(lnew + enew),
-                        };
+                        self.counts = Counts::new(lnew, enew, n_total);
                         q
                     }
                 }
@@ -393,11 +364,7 @@ impl ContinuousQuantile for Iq {
                     let gt_before = a_set[skip..].partition_point(|&x| x < q) as u64;
                     let lnew = (l + e) + gt_before;
                     let enew = a_set.iter().filter(|&&x| x == q).count() as u64;
-                    self.counts = Counts {
-                        l: lnew,
-                        e: enew,
-                        g: n_total.saturating_sub(lnew + enew),
-                    };
+                    self.counts = Counts::new(lnew, enew, n_total);
                     q
                 } else {
                     // One refinement: the f₂ smallest values above Ξ.
@@ -409,8 +376,8 @@ impl ContinuousQuantile for Iq {
                         self.query.range_max
                     };
                     self.last_refinements += 1;
-                    let (lists, recv) = (&mut self.lists, &mut self.recv);
-                    let r = Self::refine(net, lists, recv, values, lo, hi, f2, false);
+                    let (lists, sensors) = (&mut self.lists, &mut self.sensors);
+                    let r = Self::refine(net, lists, sensors, values, lo, hi, f2, false);
                     r.sort_unstable();
                     if (r.len() as u64) < f2 {
                         q_old
@@ -419,11 +386,7 @@ impl ContinuousQuantile for Iq {
                         let lt = r.iter().filter(|&&x| x < q).count() as u64;
                         let lnew = (l + e + b) + lt;
                         let enew = r.iter().filter(|&&x| x == q).count() as u64;
-                        self.counts = Counts {
-                            l: lnew,
-                            e: enew,
-                            g: n_total.saturating_sub(lnew + enew),
-                        };
+                        self.counts = Counts::new(lnew, enew, n_total);
                         q
                     }
                 }

@@ -23,13 +23,15 @@
 
 use wsn_net::{Network, WaveStore};
 
-use crate::buckets::BucketPartition;
+use crate::buckets::{bucket_holding, BucketPartition};
 use crate::descent::{descend, histogram_request, DescentConfig, DescentStore};
+use crate::filter::Sensors;
 use crate::init::{run_init, InitStrategy};
 use crate::payloads::DeltaHistogram;
 use crate::protocol::{ContinuousQuantile, QueryConfig};
 use crate::rank::{side, Counts, Direction, Side};
 use crate::recovery;
+use crate::retrieval::RankAnchor;
 use crate::Value;
 
 /// Refinement strategy of LCLL (§5.1.6).
@@ -54,8 +56,8 @@ pub struct Lcll {
     direct_retrieval: bool,
     counts: Counts,
     root_filter: Value,
-    node_filter: Vec<Value>,
-    prev: Vec<Value>,
+    /// Each node's filter and each sensor's previous measurement.
+    sensors: Sensors<Value>,
     initialized: bool,
     last_refinements: u32,
     init: InitStrategy,
@@ -80,8 +82,7 @@ impl Lcll {
             direct_retrieval: true,
             counts: Counts::default(),
             root_filter: 0,
-            node_filter: Vec::new(),
-            prev: Vec::new(),
+            sensors: Sensors::default(),
             initialized: false,
             last_refinements: 0,
             init: InitStrategy::default(),
@@ -117,234 +118,114 @@ impl Lcll {
         let q = out.quantile;
         self.counts = out.counts;
         self.root_filter = q;
-        self.node_filter = vec![q; net.len()];
-        self.prev = values.to_vec();
+        self.sensors.start(net.len(), values, q);
         self.deltas.fill(net.tree(), || DeltaHistogram::zeros(3));
         self.descent.fill(net.tree(), self.b);
-        for i in net.broadcast(net.sizes().value_bits).iter_ones() {
-            self.node_filter[i] = q;
-        }
+        let bits = net.sizes().value_bits;
+        self.sensors.broadcast(net, bits, q);
         self.initialized = true;
         net.end_round();
         q
     }
 
-    /// Hierarchical refining: geometric zoom-out then `b`-ary descent.
-    fn refine_hierarchical(
-        &mut self,
-        net: &mut Network,
-        values: &[Value],
-        dir: Direction,
-    ) -> Value {
+    /// Refinement: probes windows stepping away from the old quantile until
+    /// one covers the k-th value, then pins it down inside that window.
+    /// LCLL-H zooms out through windows of width `b, b², b³, …` and
+    /// descends inside the covering one; LCLL-S slides a width-`b` window
+    /// of unit buckets, so the covering window names the value itself.
+    fn refine(&mut self, net: &mut Network, values: &[Value], dir: Direction) -> Value {
         net.set_phase(wsn_net::Phase::Refinement);
-        let k = self.query.k;
+        let (k, b) = (self.query.k, self.b);
+        let (range_min, range_max) = (self.query.range_min, self.query.range_max);
         let n_total = self.counts.n();
-        let capacity = net.sizes().values_per_message() as u64;
-        let cfg = DescentConfig {
-            b: self.b,
-            k,
-            n_total,
-            direct_capacity: self.direct_retrieval.then_some(capacity),
-            max_refinements: MAX_REFINEMENTS,
+        // `near` is the window's end next to the old quantile. Going down,
+        // `edge` counts the values up to it (k ≤ edge); going up, the values
+        // below it (edge < k).
+        let (mut edge, mut near) = match dir {
+            Direction::Down => (self.counts.l, self.root_filter - 1),
+            Direction::Up => (self.counts.l + self.counts.e, self.root_filter + 1),
         };
-
-        // Zoom out: probe adjacent windows of width b, b², b³, … away from
-        // the old quantile until the probed window covers the k-th value.
-        let mut width = self.b as u64;
-        match dir {
-            Direction::Down => {
-                let mut below = self.counts.l; // #< current window start
-                let mut hi = self.root_filter - 1;
-                loop {
-                    if hi < self.query.range_min || self.last_refinements >= MAX_REFINEMENTS {
-                        return self.root_filter;
-                    }
-                    let w = width.min(self.query.range_size()) as Value;
-                    let lo = (hi - w + 1).max(self.query.range_min);
-                    self.last_refinements += 1;
-                    let part = BucketPartition::new(lo, hi, self.b);
-                    let hist =
-                        histogram_request(net, &mut self.descent, values, part, |_, _, _| {});
-                    let c = hist.total();
-                    if k > below - c.min(below) {
-                        // Covered: descend inside the probed window using
-                        // the histogram we already have.
-                        let below_window = below - c.min(below);
-                        let rank_in = k - below_window;
-                        let mut cum = 0u64;
-                        let mut chosen = part.buckets - 1;
-                        for i in 0..part.buckets {
-                            if cum + hist.counts()[i] >= rank_in {
-                                chosen = i;
-                                break;
-                            }
-                            cum += hist.counts()[i];
-                        }
-                        let (s, e) = part.bounds(chosen);
-                        let anchor = crate::retrieval::RankAnchor::BelowLo(below_window + cum);
-                        let inside = Some(hist.counts()[chosen]);
-                        let outcome = descend(
-                            net,
-                            &mut self.descent,
-                            values,
-                            cfg,
-                            s,
-                            e,
-                            anchor,
-                            inside,
-                            &mut self.last_refinements,
-                            |_, _, _| {},
-                        );
-                        return match outcome {
-                            Some(o) => {
-                                self.counts = o.counts;
-                                o.quantile
-                            }
-                            None => self.root_filter,
-                        };
-                    }
-                    below -= c;
-                    hi = lo - 1;
-                    width = width.saturating_mul(self.b as u64);
-                }
+        let mut width = b as u64;
+        loop {
+            let exhausted = match dir {
+                Direction::Down => near < range_min,
+                Direction::Up => near > range_max,
+            };
+            if exhausted || self.last_refinements >= MAX_REFINEMENTS {
+                return self.root_filter;
             }
-            Direction::Up => {
-                let mut at_most = self.counts.l + self.counts.e; // #< window start
-                let mut lo = self.root_filter + 1;
-                loop {
-                    if lo > self.query.range_max || self.last_refinements >= MAX_REFINEMENTS {
-                        return self.root_filter;
-                    }
-                    let w = width.min(self.query.range_size()) as Value;
-                    let hi = (lo + w - 1).min(self.query.range_max);
-                    self.last_refinements += 1;
-                    let part = BucketPartition::new(lo, hi, self.b);
-                    let hist =
-                        histogram_request(net, &mut self.descent, values, part, |_, _, _| {});
-                    let c = hist.total();
-                    if k <= at_most + c {
-                        let rank_in = k - at_most;
-                        let mut cum = 0u64;
-                        let mut chosen = part.buckets - 1;
-                        for i in 0..part.buckets {
-                            if cum + hist.counts()[i] >= rank_in {
-                                chosen = i;
-                                break;
-                            }
-                            cum += hist.counts()[i];
-                        }
-                        let (s, e) = part.bounds(chosen);
-                        let anchor = crate::retrieval::RankAnchor::BelowLo(at_most + cum);
-                        let inside = Some(hist.counts()[chosen]);
-                        let outcome = descend(
-                            net,
-                            &mut self.descent,
-                            values,
-                            cfg,
-                            s,
-                            e,
-                            anchor,
-                            inside,
-                            &mut self.last_refinements,
-                            |_, _, _| {},
-                        );
-                        return match outcome {
-                            Some(o) => {
-                                self.counts = o.counts;
-                                o.quantile
-                            }
-                            None => self.root_filter,
-                        };
-                    }
-                    at_most += c;
-                    lo = hi + 1;
-                    width = width.saturating_mul(self.b as u64);
-                }
-            }
-        }
-    }
-
-    /// Slip refining: slide a width-`b` unit-bucket window stepwise.
-    fn refine_slip(&mut self, net: &mut Network, values: &[Value], dir: Direction) -> Value {
-        net.set_phase(wsn_net::Phase::Refinement);
-        let k = self.query.k;
-        let n_total = self.counts.n();
-        let step = self.b as Value;
-        match dir {
-            Direction::Down => {
-                let mut below = self.counts.l;
-                let mut hi = self.root_filter - 1;
-                loop {
-                    if hi < self.query.range_min || self.last_refinements >= MAX_REFINEMENTS {
-                        return self.root_filter;
-                    }
-                    let lo = (hi - step + 1).max(self.query.range_min);
-                    self.last_refinements += 1;
-                    // Unit buckets: one bucket per value in the window.
-                    let part = BucketPartition::new(lo, hi, (hi - lo + 1) as usize);
-                    let hist =
-                        histogram_request(net, &mut self.descent, values, part, |_, _, _| {});
-                    let c = hist.total();
-                    let below_window = below - c.min(below);
-                    if k > below_window {
-                        let rank_in = k - below_window;
-                        let mut cum = 0u64;
-                        for i in 0..part.buckets {
-                            if cum + hist.counts()[i] >= rank_in {
-                                let q = lo + i as Value;
-                                let l = below_window + cum;
-                                let e = hist.counts()[i];
-                                self.counts = Counts {
-                                    l,
-                                    e,
-                                    g: n_total.saturating_sub(l + e),
-                                };
-                                return q;
-                            }
-                            cum += hist.counts()[i];
-                        }
+            let w = match self.strategy {
+                RefiningStrategy::Hierarchical => width.min(self.query.range_size()) as Value,
+                RefiningStrategy::Slip => b as Value,
+            };
+            let (lo, hi) = match dir {
+                Direction::Down => ((near - w + 1).max(range_min), near),
+                Direction::Up => (near, (near + w - 1).min(range_max)),
+            };
+            self.last_refinements += 1;
+            let buckets = match self.strategy {
+                RefiningStrategy::Hierarchical => b,
+                // Unit buckets: one bucket per value in the window.
+                RefiningStrategy::Slip => (hi - lo + 1) as usize,
+            };
+            let part = BucketPartition::new(lo, hi, buckets);
+            let hist = histogram_request(net, &mut self.descent, values, part, |_, _, _| {});
+            // `below` counts the values under the window, so it covers the
+            // k-th value iff below < k ≤ below + c. The invariant on `edge`
+            // keeps one half true: k ≤ below + c going down, below < k up.
+            let c = hist.total();
+            let below = match dir {
+                Direction::Down => edge - c.min(edge),
+                Direction::Up => edge,
+            };
+            if below < k && k <= below + c {
+                let found = bucket_holding(hist.counts().iter().copied(), k - below);
+                if self.strategy == RefiningStrategy::Slip {
+                    let Some((i, before)) = found else {
                         return self.root_filter; // loss inconsistency
-                    }
-                    below = below_window;
-                    hi = lo - 1;
+                    };
+                    self.counts = Counts::new(below + before, hist.counts()[i], n_total);
+                    return lo + i as Value;
                 }
-            }
-            Direction::Up => {
-                let mut at_most = self.counts.l + self.counts.e;
-                let mut lo = self.root_filter + 1;
-                loop {
-                    if lo > self.query.range_max || self.last_refinements >= MAX_REFINEMENTS {
-                        return self.root_filter;
+                // Covered: descend inside the probed window using the
+                // histogram we already have.
+                let (i, before) = found.unwrap_or((part.buckets - 1, c));
+                let (s, e) = part.bounds(i);
+                let anchor = RankAnchor::BelowLo(below + before);
+                let inside = Some(hist.counts()[i]);
+                let capacity = net.sizes().values_per_message() as u64;
+                let cfg = DescentConfig {
+                    b,
+                    k,
+                    n_total,
+                    direct_capacity: self.direct_retrieval.then_some(capacity),
+                    max_refinements: MAX_REFINEMENTS,
+                };
+                let outcome = descend(
+                    net,
+                    &mut self.descent,
+                    values,
+                    cfg,
+                    s,
+                    e,
+                    anchor,
+                    inside,
+                    &mut self.last_refinements,
+                    |_, _, _| {},
+                );
+                return match outcome {
+                    Some(o) => {
+                        self.counts = o.counts;
+                        o.quantile
                     }
-                    let hi = (lo + step - 1).min(self.query.range_max);
-                    self.last_refinements += 1;
-                    let part = BucketPartition::new(lo, hi, (hi - lo + 1) as usize);
-                    let hist =
-                        histogram_request(net, &mut self.descent, values, part, |_, _, _| {});
-                    let c = hist.total();
-                    if k <= at_most + c {
-                        let rank_in = k - at_most;
-                        let mut cum = 0u64;
-                        for i in 0..part.buckets {
-                            if cum + hist.counts()[i] >= rank_in {
-                                let q = lo + i as Value;
-                                let l = at_most + cum;
-                                let e = hist.counts()[i];
-                                self.counts = Counts {
-                                    l,
-                                    e,
-                                    g: n_total.saturating_sub(l + e),
-                                };
-                                return q;
-                            }
-                            cum += hist.counts()[i];
-                        }
-                        return self.root_filter;
-                    }
-                    at_most += c;
-                    lo = hi + 1;
-                }
+                    None => self.root_filter,
+                };
             }
+            (edge, near) = match dir {
+                Direction::Down => (below, lo - 1),
+                Direction::Up => (edge + c, hi + 1),
+            };
+            width = width.saturating_mul(b as u64);
         }
     }
 }
@@ -369,11 +250,12 @@ impl ContinuousQuantile for Lcll {
         // the wave for missing subtrees when wave recovery is enabled. The
         // contribution is rewritten from the same inputs on a re-issue
         // (`prev` only rolls forward afterwards).
-        let (prev, node_filter) = (&self.prev, &self.node_filter);
+        let sensors = &self.sensors;
         let moved = |id: wsn_net::NodeId, slot: &mut Option<DeltaHistogram>| {
             let idx = id.index();
-            let old = side(prev[idx - 1], node_filter[idx]);
-            let new = side(values[idx - 1], node_filter[idx]);
+            let (prev, filter) = sensors.node(idx);
+            let old = side(prev, filter);
+            let new = side(values[idx - 1], filter);
             if old != new {
                 slot.get_or_insert_with(|| DeltaHistogram::zeros(3))
                     .set_movement(3, bucket_code(old), bucket_code(new));
@@ -381,19 +263,12 @@ impl ContinuousQuantile for Lcll {
             old != new
         };
         let validation = recovery::collect_with_recovery(net, &mut self.deltas, moved);
-        self.prev.copy_from_slice(values);
+        self.sensors.roll(values);
         if let Some(deltas) = validation {
-            let apply = |base: u64, d: i64| -> u64 {
-                if d >= 0 {
-                    base + d as u64
-                } else {
-                    base.saturating_sub((-d) as u64)
-                }
-            };
             self.counts = Counts {
-                l: apply(self.counts.l, deltas.deltas[0]),
-                e: apply(self.counts.e, deltas.deltas[1]),
-                g: apply(self.counts.g, deltas.deltas[2]),
+                l: apply_delta(self.counts.l, deltas.deltas[0]),
+                e: apply_delta(self.counts.e, deltas.deltas[1]),
+                g: apply_delta(self.counts.g, deltas.deltas[2]),
             };
         }
 
@@ -402,17 +277,13 @@ impl ContinuousQuantile for Lcll {
             self.root_filter
         } else {
             let dir = self.counts.quantile_moved(k).expect("invalid counts");
-            match self.strategy {
-                RefiningStrategy::Hierarchical => self.refine_hierarchical(net, values, dir),
-                RefiningStrategy::Slip => self.refine_slip(net, values, dir),
-            }
+            self.refine(net, values, dir)
         };
 
         if result != self.root_filter {
             self.root_filter = result;
-            for i in net.broadcast(net.sizes().value_bits).iter_ones() {
-                self.node_filter[i] = result;
-            }
+            let bits = net.sizes().value_bits;
+            self.sensors.broadcast(net, bits, result);
         }
         net.end_round();
         result
@@ -425,6 +296,16 @@ fn bucket_code(s: Side) -> usize {
         Side::Lt => 0,
         Side::Eq => 1,
         Side::Gt => 2,
+    }
+}
+
+/// A count after a validation's signed delta (LCLL-H/S and LCLL-R), never
+/// below zero.
+pub(crate) fn apply_delta(count: u64, delta: i64) -> u64 {
+    if delta >= 0 {
+        count + delta as u64
+    } else {
+        count.saturating_sub(delta.unsigned_abs())
     }
 }
 

@@ -5,6 +5,7 @@
 
 use wsn_net::{Aggregate, MessageSizes};
 
+use crate::rank::Side;
 use crate::Value;
 
 /// A plain multiset of measurements (TAG collections, direct value
@@ -120,6 +121,25 @@ pub struct MovementCounters {
 }
 
 impl MovementCounters {
+    /// The counters of one value that moved from side `from` of the filter
+    /// to side `to` (all zero when the sides agree).
+    pub(crate) fn between(from: Side, to: Side) -> Self {
+        let mut c = MovementCounters::default();
+        if from != to {
+            match from {
+                Side::Lt => c.outof_lt = 1,
+                Side::Gt => c.outof_gt = 1,
+                Side::Eq => {}
+            }
+            match to {
+                Side::Lt => c.into_lt = 1,
+                Side::Gt => c.into_gt = 1,
+                Side::Eq => {}
+            }
+        }
+        c
+    }
+
     /// Component-wise sum (TAG-style aggregation of counters).
     pub fn merge(&mut self, other: &MovementCounters) {
         self.outof_lt += other.outof_lt;

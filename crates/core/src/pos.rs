@@ -11,12 +11,13 @@
 
 use wsn_net::{Network, NodeId, WaveStore};
 
+use crate::filter::Sensors;
 use crate::init::{run_init, InitStrategy};
-use crate::payloads::{MovementCounters, ValueList};
+use crate::payloads::MovementCounters;
 use crate::protocol::{ContinuousQuantile, QueryConfig};
-use crate::rank::{kth_smallest_mut, side, Counts, Direction};
+use crate::rank::{side, Counts, Direction};
 use crate::recovery;
-use crate::retrieval::{delivered, values_inside};
+use crate::retrieval::{direct_retrieval, RankAnchor, RetrievalStore};
 use crate::validation::{write_node_validation, HintStyle, ValidationPayload};
 use crate::Value;
 
@@ -31,22 +32,18 @@ pub struct Pos {
     /// Root state: counts w.r.t. `root_filter`.
     counts: Counts,
     root_filter: Value,
-    /// Per-node filter / probe threshold (may diverge under message loss).
-    node_filter: Vec<Value>,
-    /// Per-node previous-round measurement.
-    prev: Vec<Value>,
+    /// Each node's filter / probe threshold (may diverge under message
+    /// loss) and each sensor's previous measurement.
+    sensors: Sensors<Value>,
     initialized: bool,
     /// Refinement iterations executed in the most recent round.
     last_refinements: u32,
     /// Direct value retrieval enabled (§3.2 improvement; on by default).
     direct_retrieval: bool,
     init: InitStrategy,
-    /// Reusable reception-flag buffer for the probe/broadcast loop (scratch
-    /// only, never observable state).
-    recv: wsn_net::NodeBits,
     /// Validation and retrieval wave storage, reused every round.
     validations: WaveStore<ValidationPayload>,
-    lists: WaveStore<ValueList>,
+    retrieval: RetrievalStore,
 }
 
 impl Pos {
@@ -56,15 +53,13 @@ impl Pos {
             query,
             counts: Counts::default(),
             root_filter: 0,
-            node_filter: Vec::new(),
-            prev: Vec::new(),
+            sensors: Sensors::default(),
             initialized: false,
             last_refinements: 0,
             direct_retrieval: true,
             init: InitStrategy::default(),
-            recv: wsn_net::NodeBits::new(),
             validations: WaveStore::new(),
-            lists: WaveStore::new(),
+            retrieval: RetrievalStore::default(),
         }
     }
 
@@ -91,15 +86,11 @@ impl Pos {
         let q = out.quantile;
         self.counts = out.counts;
         self.root_filter = q;
-        self.node_filter = vec![q; net.len()];
-        self.prev = values.to_vec();
-        let room = || ValueList::with_capacity(crate::retrieval::LIST_ROOM);
-        self.lists.fill(net.tree(), room);
+        self.sensors.start(net.len(), values, q);
+        self.retrieval.fill(net.tree());
         // Filter broadcast: one value.
-        net.broadcast_into(net.sizes().value_bits, &mut self.recv);
-        for i in self.recv.iter_ones() {
-            self.node_filter[i] = q;
-        }
+        let bits = net.sizes().value_bits;
+        self.sensors.broadcast(net, bits, q);
         self.initialized = true;
         net.end_round();
         q
@@ -109,47 +100,27 @@ impl Pos {
     /// nodes whose measurement switched interval, updating per-node
     /// thresholds and the root counts.
     fn probe(&mut self, net: &mut Network, values: &[Value], mid: Value) -> Counts {
-        net.broadcast_into(net.sizes().value_bits, &mut self.recv);
-        let (recv, node_filter) = (&self.recv, &mut self.node_filter);
+        let bits = net.sizes().value_bits;
+        self.sensors.request(net, bits);
+        let sensors = &mut self.sensors;
         let merged = net
             .convergecast(|id: NodeId| {
                 let idx = id.index();
-                if !recv.get(idx) {
-                    return None; // node missed the probe; it cannot react
-                }
-                let old_thr = std::mem::replace(&mut node_filter[idx], mid);
+                // A node that missed the probe cannot react.
+                let old_thr = sensors.swap_received(idx, mid)?;
                 let v = values[idx - 1];
-                let old_side = side(v, old_thr);
-                let new_side = side(v, mid);
-                if old_side == new_side {
-                    return None;
-                }
-                let mut c = MovementCounters::default();
-                match old_side {
-                    crate::rank::Side::Lt => c.outof_lt = 1,
-                    crate::rank::Side::Gt => c.outof_gt = 1,
-                    crate::rank::Side::Eq => {}
-                }
-                match new_side {
-                    crate::rank::Side::Lt => c.into_lt = 1,
-                    crate::rank::Side::Gt => c.into_gt = 1,
-                    crate::rank::Side::Eq => {}
-                }
-                Some(c)
+                let (old_side, new_side) = (side(v, old_thr), side(v, mid));
+                (old_side != new_side).then(|| MovementCounters::between(old_side, new_side))
             })
             .unwrap_or_default();
-        let n_total = self.counts.n();
-        let l = (self.counts.l + merged.into_lt).saturating_sub(merged.outof_lt);
-        let g = (self.counts.g + merged.into_gt).saturating_sub(merged.outof_gt);
-        let e = n_total.saturating_sub(l + g);
         self.root_filter = mid;
-        Counts { l, e, g }
+        self.counts.moved(&merged)
     }
 
     /// Requests all values in `[lo, hi]` directly, determines the quantile
     /// and re-establishes root/node state. `anchor` is what the root knows
     /// about ranks outside the interval.
-    fn direct_retrieval(
+    fn retrieve(
         &mut self,
         net: &mut Network,
         values: &[Value],
@@ -157,41 +128,20 @@ impl Pos {
         hi: Value,
         anchor: RankAnchor,
     ) -> Value {
-        // Request: the interval bounds.
-        net.broadcast_into(net.sizes().refinement_request_bits(), &mut self.recv);
-        let respond = values_inside(&self.recv, values, lo, hi);
-        let collected = delivered(net.convergecast_in(&mut self.lists, respond, |_, _| {}));
-
-        // #values < lo: either known directly, or derived from the exact
-        // count of values ≤ hi minus what the interval just returned.
-        let below = match anchor {
-            RankAnchor::BelowLo(b) => b,
-            RankAnchor::AtMostHi(t) => t.saturating_sub(collected.len() as u64),
+        let (k, n) = (self.query.k, self.counts.n());
+        let r = direct_retrieval(net, &mut self.retrieval, values, lo, hi, k, n, anchor);
+        // An empty collection is only possible under message loss; keep the
+        // previous filter, with the interval's values counted as absent.
+        let (q, counts) = match r.quantile {
+            Some(q) => (q, r.counts),
+            None => (self.root_filter, Counts::new(anchor.below(0), 0, n)),
         };
-        let rank_within = self.query.k.saturating_sub(below).max(1);
-        let q = if collected.is_empty() {
-            // Only possible under message loss; keep the previous filter.
-            self.root_filter
-        } else {
-            kth_smallest_mut(collected, rank_within.min(collected.len() as u64))
-        };
-
-        let in_lt = collected.iter().filter(|&&v| v < q).count() as u64;
-        let in_eq = collected.iter().filter(|&&v| v == q).count() as u64;
-        let l = below + in_lt;
-        let e = in_eq;
-        self.counts = Counts {
-            l,
-            e,
-            g: self.counts.n().saturating_sub(l + e),
-        };
+        self.counts = counts;
         self.root_filter = q;
         // Final filter broadcast (§3.2: "with this improvement a final
         // broadcast becomes necessary").
-        net.broadcast_into(net.sizes().value_bits, &mut self.recv);
-        for i in self.recv.iter_ones() {
-            self.node_filter[i] = q;
-        }
+        let bits = net.sizes().value_bits;
+        self.sensors.broadcast(net, bits, q);
         q
     }
 }
@@ -213,11 +163,11 @@ impl ContinuousQuantile for Pos {
         // rank forever; with wave recovery enabled the collection re-issues
         // the wave for missing subtrees, rewriting each contribution from
         // the same inputs (`prev` only rolls forward afterwards).
-        let (prev, node_filter) = (&self.prev, &self.node_filter);
+        let sensors = &self.sensors;
         let changed = |id: NodeId, slot: &mut Option<ValidationPayload>| {
             let idx = id.index();
-            let (old, cur) = (prev[idx - 1], values[idx - 1]);
-            write_node_validation(slot, old, cur, node_filter[idx], HintStyle::MinMax, None)
+            let (old, filter) = sensors.node(idx);
+            write_node_validation(slot, old, values[idx - 1], filter, HintStyle::MinMax, None)
         };
         let validation = recovery::collect_with_recovery(net, &mut self.validations, changed);
         // The counters and the hint bounds are all the rest of the round
@@ -231,17 +181,10 @@ impl ContinuousQuantile for Pos {
             ),
             None => (None, filter, filter),
         };
-        self.prev.copy_from_slice(values);
+        self.sensors.roll(values);
 
         if let Some(c) = moved {
-            let n_total = self.counts.n();
-            let l = (self.counts.l + c.into_lt).saturating_sub(c.outof_lt);
-            let g = (self.counts.g + c.into_gt).saturating_sub(c.outof_gt);
-            self.counts = Counts {
-                l,
-                g,
-                e: n_total.saturating_sub(l + g),
-            };
+            self.counts = self.counts.moved(&c);
         }
 
         if self.counts.is_valid_quantile(self.query.k) {
@@ -290,7 +233,7 @@ impl ContinuousQuantile for Pos {
                     (None, Some(a)) => RankAnchor::AtMostHi(self.counts.n() - a),
                     (None, None) => unreachable!("one side is always known"),
                 };
-                break self.direct_retrieval(net, values, lo, hi, anchor);
+                break self.retrieve(net, values, lo, hi, anchor);
             }
 
             if self.last_refinements >= MAX_REFINEMENTS {
@@ -317,15 +260,6 @@ impl ContinuousQuantile for Pos {
         net.end_round();
         result
     }
-}
-
-/// What the root knows about ranks outside a retrieval interval `[lo, hi]`:
-/// either the exact count of values `< lo`, or the exact count of values
-/// `≤ hi` (from which `< lo` follows once the interval's content arrives).
-#[derive(Debug, Clone, Copy)]
-enum RankAnchor {
-    BelowLo(u64),
-    AtMostHi(u64),
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Rank/order-statistic helpers shared by all protocols, plus the oracle
 //! used to verify exactness.
 
+use crate::payloads::MovementCounters;
 use crate::Value;
 
 /// Which side of a threshold a value falls on. The three intervals
@@ -156,6 +157,30 @@ pub struct Counts {
 }
 
 impl Counts {
+    /// The counts of `n` values of which `l` lie below the threshold and `e`
+    /// at it; the rest lie above (none when `l + e` exceeds `n`, which only
+    /// message loss can cause).
+    pub(crate) fn new(l: u64, e: u64, n: u64) -> Self {
+        Counts {
+            l,
+            e,
+            g: n.saturating_sub(l + e),
+        }
+    }
+
+    /// The counts after the movements a validation or probe wave reported:
+    /// `l` and `g` gain their entries and lose their exits (never below
+    /// zero), and `e` is what the unchanged total leaves.
+    pub(crate) fn moved(&self, c: &MovementCounters) -> Self {
+        let l = (self.l + c.into_lt).saturating_sub(c.outof_lt);
+        let g = (self.g + c.into_gt).saturating_sub(c.outof_gt);
+        Counts {
+            l,
+            e: self.n().saturating_sub(l + g),
+            g,
+        }
+    }
+
     /// Computes the counts of `values` against `q` directly (used during
     /// initialization, when all measurements are at the root anyway).
     pub fn of(values: &[Value], q: Value) -> Self {

@@ -69,6 +69,17 @@ pub enum RankAnchor {
     AtMostHi(u64),
 }
 
+impl RankAnchor {
+    /// The exact count of values `< lo`, given that `inside` values lie in
+    /// `[lo, hi]`.
+    pub(crate) fn below(self, inside: u64) -> u64 {
+        match self {
+            RankAnchor::BelowLo(b) => b,
+            RankAnchor::AtMostHi(t) => t.saturating_sub(inside),
+        }
+    }
+}
+
 /// Result of a direct retrieval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Retrieved {
@@ -103,23 +114,15 @@ pub fn direct_retrieval(
         };
     }
 
-    let below = match anchor {
-        RankAnchor::BelowLo(b) => b,
-        RankAnchor::AtMostHi(t) => t.saturating_sub(collected.len() as u64),
-    };
+    let below = anchor.below(collected.len() as u64);
     let rank_within = k.saturating_sub(below).max(1).min(collected.len() as u64);
     let q = kth_smallest_mut(collected, rank_within);
 
     let in_lt = collected.iter().filter(|&&v| v < q).count() as u64;
     let in_eq = collected.iter().filter(|&&v| v == q).count() as u64;
-    let l = below + in_lt;
     Retrieved {
         quantile: Some(q),
-        counts: Counts {
-            l,
-            e: in_eq,
-            g: n_total.saturating_sub(l + in_eq),
-        },
+        counts: Counts::new(below + in_lt, in_eq, n_total),
     }
 }
 

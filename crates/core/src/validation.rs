@@ -10,7 +10,7 @@
 use wsn_net::{Aggregate, MessageSizes};
 
 use crate::payloads::{MovementCounters, ValueList};
-use crate::rank::{side_interval, Side};
+use crate::rank::side_interval;
 use crate::Value;
 
 /// How hints are encoded in validation packets (§5.1.6).
@@ -194,16 +194,7 @@ pub(crate) fn write_node_validation_interval(
         ..ValidationPayload::empty(style)
     };
     if changed {
-        match old_side {
-            Side::Lt => p.counters.outof_lt = 1,
-            Side::Gt => p.counters.outof_gt = 1,
-            Side::Eq => {}
-        }
-        match new_side {
-            Side::Lt => p.counters.into_lt = 1,
-            Side::Gt => p.counters.into_gt = 1,
-            Side::Eq => {}
-        }
+        p.counters = MovementCounters::between(old_side, new_side);
         p.hint_min = cur;
         p.hint_max = cur;
         // Distance to the nearest interval bound (0 only for moves onto
