@@ -226,9 +226,9 @@ impl TrafficStats {
 }
 
 /// The [`WaveStore`]s behind the by-value entry points
-/// ([`Network::convergecast`], [`Network::convergecast_with`],
-/// [`Network::convergecast_slots`]), one per payload type, so those stay
-/// allocation-free in steady state for payloads without heap storage.
+/// ([`Network::convergecast`], [`Network::convergecast_with`]), one per
+/// payload type, so those stay allocation-free in steady state for
+/// payloads without heap storage.
 /// Payload types are open-ended, so the stores are kept type-erased.
 ///
 /// Scratch holds no observable state — clearing (or cloning to empty) never
@@ -1483,20 +1483,6 @@ impl Network {
         let result = store.take_result();
         self.scratch.put(store);
         result
-    }
-
-    /// Runs a convergecast whose contributions are already materialised in
-    /// a per-node slot array: `contributions[i]` is node `i`'s payload,
-    /// taken by the engine (slots of nodes outside the routing tree are
-    /// left in place). Exactly [`Network::convergecast_with`] with a
-    /// take-from-slot closure.
-    pub fn convergecast_slots<T: Aggregate + Send + 'static>(
-        &mut self,
-        contributions: &mut [Option<T>],
-        prune: impl FnMut(NodeId, &mut T),
-    ) -> Option<T> {
-        assert_eq!(contributions.len(), self.len(), "one slot per node");
-        self.convergecast_with(|u| contributions[u.index()].take(), prune)
     }
 
     /// Runs a convergecast over `store`'s payload storage and returns the

@@ -1,8 +1,9 @@
 //! Steady-state waves must not touch the heap.
 //!
-//! The engine's scratch pool, the reusable [`NodeBits`] reception masks,
-//! and the slot-based convergecast API exist so that a long-running
-//! continuous query performs zero allocations per round once warmed up.
+//! The engine's scratch pool behind the by-value convergecast entry points
+//! and the reusable [`NodeBits`] reception masks exist so that a
+//! long-running continuous query performs zero allocations per round once
+//! warmed up.
 //! This test pins that property with a counting global allocator: warm the
 //! network up, then assert that further broadcast/convergecast rounds
 //! allocate nothing.
@@ -81,7 +82,7 @@ fn round(net: &mut Network, slots: &mut [Option<Count>], mask: &mut NodeBits) {
     for s in slots.iter_mut().skip(1) {
         *s = Some(Count(1));
     }
-    let total = net.convergecast_slots(slots, |_, _| {});
+    let total = net.convergecast_with(|u| slots[u.index()].take(), |_, _| {});
     assert_eq!(total, Some(Count((net.len() - 1) as u64)));
     net.broadcast_into(64, mask);
     assert!(mask.all());

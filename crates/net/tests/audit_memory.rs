@@ -92,7 +92,7 @@ fn round(net: &mut Network, slots: &mut [Option<Count>], mask: &mut NodeBits) {
     for s in slots.iter_mut().skip(1) {
         *s = Some(Count(1));
     }
-    net.convergecast_slots(slots, |_, _| {});
+    net.convergecast_with(|u| slots[u.index()].take(), |_, _| {});
     net.broadcast_into(64, mask);
     net.broadcast(64);
     net.end_round();
