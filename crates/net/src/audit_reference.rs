@@ -10,16 +10,22 @@
 //! discrepancies in the same order, the same lane books and the same
 //! digest hashes, over random call sequences that include every kind and
 //! phase, out-of-range nodes, over-wide fields, mispriced, `-0.0` and NaN
-//! joules, disagreeing ledgers and mid-run enabling.
+//! joules, disagreeing ledgers and mid-run enabling. The sequences include
+//! lossless broadcast waves over random routing trees, which the earlier
+//! log records event by event in the per-child loop's order and the
+//! running log as one wave record, or event by event where one record
+//! cannot reproduce the wave; the trees change between waves.
 
 use crate::audit::{
     self as running, AuditReport, Discrepancy, LaneBook, Phase, PhaseBreakdown, Tariff, TxEvent,
     TxKind,
 };
 use crate::energy::{EnergyLedger, RadioModel};
+use crate::geometry::Point;
 use crate::message::MessageSizes;
 use crate::splitmix::SplitMix64;
-use crate::topology::NodeId;
+use crate::topology::{NodeId, Topology};
+use crate::tree::RoutingTree;
 use wsn_obs::PacketRecord;
 
 /// Rebuilds the per-lane [`PhaseBreakdown`]s from an enabled run's audit
@@ -339,8 +345,9 @@ fn below(rng: &mut SplitMix64, n: u64) -> u64 {
     rng.next_u64() % n
 }
 
-/// Both logs, driven by one random call sequence, and the ledger the
-/// sequence charges as an honest network would.
+/// Both logs, driven by one random call sequence, the ledger the sequence
+/// charges as an honest network would, and the routing tree its waves
+/// cross (none for a lone sink, which has no topology).
 struct Pair {
     n: usize,
     model: RadioModel,
@@ -349,10 +356,24 @@ struct Pair {
     ledger: EnergyLedger,
     old: AuditLog,
     new: running::AuditLog,
+    tree: Option<RoutingTree>,
+}
+
+/// A routing tree over `n` nodes placed at random in a 30 m square with a
+/// 12 m radio range, some sensors dead: chains, stars, forks and the sink
+/// alone. `None` for fewer than two nodes.
+fn random_tree(rng: &mut SplitMix64, n: usize) -> Option<RoutingTree> {
+    if n < 2 {
+        return None;
+    }
+    let mut at = |_| Point::new(rng.next_f64() * 30.0, rng.next_f64() * 30.0);
+    let positions: Vec<Point> = (0..n).map(&mut at).collect();
+    let alive: Vec<bool> = (0..n).map(|i| i == 0 || below(rng, 5) != 0).collect();
+    Some(RoutingTree::spanning_alive(&Topology::build(positions, 12.0), &alive).0)
 }
 
 impl Pair {
-    fn new(n: usize, range: f64) -> Pair {
+    fn new(n: usize, range: f64, rng: &mut SplitMix64) -> Pair {
         Pair {
             n,
             model: RadioModel::default(),
@@ -361,7 +382,67 @@ impl Pair {
             ledger: EnergyLedger::new(n),
             old: AuditLog::default(),
             new: running::AuditLog::default(),
+            tree: random_tree(rng, n),
         }
+    }
+
+    /// Replaces the routing tree.
+    fn new_tree(&mut self, rng: &mut SplitMix64) {
+        self.tree = random_tree(rng, self.n);
+        self.new.tree_changed();
+    }
+
+    /// One lossless broadcast wave over the tree, charged to the ledger at
+    /// its true prices, reception before transmission at every node, and
+    /// recorded in both logs at those prices when `honest`, else at
+    /// sometimes-wrong ones and with fields sometimes too wide: event by
+    /// event in the per-child loop's order in the earlier log, as one wave
+    /// in the running one.
+    fn wave(&mut self, rng: &mut SplitMix64, honest: bool) {
+        let phase = Phase::ALL[below(rng, Phase::COUNT as u64) as usize];
+        let fragments = match below(rng, 8) {
+            0 if !honest => u16::MAX as u64 + below(rng, 3),
+            1 => 0,
+            _ => 1 + below(rng, 4),
+        };
+        let bits = match below(rng, 10) {
+            0 if !honest => u32::MAX as u64 + below(rng, 3),
+            1 => 0,
+            _ => below(rng, 4000),
+        };
+        let (tx, rx) = (
+            self.model.tx_energy(bits, self.range),
+            self.model.rx_energy(bits),
+        );
+        let wrong = if honest { 16 } else { below(rng, 16) };
+        let (joules_tx, joules_rx) = match wrong {
+            0 => (tx * 2.0, rx),
+            1 => (tx, rx + 1e-12),
+            2 => (-tx, rx),
+            3 => (tx, -rx),
+            4 => (f64::NAN, rx),
+            5 => (tx, f64::NAN),
+            _ => (tx, rx),
+        };
+        let Some(tree) = &self.tree else {
+            return;
+        };
+        for &u in tree.bottom_up().iter().rev() {
+            if tree.is_leaf(u) {
+                continue;
+            }
+            self.ledger.charge_tx(u, tx);
+            let (f, b) = (fragments, bits);
+            let tx_kind = TxKind::BroadcastTx;
+            self.old.record(phase, tx_kind, u, u, f, b, joules_tx, 0.0);
+            for &c in tree.children(u) {
+                self.ledger.charge(c, rx);
+                let rx_kind = TxKind::BroadcastRx;
+                self.old.record(phase, rx_kind, u, c, f, b, 0.0, joules_rx);
+            }
+        }
+        self.new
+            .record_wave(tree, phase, fragments, bits, joules_tx, joules_rx);
     }
 
     fn enable(&mut self, on: bool) {
@@ -657,7 +738,7 @@ fn the_running_audit_matches_the_replay_on_random_call_sequences() {
     for case in 0..400 {
         let n = 1 + below(&mut rng, 6) as usize;
         let range = [12.0, 20.0, 37.5][below(&mut rng, 3) as usize];
-        let mut pair = Pair::new(n, range);
+        let mut pair = Pair::new(n, range, &mut rng);
         // Most sequences enable before any traffic; the rest enable (or
         // re-enable) mid-run, after rounds the logs did not see.
         let enable_at = if below(&mut rng, 3) == 0 {
@@ -670,8 +751,10 @@ fn the_running_audit_matches_the_replay_on_random_call_sequences() {
             if step == enable_at || below(&mut rng, 200) == 0 {
                 pair.enable(true);
             }
-            match below(&mut rng, 20) {
+            match below(&mut rng, 24) {
                 0..=1 => pair.end_round(&mut rng),
+                20..=22 => pair.wave(&mut rng, false),
+                23 => pair.new_tree(&mut rng),
                 2 => {
                     let lane = match below(&mut rng, 4) {
                         0 => 250 + below(&mut rng, 20) as u32,
@@ -691,9 +774,15 @@ fn the_running_audit_matches_the_replay_on_random_call_sequences() {
 #[test]
 fn a_clean_run_escapes_nothing() {
     let mut rng = SplitMix64::new(7);
-    let mut pair = Pair::new(5, 20.0);
+    let mut pair = Pair::new(5, 20.0, &mut rng);
     pair.enable(true);
     for _ in 0..50 {
+        if below(&mut rng, 4) == 0 {
+            pair.new_tree(&mut rng);
+        }
+        for _ in 0..3 {
+            pair.wave(&mut rng, true);
+        }
         for _ in 0..20 {
             // Honest, in-range transmissions only.
             let kind = TxKind::ALL[below(&mut rng, 5) as usize];
@@ -733,4 +822,10 @@ fn a_clean_run_escapes_nothing() {
     pair.check("clean run");
     assert!(running::EnergyAuditor::verify_parts(&pair.new, &pair.ledger).is_clean());
     assert_eq!(pair.new.escaped(), 0, "a clean run keeps only records");
+    assert!(
+        pair.new.records() + 100 <= pair.new.len(),
+        "one record per wave: {} records for {} events",
+        pair.new.records(),
+        pair.new.len()
+    );
 }

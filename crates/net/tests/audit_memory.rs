@@ -8,6 +8,11 @@
 //!   protocol-shaped rounds, one audited and one not, and the audited one
 //!   may hold at most 40 extra bytes per event (a doubling `Vec` of
 //!   16-byte records stays below 32).
+//! * **The audit of broadcast waves.** A lossless broadcast wave is one
+//!   16-byte record however many transmissions and receptions it holds:
+//!   over 40 held rounds of one convergecast and eight broadcasts in
+//!   shared frames, the audited grid may hold at most 6 extra bytes per
+//!   event, where one record per event would hold 16 or more.
 //! * **The topology.** A `Topology` holds `O(n)` bytes at any density: the
 //!   32×32 grid at ρ = 40 (69.5 neighbours per node on average) may hold at
 //!   most 1.1× the bytes it holds at ρ = 12 (7.6).
@@ -98,16 +103,38 @@ fn round(net: &mut Network, slots: &mut [Option<Count>], mask: &mut NodeBits) {
     net.end_round();
 }
 
-/// Builds a 32×32 grid network, runs 40 rounds and returns it with the
-/// live bytes the whole run left behind.
-fn run(audit: bool) -> (Network, i64) {
+/// A broadcast-heavy service round: one convergecast and eight
+/// broadcasts of four sizes, all in one held round, closed by
+/// `finish_round`.
+fn held_round(net: &mut Network, slots: &mut [Option<Count>], mask: &mut NodeBits) {
+    for s in slots.iter_mut().skip(1) {
+        *s = Some(Count(1));
+    }
+    net.convergecast_with(|u| slots[u.index()].take(), |_, _| {});
+    for b in 0..8 {
+        net.broadcast_into(32 + 48 * (b % 4), mask);
+        net.end_round();
+    }
+    net.finish_round();
+}
+
+/// Builds a 32×32 grid network, runs 40 rounds (`held`: broadcast-heavy
+/// held rounds in shared frames) and returns it with the live bytes the
+/// whole run left behind.
+fn run(audit: bool, held: bool) -> (Network, i64) {
     let before = live_bytes();
     let mut net = grid_network(32);
     net.set_audit(audit);
+    net.set_shared_frames(held);
+    net.set_round_hold(held);
     let mut slots: Vec<Option<Count>> = vec![None; net.len()];
     let mut mask = NodeBits::new();
     for _ in 0..40 {
-        round(&mut net, &mut slots, &mut mask);
+        if held {
+            held_round(&mut net, &mut slots, &mut mask);
+        } else {
+            round(&mut net, &mut slots, &mut mask);
+        }
     }
     drop((slots, mask));
     let bytes = live_bytes() - before;
@@ -116,8 +143,8 @@ fn run(audit: bool) -> (Network, i64) {
 
 #[test]
 fn the_audit_keeps_at_most_40_bytes_per_event() {
-    let (_plain, plain_bytes) = run(false);
-    let (audited, audited_bytes) = run(true);
+    let (_plain, plain_bytes) = run(false, false);
+    let (audited, audited_bytes) = run(true, false);
     let events = audited.audit_log().len();
     assert!(
         events > 100_000,
@@ -132,8 +159,25 @@ fn the_audit_keeps_at_most_40_bytes_per_event() {
 }
 
 #[test]
+fn the_audit_keeps_a_broadcast_wave_in_one_record() {
+    let (_plain, plain_bytes) = run(false, true);
+    let (audited, audited_bytes) = run(true, true);
+    let events = audited.audit_log().len();
+    assert!(
+        events > 400_000,
+        "40 rounds of nine waves over 1023 sensors: {events} events"
+    );
+    let per_event = (audited_bytes - plain_bytes) as f64 / events as f64;
+    eprintln!("audit of held rounds: {events} events, {per_event:.2} extra heap bytes per event");
+    assert!(
+        per_event <= 6.0,
+        "the audit holds {per_event:.2} bytes per event over {events} events"
+    );
+}
+
+#[test]
 fn a_network_holds_at_most_512_bytes_per_node() {
-    let (net, bytes) = run(false);
+    let (net, bytes) = run(false, false);
     let per_node = bytes as f64 / net.len() as f64;
     eprintln!("network: {per_node:.1} heap bytes per node after 40 rounds");
     assert!(

@@ -1,9 +1,10 @@
-//! Lossless, solo-framed broadcasts record their telemetry once per wave,
-//! in a tally that is folded into the per-node histograms when they are
-//! read and before the routing tree changes. This test holds that fold to
-//! the per-transmitter path it replaces: a twin with a zero-probability
-//! loss model records every transmitter's samples one by one and loses
-//! nothing. Over random placements and random sequences of convergecasts,
+//! Lossless broadcasts record their telemetry once per wave, in a tally
+//! that is folded into the per-node histograms when they are read and
+//! before the routing tree changes. This test holds that fold, for
+//! solo-framed waves, to the per-transmitter path it replaces: a twin with
+//! a zero-probability loss model records every transmitter's samples one
+//! by one and loses nothing. (Shared-frame waves, which a lossy twin
+//! cannot send, are held to the per-child reference inside the crate.) Over random placements and random sequences of convergecasts,
 //! broadcasts, failures, rebuilds, churn and clones, both must read the
 //! same histograms — full dense sets, per-node `sum` and `max` included —
 //! and the same traffic after every step.
