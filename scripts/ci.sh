@@ -29,6 +29,10 @@ for example in adaptive_switching algorithm_comparison environmental_monitoring 
     cargo run --quiet -p wsn-sim --release --example "$example" > /dev/null
 done
 
+echo "==> experiments --quick golden (every number the paper-figure sweeps"
+echo "    print must match tests/experiments_quick_golden.txt byte for byte)"
+./target/release/experiments --quick 2> /dev/null | diff tests/experiments_quick_golden.txt -
+
 echo "==> ext-reliability smoke (ARQ + wave recovery under 30% loss)"
 ./target/release/simulate --algorithm POS --nodes 80 --rounds 30 --runs 2 \
     --loss 0.3 --retries 3 --recovery 4 --seed 7 --threads 2
