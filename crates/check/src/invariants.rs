@@ -21,7 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use cqp_core::rank::{kth_equivariant_under_affine, kth_invariant_under_rotation, rank_of_phi};
 use wsn_data::Rng;
 use wsn_net::obs::{HealthKind, HistKind, MonitorConfig};
-use wsn_net::{lane_breakdowns, lane_breakdowns_by_round};
+use wsn_net::{lane_breakdowns, lane_breakdowns_by_round, PhaseBreakdown};
 use wsn_sim::runner::run_experiment_threads;
 use wsn_sim::{
     serve, serve_capture, serve_monitored, AggregatedMetrics, AlgorithmKind, Scenario, Value,
@@ -449,24 +449,28 @@ pub fn check(scenario: &Scenario) -> ScenarioReport {
                     }
                 }
                 // Lane attribution must equal the audit log's own lane
-                // books bit for bit (serve counts a diverging lane as an
-                // audit discrepancy; this check names the failure).
+                // books exactly (serve counts a diverging lane as an audit
+                // discrepancy; this check names the failure).
                 let replayed = lane_breakdowns(net.audit_log(), shared.lanes.len());
                 if replayed != shared.lanes {
                     violations.push(Violation::ServeAccounting {
                         detail: "lane replay diverged from live attribution".to_string(),
                     });
                 }
+                // The lanes partition the phase books' bits, sent and
+                // received alike.
                 let global = net.phases();
-                let lane_bits: u64 = shared
-                    .lanes
-                    .iter()
-                    .map(|l| l.bits().iter().sum::<u64>())
-                    .sum();
-                if lane_bits != global.bits().iter().sum::<u64>() {
-                    violations.push(Violation::ServeAccounting {
-                        detail: "lane charges do not partition the phase ledger".to_string(),
-                    });
+                let side_total = |b: &PhaseBreakdown, received: bool| -> u64 {
+                    let side = if received { b.rx_bits() } else { b.bits() };
+                    side.iter().sum()
+                };
+                for received in [false, true] {
+                    let lanes: u64 = shared.lanes.iter().map(|l| side_total(l, received)).sum();
+                    if lanes != side_total(global, received) {
+                        violations.push(Violation::ServeAccounting {
+                            detail: "lane charges do not partition the phase ledger".to_string(),
+                        });
+                    }
                 }
                 // Solo identity: with no per-transmission loss randomness
                 // the multi-query engine is invisible — each query answers

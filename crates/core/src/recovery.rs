@@ -160,10 +160,16 @@ mod tests {
             assert_eq!(a, b);
         }
         assert_eq!(fresh.stats(), reused.stats());
+        let (a, b) = (fresh.ledger(), reused.ledger());
         assert_eq!(
-            fresh.ledger().consumed_per_node(),
-            reused.ledger().consumed_per_node(),
-            "bit-identical energy trace"
+            a.tx_bits_per_node(),
+            b.tx_bits_per_node(),
+            "same energy trace"
+        );
+        assert_eq!(
+            a.rx_bits_per_node(),
+            b.rx_bits_per_node(),
+            "same energy trace"
         );
     }
 

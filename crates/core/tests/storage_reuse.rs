@@ -59,17 +59,14 @@ fn grid_network(side: usize) -> Network {
 fn assert_same_books(dirty: &Network, clean: &Network, name: &str) {
     let bits = |net: &Network| -> Vec<u64> {
         let ledger = net.ledger();
-        let per_node = ledger.consumed_per_node().iter();
-        per_node
-            .chain(ledger.consumed_tx_per_node())
-            .map(|j| j.to_bits())
-            .collect()
+        let per_node = ledger.tx_bits_per_node().iter();
+        per_node.chain(ledger.rx_bits_per_node()).copied().collect()
     };
     assert_eq!(bits(dirty), bits(clean), "{name}: ledger");
     assert_eq!(dirty.stats(), clean.stats(), "{name}: traffic");
     assert_eq!(dirty.phases(), clean.phases(), "{name}: phases");
     let (dl, cl) = (dirty.lane_book(), clean.lane_book());
-    assert_eq!(dl.breakdowns(), cl.breakdowns(), "{name}: lanes");
+    assert_eq!(dl, cl, "{name}: lanes");
     assert_eq!(
         dirty.reliability_stats(),
         clean.reliability_stats(),

@@ -17,9 +17,9 @@
 //!   failures with routing-tree repair (the other half of §6),
 //! * [`splitmix`] — the workspace-shared splitmix64 generator behind every
 //!   stochastic model,
-//! * [`audit`] — per-transmission event log, per-phase energy attribution
-//!   and an auditor that reconciles the ledger bit-exactly at every round
-//!   boundary.
+//! * [`audit`] — per-transmission event log, per-phase traffic and energy
+//!   attribution and an auditor that reconciles the ledger's bits exactly
+//!   at every round boundary.
 //!
 //! The substrate is deliberately protocol-agnostic: quantile algorithms in
 //! `cqp-core` express themselves purely through [`network::Network`]
@@ -69,7 +69,7 @@ pub use audit::{
     Phase, PhaseBreakdown, PhaseCounters, Tariff, TxEvent, TxKind,
 };
 pub use bitset::NodeBits;
-pub use energy::{EnergyLedger, RadioModel};
+pub use energy::{EnergyLedger, Prices, RadioModel};
 pub use geometry::Point;
 pub use loss::{LossDrift, LossModel};
 pub use message::{MessageSizes, PayloadSize};

@@ -120,18 +120,25 @@ proptest! {
     }
 
     #[test]
-    fn ledger_totals_match_charges(charges in prop::collection::vec((0u32..5, 0.0f64..1e-3), 1..100)) {
-        let mut ledger = EnergyLedger::new(5);
-        let mut expect = [0.0f64; 5];
-        for &(node, joules) in &charges {
-            ledger.charge(NodeId(node), joules);
-            expect[node as usize] += joules;
+    fn ledger_totals_match_charges(charges in prop::collection::vec((0u32..5, 0u64..100_000, any::<bool>()), 1..100)) {
+        let prices = RadioModel::default().prices(35.0);
+        let mut ledger = EnergyLedger::new(5, prices);
+        let mut expect = [(0u64, 0u64); 5];
+        for &(node, bits, tx) in &charges {
+            if tx {
+                ledger.charge_tx(NodeId(node), bits);
+                expect[node as usize].0 += bits;
+            } else {
+                ledger.charge_rx(NodeId(node), bits);
+                expect[node as usize].1 += bits;
+            }
         }
+        let joules = |&(tx, rx): &(u64, u64)| prices.joules(tx, rx);
         for i in 0..5u32 {
-            prop_assert!((ledger.consumed(NodeId(i)) - expect[i as usize]).abs() < 1e-12);
+            prop_assert_eq!(ledger.consumed(NodeId(i)), joules(&expect[i as usize]));
         }
-        let max_sensor = expect[1..].iter().copied().fold(0.0, f64::max);
-        prop_assert!((ledger.max_sensor_consumption() - max_sensor).abs() < 1e-12);
+        let max_sensor = expect[1..].iter().map(joules).fold(0.0, f64::max);
+        prop_assert_eq!(ledger.max_sensor_consumption(), max_sensor);
     }
 
     #[test]

@@ -179,7 +179,7 @@ mod tests {
         assert_eq!(rebuilt, [true, false, false, true, false, false, true]);
         assert_eq!(net.reliability_stats().rebuilds, 3);
         assert!(
-            net.phases().get(wsn_net::Phase::Rebuild).joules > 0.0,
+            net.phases().joules()[wsn_net::Phase::Rebuild.index()] > 0.0,
             "beacon waves must charge rebuild joules"
         );
     }

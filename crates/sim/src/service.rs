@@ -273,20 +273,22 @@ impl Registry {
 /// ones: the live book must be the audited one, bit for bit.
 fn diverging_lanes(live: &LaneBook, audited: &[PhaseBreakdown]) -> u32 {
     let lanes = live.len().max(audited.len());
+    let empty = PhaseBreakdown::new(live.prices());
     (0..lanes)
-        .filter(|&l| audited.get(l).copied().unwrap_or_default() != live.get(l as u32))
+        .filter(|&l| audited.get(l).copied().unwrap_or(empty) != live.get(l as u32))
         .count() as u32
 }
 
+/// What a lane was charged between `base` and `now`, counter by counter.
 fn delta_of(now: &PhaseBreakdown, base: &PhaseBreakdown) -> PhaseBreakdown {
-    let mut out = PhaseBreakdown::default();
+    let mut out = PhaseBreakdown::new(now.prices());
     for phase in Phase::ALL {
         let (now, base) = (now.get(phase), base.get(phase));
         out.charge(
             phase,
             now.messages - base.messages,
             now.bits - base.bits,
-            now.joules - base.joules,
+            now.rx_bits - base.rx_bits,
         );
     }
     out
@@ -696,25 +698,20 @@ mod tests {
 
     #[test]
     fn every_diverging_lane_counts_as_a_discrepancy() {
-        let mut live = LaneBook::default();
-        live.charge(0, Phase::Validation, 1, 100, 1e-6);
-        live.charge(2, Phase::Refinement, 2, 40, 3e-7);
-        let same = live.breakdowns().to_vec();
+        let mut live = LaneBook::new(wsn_net::Prices { tx: 2e-9, rx: 1e-9 });
+        live.charge(0, Phase::Validation, 1, 100, 100);
+        live.charge(2, Phase::Refinement, 2, 40, 80);
+        let same = live.breakdowns(0);
         assert_eq!(diverging_lanes(&live, &same), 0);
 
-        // One lane off by a joule's last bit, another booked in the
-        // wrong phase, and one the live book never saw.
+        // One lane off by one received bit, another booked in the wrong
+        // phase, and one the live book never saw.
         let mut audited = same.clone();
-        let mut off = PhaseBreakdown::default();
-        off.charge(
-            Phase::Validation,
-            1,
-            100,
-            f64::from_bits(1e-6f64.to_bits() + 1),
-        );
+        let mut off = PhaseBreakdown::new(live.prices());
+        off.charge(Phase::Validation, 1, 100, 101);
         audited[0] = off;
-        audited[2] = PhaseBreakdown::default();
-        audited[2].charge(Phase::Validation, 2, 40, 3e-7);
+        audited[2] = PhaseBreakdown::new(live.prices());
+        audited[2].charge(Phase::Validation, 2, 40, 80);
         audited.push(off);
         assert_eq!(diverging_lanes(&live, &audited), 3);
         // A lane missing from the audited books diverges unless it is zero.

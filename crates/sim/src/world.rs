@@ -261,17 +261,9 @@ mod tests {
         }
         let (a, b) = (traced.ledger(), net.ledger());
         assert_eq!(a.rounds(), b.rounds(), "{name}");
+        assert_eq!(a.tx_bits_per_node(), b.tx_bits_per_node(), "{name}");
+        assert_eq!(a.rx_bits_per_node(), b.rx_bits_per_node(), "{name}");
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(a.consumed_per_node()),
-            bits(b.consumed_per_node()),
-            "{name}"
-        );
-        assert_eq!(
-            bits(a.consumed_tx_per_node()),
-            bits(b.consumed_tx_per_node()),
-            "{name}"
-        );
         assert_eq!(
             bits(&a.mean_per_round()),
             bits(&b.mean_per_round()),

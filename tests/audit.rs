@@ -1,10 +1,14 @@
-//! Energy-conservation audits across the full protocol stack: every joule
-//! the ledger charges must be re-derivable, bit-exactly, from the recorded
+//! Energy-conservation audits across the full protocol stack: every bit
+//! the ledger charges must be re-derivable, exactly, from the recorded
 //! transmission log — under loss, ARQ retransmissions, wave recovery and
-//! crash-stop node failures, for every paper protocol.
+//! crash-stop node failures, for every paper protocol — and the ledger,
+//! the traffic stats and the phase and lane books must count the same
+//! bits after every round.
 
+use wsn_net::{Network, Phase, PhaseBreakdown};
 use wsn_sim::runner::{run_experiment_threads, run_once};
-use wsn_sim::{AlgorithmKind, SimulationConfig};
+use wsn_sim::service::serve_capture;
+use wsn_sim::{AlgorithmKind, DynamicsConfig, ServeQuery, SimulationConfig, World};
 
 fn audited_cfg() -> SimulationConfig {
     SimulationConfig {
@@ -119,13 +123,111 @@ fn a_corrupted_ledger_is_flagged() {
     }
     assert!(EnergyAuditor::verify(&net).is_clean());
 
-    // A phantom charge that no transmission explains must be caught.
+    // A phantom bit that no transmission explains must be caught.
     let mut forged = net.ledger().clone();
-    forged.charge(NodeId(2), 1e-9);
+    forged.charge_rx(NodeId(2), 1);
     let report = EnergyAuditor::verify_parts(net.audit_log(), &forged);
     assert!(!report.is_clean(), "the forged ledger must not reconcile");
     assert!(report
         .discrepancies
         .iter()
-        .any(|d| d.node == NodeId(2) && d.what == "final total"));
+        .any(|d| d.node == NodeId(2) && d.what == "final rx bits" && d.actual == d.expected + 1));
+}
+
+/// Asserts that the ledger's bits sent, summed over nodes, equal the
+/// traffic stats' bits on air and the phase and lane books' bits, and that
+/// its bits received equal the phase and lane books' received bits.
+fn assert_books_agree(net: &Network, ctx: &str) {
+    let ledger = net.ledger();
+    let sent: u64 = ledger.tx_bits_per_node().iter().sum();
+    let received: u64 = ledger.rx_bits_per_node().iter().sum();
+    let phases = net.phases();
+    let lanes = net.lane_book().breakdowns(0);
+    let lane_total = |side: fn(&PhaseBreakdown) -> [u64; Phase::COUNT]| -> u64 {
+        lanes.iter().flat_map(side).sum()
+    };
+    assert_eq!(sent, net.stats().bits, "{ctx}: traffic bits");
+    assert_eq!(sent, phases.bits().iter().sum::<u64>(), "{ctx}: phase bits");
+    assert_eq!(sent, lane_total(PhaseBreakdown::bits), "{ctx}: lane bits");
+    let phase_received: u64 = phases.rx_bits().iter().sum();
+    assert_eq!(received, phase_received, "{ctx}: phase rx bits");
+    assert_eq!(
+        received,
+        lane_total(PhaseBreakdown::rx_bits),
+        "{ctx}: lane rx bits"
+    );
+}
+
+#[test]
+fn ledger_traffic_phase_and_lane_bits_agree_after_every_round() {
+    let base = SimulationConfig {
+        sensor_count: 60,
+        rounds: 15,
+        runs: 1,
+        ..SimulationConfig::default()
+    };
+    let worlds = [
+        ("static", base.clone()),
+        ("lossy", audited_cfg()),
+        (
+            "mobile and duty-cycled",
+            SimulationConfig {
+                dynamics: Some(DynamicsConfig {
+                    mobility_step: 10.0,
+                    duty_milli: 100,
+                    epoch: 3,
+                    ..DynamicsConfig::default()
+                }),
+                ..base.clone()
+            },
+        ),
+    ];
+    let battery = AlgorithmKind::battery(100, 0);
+    for (name, cfg) in &worlds {
+        for kind in battery {
+            let mut world = World::new(cfg, 0);
+            let mut alg = kind.build(world.query(cfg.phi), &cfg.sizes);
+            for t in 0..cfg.rounds {
+                if world.begin_round(t) {
+                    alg.topology_changed();
+                }
+                world.round(alg.as_mut());
+                let ctx = format!("{name}, {}, round {t}", kind.name());
+                assert_books_agree(world.net(), &ctx);
+            }
+            // Each world exercises what it is there for: repairs under
+            // loss, rebuild beacons and idle listening when mobile.
+            let phases = world.net().phases();
+            let rx = |phase: Phase| phases.rx_bits()[phase.index()];
+            match *name {
+                "lossy" => assert!(rx(Phase::Recovery) > 0, "{}", kind.name()),
+                "mobile and duty-cycled" => {
+                    assert!(rx(Phase::Rebuild) > 0 && rx(Phase::Other) > 0)
+                }
+                _ => assert_eq!(rx(Phase::Other), 0),
+            }
+        }
+    }
+    // A serve world with shared frames, every battery protocol in a lane
+    // of its own. A session of `rounds` rounds is the prefix of a longer
+    // one, so checking each session's end checks every round.
+    let workload: Vec<ServeQuery> = battery
+        .iter()
+        .enumerate()
+        .map(|(i, &algorithm)| ServeQuery {
+            algorithm,
+            phi_milli: [500, 250, 900, 100][i % 4],
+            epoch: 1 + i as u32 % 2,
+        })
+        .collect();
+    for rounds in 1..=8 {
+        let cfg = SimulationConfig {
+            rounds,
+            ..base.clone()
+        };
+        let (report, net) = serve_capture(&cfg, &workload, &[], true, 0);
+        assert_eq!(report.rounds, rounds);
+        assert_eq!(net.lane_book().len(), workload.len());
+        assert_books_agree(&net, &format!("serve, round {}", rounds - 1));
+    }
 }
