@@ -186,6 +186,21 @@ fn fuzz_exit_codes_through_the_real_binary() {
     let (code, _) = simulate(&dir, &["fuzz", "--repro", "not a repro line"]);
     assert_eq!(code, 2, "unparsable repro is a usage error");
 
+    // Out-of-range parameters, a repeated and an unknown key: usage errors,
+    // not scenarios built from wrapped values.
+    let sinusoid = r#""source":"sinusoid","p1":8,"p2":0"#;
+    for bad in [
+        clean_repro.replace(sinusoid, r#""source":"walk","p1":-1,"p2":3"#),
+        clean_repro.replace(sinusoid, r#""source":"pressure","p1":4294967297,"p2":1"#),
+        clean_repro.replace(sinusoid, r#""source":"pressure","p1":1,"p2":7"#),
+        clean_repro.replace(r#"{"seed":1,"#, r#"{"seed":9,"seed":10,"#),
+        clean_repro.replace(r#""p3":0}"#, r#""p3":0,"p4":0}"#),
+    ] {
+        assert_ne!(bad, clean_repro);
+        let (code, out) = simulate(&dir, &["fuzz", "--repro", &bad]);
+        assert_eq!(code, 2, "{bad} is a usage error: {out}");
+    }
+
     let (code, _) = simulate(&dir, &["fuzz", "--scenarios", "many"]);
     assert_eq!(code, 2, "non-numeric --scenarios is a usage error");
 

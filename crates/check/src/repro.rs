@@ -60,99 +60,163 @@ pub fn to_line(s: &Scenario) -> String {
     )
 }
 
-/// Extracts the raw token after `"key":` (up to the next `,` or `}`).
-fn field<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    let pat = format!("\"{key}\":");
-    let start = line
-        .find(&pat)
-        .ok_or_else(|| format!("missing field `{key}`"))?
-        + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find([',', '}'])
-        .ok_or_else(|| format!("unterminated field `{key}`"))?;
-    Ok(rest[..end].trim())
-}
+/// Every key of the dialect, in [`to_line`]'s order.
+const KEYS: [&str; 21] = [
+    "seed",
+    "nodes",
+    "range_milli",
+    "rounds",
+    "runs",
+    "phi_milli",
+    "loss_milli",
+    "retries",
+    "recovery",
+    "failure_milli",
+    "eps_milli",
+    "capacity",
+    "queries",
+    "mobility_milli",
+    "churn_milli",
+    "drift_milli",
+    "duty_milli",
+    "source",
+    "p1",
+    "p2",
+    "p3",
+];
 
-fn int(line: &str, key: &str) -> Result<i128, String> {
-    field(line, key)?
-        .parse::<i128>()
-        .map_err(|e| format!("field `{key}`: {e}"))
-}
+/// The raw values of one repro line, by key.
+struct Fields<'a>([Option<&'a str>; KEYS.len()]);
 
-fn uint<T: TryFrom<i128>>(line: &str, key: &str) -> Result<T, String> {
-    T::try_from(int(line, key)?).map_err(|_| format!("field `{key}` out of range"))
-}
-
-/// Like [`uint`], but a *missing* key falls back to `default`. Used for
-/// fields added after the corpus format was first pinned (`eps_milli`,
-/// `capacity`, `queries`), so older corpus lines keep parsing — and keep
-/// expanding to the same worlds they always did. A present-but-malformed
-/// value is still an error.
-fn uint_or<T: TryFrom<i128>>(line: &str, key: &str, default: T) -> Result<T, String> {
-    if field(line, key).is_err() {
-        return Ok(default);
+impl<'a> Fields<'a> {
+    /// Splits the inside of a flat JSON object into its raw values,
+    /// rejecting a pair without `:`, an unquoted, unknown or repeated key.
+    fn parse(inner: &'a str) -> Result<Self, String> {
+        let mut values = [None; KEYS.len()];
+        for pair in inner.split(',') {
+            let (key, value) = pair
+                .split_once(':')
+                .ok_or_else(|| format!("field without `:`: `{}`", pair.trim()))?;
+            let key = key.trim();
+            let name = key
+                .strip_prefix('"')
+                .and_then(|k| k.strip_suffix('"'))
+                .ok_or_else(|| format!("key `{key}` is not a quoted string"))?;
+            let slot = KEYS
+                .iter()
+                .position(|&k| k == name)
+                .ok_or_else(|| format!("unknown field `{name}`"))?;
+            if values[slot].replace(value.trim()).is_some() {
+                return Err(format!("repeated field `{name}`"));
+            }
+        }
+        Ok(Fields(values))
     }
-    uint(line, key)
+
+    /// The raw value of `key` (one of [`KEYS`]), if present.
+    fn get(&self, key: &str) -> Option<&'a str> {
+        self.0[KEYS.iter().position(|&k| k == key).expect("a dialect key")]
+    }
+
+    /// The value of `key`, converted to its field's type `T`.
+    fn int<T: TryFrom<i128>>(&self, key: &str) -> Result<T, String> {
+        let raw = self
+            .get(key)
+            .ok_or_else(|| format!("missing field `{key}`"))?;
+        let v = raw
+            .parse::<i128>()
+            .map_err(|e| format!("field `{key}`: {e}"))?;
+        fit(v, key)
+    }
+
+    /// Like [`Fields::int`], but a *missing* key falls back to `default`.
+    /// Used for fields added after the corpus format was first pinned
+    /// (`eps_milli`, `capacity`, `queries`, the dynamics rates), so older
+    /// corpus lines keep parsing — and keep expanding to the same worlds
+    /// they always did. A present-but-malformed value is still an error.
+    fn int_or<T: TryFrom<i128>>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.get(key) {
+            Some(_) => self.int(key),
+            None => Ok(default),
+        }
+    }
+}
+
+/// `v`, the value of `key`, converted to its field's type `T`.
+fn fit<T: TryFrom<i128>>(v: i128, key: &str) -> Result<T, String> {
+    T::try_from(v).map_err(|_| format!("field `{key}` out of range: {v}"))
+}
+
+/// A walk's or regime's `range_size` from `p1`: at most `i64::MAX`, so the
+/// world's largest value, `range_size - 1` as an `i64`, cannot wrap.
+fn range_size(p1: i128) -> Result<u64, String> {
+    fit(fit::<i64>(p1, "p1")?.into(), "p1")
 }
 
 /// Parses one repro line back into a scenario. Accepts exactly the
-/// dialect [`to_line`] produces; anything else is an `Err` naming the
-/// first offending field.
+/// dialect [`to_line`] produces, keys in any order; anything else — a
+/// missing, repeated or unknown key, a value outside its field's type —
+/// is an `Err` naming the first offending field.
 pub fn parse_line(line: &str) -> Result<Scenario, String> {
-    let line = line.trim();
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return Err("repro line must be a flat JSON object".to_string());
-    }
+    let inner = line
+        .trim()
+        .strip_prefix('{')
+        .and_then(|s| s.strip_suffix('}'))
+        .ok_or("repro line must be a flat JSON object")?;
+    let f = Fields::parse(inner)?;
     // u64 seeds can exceed i64, so go through i128 uniformly.
-    let seed: u64 = uint(line, "seed")?;
-    let nodes: usize = uint(line, "nodes")?;
-    let source_raw = field(line, "source")?;
+    let seed: u64 = f.int("seed")?;
+    let nodes: usize = f.int("nodes")?;
+    let source_raw = f.get("source").ok_or("missing field `source`")?;
     let kind = source_raw
         .strip_prefix('"')
         .and_then(|s| s.strip_suffix('"'))
         .ok_or_else(|| format!("field `source`: expected a quoted string, got `{source_raw}`"))?;
-    let p1 = int(line, "p1")?;
-    let p2 = int(line, "p2")?;
-    let p3 = int(line, "p3")?;
+    let p1: i128 = f.int("p1")?;
+    let p2: i128 = f.int("p2")?;
+    let p3: i128 = f.int("p3")?;
     let source = match kind {
         "sinusoid" => DataSource::Sinusoid {
-            period: p1 as u32,
-            noise_permille: p2 as u32,
+            period: fit(p1, "p1")?,
+            noise_permille: fit(p2, "p2")?,
         },
         "walk" => DataSource::Walk {
-            range_size: p1 as u64,
-            step: p2 as i64,
+            range_size: range_size(p1)?,
+            step: fit(p2, "p2")?,
         },
         "regime" => DataSource::Regime {
-            range_size: p1 as u64,
-            phase_len: p2 as u32,
-            drift: p3 as i64,
+            range_size: range_size(p1)?,
+            phase_len: fit(p2, "p2")?,
+            drift: fit(p3, "p3")?,
         },
         "pressure" => DataSource::Pressure {
-            skip: p1 as u32,
-            pessimistic: p2 != 0,
+            skip: fit(p1, "p1")?,
+            pessimistic: match p2 {
+                0 => false,
+                1 => true,
+                _ => return Err(format!("field `p2`: pessimistic is 0 or 1, not {p2}")),
+            },
         },
         other => return Err(format!("unknown source kind `{other}`")),
     };
     Ok(Scenario {
         seed,
         nodes,
-        range_milli: uint(line, "range_milli")?,
-        rounds: uint(line, "rounds")?,
-        runs: uint(line, "runs")?,
-        phi_milli: uint(line, "phi_milli")?,
-        loss_milli: uint(line, "loss_milli")?,
-        retries: uint(line, "retries")?,
-        recovery: uint(line, "recovery")?,
-        failure_milli: uint(line, "failure_milli")?,
-        eps_milli: uint_or(line, "eps_milli", 100)?,
-        capacity: uint_or(line, "capacity", 0)?,
-        queries: uint_or(line, "queries", 1)?,
-        mobility_milli: uint_or(line, "mobility_milli", 0)?,
-        churn_milli: uint_or(line, "churn_milli", 0)?,
-        drift_milli: uint_or(line, "drift_milli", 0)?,
-        duty_milli: uint_or(line, "duty_milli", 0)?,
+        range_milli: f.int("range_milli")?,
+        rounds: f.int("rounds")?,
+        runs: f.int("runs")?,
+        phi_milli: f.int("phi_milli")?,
+        loss_milli: f.int("loss_milli")?,
+        retries: f.int("retries")?,
+        recovery: f.int("recovery")?,
+        failure_milli: f.int("failure_milli")?,
+        eps_milli: f.int_or("eps_milli", 100)?,
+        capacity: f.int_or("capacity", 0)?,
+        queries: f.int_or("queries", 1)?,
+        mobility_milli: f.int_or("mobility_milli", 0)?,
+        churn_milli: f.int_or("churn_milli", 0)?,
+        drift_milli: f.int_or("drift_milli", 0)?,
+        duty_milli: f.int_or("duty_milli", 0)?,
         source,
     })
 }
@@ -235,5 +299,60 @@ mod tests {
         let s = gen::scenario(1, 0);
         let negative = to_line(&s).replace(&format!("\"nodes\":{}", s.nodes), "\"nodes\":-3");
         assert!(parse_line(&negative).is_err(), "negative counts rejected");
+
+        // Source parameters outside their fields' types are rejected, not
+        // wrapped; a walk's or regime's range_size stops at i64::MAX.
+        let with = |source| to_line(&Scenario { source, ..s });
+        let walk = with(DataSource::Walk {
+            range_size: 64,
+            step: 3,
+        });
+        let regime = with(DataSource::Regime {
+            range_size: 64,
+            phase_len: 5,
+            drift: -2,
+        });
+        let pressure = with(DataSource::Pressure {
+            skip: 1,
+            pessimistic: true,
+        });
+        let sinusoid = with(DataSource::Sinusoid {
+            period: 16,
+            noise_permille: 100,
+        });
+        let widest = walk.replace("\"p1\":64", "\"p1\":9223372036854775807");
+        assert_eq!(
+            parse_line(&widest).unwrap().source,
+            DataSource::Walk {
+                range_size: i64::MAX as u64,
+                step: 3
+            }
+        );
+        for bad in [
+            walk.replace("\"p1\":64", "\"p1\":-1"),
+            walk.replace("\"p1\":64", "\"p1\":9223372036854775808"),
+            walk.replace("\"p2\":3", "\"p2\":9223372036854775808"),
+            regime.replace("\"p1\":64", "\"p1\":-1"),
+            regime.replace("\"p2\":5", "\"p2\":4294967296"),
+            regime.replace("\"p3\":-2", "\"p3\":-9223372036854775809"),
+            pressure.replace("\"p1\":1,", "\"p1\":4294967297,"),
+            pressure.replace("\"p2\":1", "\"p2\":7"),
+            pressure.replace("\"p2\":1", "\"p2\":-1"),
+            sinusoid.replace("\"p1\":16", "\"p1\":-16"),
+            sinusoid.replace("\"p2\":100", "\"p2\":4294967396"),
+        ] {
+            assert!(parse_line(&bad).is_err(), "{bad}");
+        }
+
+        // A repeated or unknown key is rejected, as is a key without quotes.
+        let line = to_line(&s);
+        for bad in [
+            line.replacen("{\"seed\":", "{\"seed\":9,\"seed\":", 1),
+            line.replacen("\"p3\":0}", "\"p3\":0,\"p3\":0}", 1),
+            line.replacen("{", "{\"colour\":1,", 1),
+            line.replacen("\"seed\"", "seed", 1),
+        ] {
+            assert!(parse_line(&bad).is_err(), "{bad}");
+        }
     }
 }

@@ -510,7 +510,7 @@ impl Pair {
         let mut running_hash = Fnv::new();
         for (round, tx_bits, rx_bits) in self.new.boundaries() {
             running_hash.push(round as u64);
-            for &b in tx_bits.iter().chain(rx_bits) {
+            for &b in tx_bits.iter().chain(&rx_bits) {
                 running_hash.push(b);
             }
         }

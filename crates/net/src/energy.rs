@@ -196,11 +196,6 @@ impl EnergyLedger {
         self.joules(id.index())
     }
 
-    /// Transmit energy consumed by `id` so far.
-    pub fn consumed_tx(&self, id: NodeId) -> f64 {
-        self.prices.joules(self.tx_bits[id.index()], 0)
-    }
-
     /// Receive energy (idle listening included) consumed by `id` so far.
     pub fn consumed_rx(&self, id: NodeId) -> f64 {
         self.prices.joules(0, self.rx_bits[id.index()])
@@ -290,20 +285,6 @@ impl EnergyLedger {
             .fold(0.0, f64::max)
     }
 
-    /// Mean per-round consumption of each node (`consumed / rounds`).
-    /// All-zero until at least one round completed — the division by zero
-    /// rounds would otherwise poison every entry with NaN (idle ledger) or
-    /// ∞ (charged but never snapshotted), and those propagate silently
-    /// through any downstream mean/max.
-    pub fn mean_per_round(&self) -> Vec<f64> {
-        if self.rounds_recorded == 0 {
-            return vec![0.0; self.len()];
-        }
-        (0..self.len())
-            .map(|i| self.joules(i) / self.rounds_recorded as f64)
-            .collect()
-    }
-
     /// Estimated network lifetime in rounds: how many rounds until the
     /// first *sensor* runs out of energy, assuming every future round costs
     /// each node its observed per-round mean (DESIGN.md §3.3). Returns
@@ -321,26 +302,6 @@ impl EnergyLedger {
         } else {
             model.initial_energy / max_mean
         }
-    }
-
-    /// Id of the first sensor that would die under a literal replay of the
-    /// observed rounds, together with the round number of its death, or
-    /// `None` if nothing ever dies.
-    pub fn first_death(&self, model: &RadioModel) -> Option<(NodeId, f64)> {
-        if self.rounds_recorded == 0 {
-            return None;
-        }
-        let mut best: Option<(NodeId, f64)> = None;
-        for (i, e) in self.sensor_joules().enumerate() {
-            let mean = e / self.rounds_recorded as f64;
-            if mean > 0.0 {
-                let rounds = model.initial_energy / mean;
-                if best.is_none_or(|(_, r)| rounds < r) {
-                    best = Some((NodeId(i as u32 + 1), rounds));
-                }
-            }
-        }
-        best
     }
 }
 
@@ -442,9 +403,6 @@ mod tests {
         // Mean per round: node1 3e-6, node2 1.5e-6 -> lifetime 30e-3/3e-6 = 1e4.
         let lt = l.estimated_lifetime_rounds(&m);
         assert!((lt - 1e4).abs() / 1e4 < 1e-12);
-        let (who, when) = l.first_death(&m).unwrap();
-        assert_eq!(who, NodeId(1));
-        assert!((when - 1e4).abs() / 1e4 < 1e-12);
     }
 
     #[test]
@@ -452,7 +410,6 @@ mod tests {
         let mut l = EnergyLedger::new(3, PRICES);
         l.charge_tx(NodeId(1), 1500);
         l.charge_rx(NodeId(1), 1000);
-        assert!((l.consumed_tx(NodeId(1)) - 3e-6).abs() < 1e-18);
         assert!((l.consumed_rx(NodeId(1)) - 1e-6).abs() < 1e-18);
         assert!((l.consumed(NodeId(1)) - 4e-6).abs() < 1e-18);
         // Node 1 is the hotspot; rx fraction = 0.25.
@@ -490,29 +447,12 @@ mod tests {
         assert_eq!(fresh.max_round_sensor_consumption(), 0.0);
     }
 
-    /// Regression: with zero completed rounds, `mean_per_round` used to
-    /// divide by zero — NaN per node on an idle ledger, ∞ once anything
-    /// had been charged. It must return a zeroed per-node vector instead.
-    #[test]
-    fn mean_per_round_with_zero_rounds_is_zero_not_nan() {
-        let mut l = EnergyLedger::new(3, PRICES);
-        assert_eq!(l.mean_per_round(), vec![0.0; 3]);
-        l.charge_rx(NodeId(1), 5000);
-        let means = l.mean_per_round();
-        assert_eq!(means.len(), 3);
-        assert!(means.iter().all(|m| m.is_finite() && *m == 0.0));
-        // After a round completes the real means appear.
-        l.end_round();
-        assert!((l.mean_per_round()[1] - 5e-6).abs() < 1e-18);
-    }
-
     #[test]
     fn idle_network_lives_forever() {
         let m = RadioModel::default();
         let mut l = EnergyLedger::new(4, PRICES);
         l.end_round();
         assert!(l.estimated_lifetime_rounds(&m).is_infinite());
-        assert!(l.first_death(&m).is_none());
     }
 
     #[test]
@@ -522,7 +462,9 @@ mod tests {
         l.charge_rx(NodeId::ROOT, 1 << 40); // huge, but the root is mains powered
         l.charge_rx(NodeId(1), 1);
         l.end_round();
-        let (who, _) = l.first_death(&m).unwrap();
-        assert_eq!(who, NodeId(1));
+        assert_eq!(l.hottest_sensor(), Some(NodeId(1)));
+        // The lifetime is node 1's: one received bit per round.
+        let lifetime = l.estimated_lifetime_rounds(&m);
+        assert_eq!(lifetime, m.initial_energy / PRICES.rx);
     }
 }

@@ -226,9 +226,8 @@ impl TrafficStats {
     }
 }
 
-/// The [`WaveStore`]s behind the by-value entry points
-/// ([`Network::convergecast`], [`Network::convergecast_with`]), one per
-/// payload type, so those stay allocation-free in steady state for
+/// The [`WaveStore`]s behind the by-value [`Network::convergecast`], one
+/// per payload type, so it stays allocation-free in steady state for
 /// payloads without heap storage.
 /// Payload types are open-ended, so the stores are kept type-erased.
 ///
@@ -1449,27 +1448,13 @@ impl Network {
     /// Runs a convergecast. `local` yields each *sensor* node's own
     /// contribution (the root takes no measurements). Returns the aggregate
     /// that reaches the root, or `None` if every node stayed silent.
-    pub fn convergecast<T: Aggregate + Send + 'static>(
-        &mut self,
-        local: impl FnMut(NodeId) -> Option<T>,
-    ) -> Option<T> {
-        self.convergecast_with(local, |_, _| {})
-    }
-
-    /// Runs a convergecast where every sending node may prune/transform the
-    /// merged payload before forwarding it (`prune` receives the node id and
-    /// the payload about to be sent — or, at the root, the final payload).
-    ///
-    /// Pruning at the root is deliberate: the root applies the same logic
-    /// (e.g. keeping the `f` largest values) when consuming the data.
     ///
     /// A by-value front to [`Network::convergecast_in`] over a pooled
     /// [`WaveStore`]: payloads that own heap storage are better sent
     /// through a store of the caller's, which keeps that storage.
-    pub fn convergecast_with<T: Aggregate + Send + 'static>(
+    pub fn convergecast<T: Aggregate + Send + 'static>(
         &mut self,
         mut local: impl FnMut(NodeId) -> Option<T>,
-        prune: impl FnMut(NodeId, &mut T),
     ) -> Option<T> {
         let mut store = self.scratch.take::<T>();
         let own = |u, slot: &mut Option<T>| match local(u) {
@@ -1479,7 +1464,7 @@ impl Network {
             }
             None => false,
         };
-        self.wave(&mut store, own, prune, false);
+        self.wave(&mut store, own, |_, _| {}, false);
         let result = store.take_result();
         self.scratch.put(store);
         result
@@ -1493,8 +1478,13 @@ impl Network {
     /// returns `true`, or returns `false` to stay silent. `slot` holds
     /// either nothing or a spent payload from an earlier wave, which the
     /// contribution overwrites in place (keeping its storage) — so whatever
-    /// `slot` held must not show in what `local` writes. `prune` is as for
-    /// [`Network::convergecast_with`].
+    /// `slot` held must not show in what `local` writes.
+    ///
+    /// Every sending node may prune or transform the merged payload before
+    /// forwarding it: `prune` receives the node id and the payload about to
+    /// be sent — or, at the root, the final payload. Pruning at the root is
+    /// deliberate: the root applies the same logic (e.g. keeping the `f`
+    /// largest values) when consuming the data.
     pub fn convergecast_in<'s, T: Aggregate>(
         &mut self,
         store: &'s mut WaveStore<T>,
@@ -1734,7 +1724,7 @@ impl Network {
         let n = self.len();
         self.books.stats.broadcasts += 1;
 
-        // Split field borrows, as in `convergecast_with`: traversal and
+        // Split field borrows, as in `wave`: traversal and
         // child lookups read the tree in place while the books and the
         // loss stream are mutated — no per-node clone of the children list.
         let Network {
@@ -1937,13 +1927,16 @@ mod tests {
     fn pruning_shrinks_forwarded_payload() {
         let mut net = line_network(4);
         // Every node contributes 10 values; relays keep only 2.
+        let mut store = WaveStore::new();
         let agg = net
-            .convergecast_with(
-                |id| {
-                    Some(SumVals {
+            .convergecast_in(
+                &mut store,
+                |id, slot| {
+                    *slot = Some(SumVals {
                         sum: 0,
                         vals: vec![id.0 as i64; 10],
-                    })
+                    });
+                    true
                 },
                 |_, p: &mut SumVals| {
                     p.vals.truncate(2);

@@ -82,7 +82,7 @@ fn round(net: &mut Network, slots: &mut [Option<Count>], mask: &mut NodeBits) {
     for s in slots.iter_mut().skip(1) {
         *s = Some(Count(1));
     }
-    let total = net.convergecast_with(|u| slots[u.index()].take(), |_, _| {});
+    let total = net.convergecast(|u| slots[u.index()].take());
     assert_eq!(total, Some(Count((net.len() - 1) as u64)));
     net.broadcast_into(64, mask);
     assert!(mask.all());

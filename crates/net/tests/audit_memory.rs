@@ -3,11 +3,14 @@
 //! allocator.
 //!
 //! * **The audit.** An audited network keeps one 16-byte record per
-//!   transmission event plus the ledger's per-node totals at each round
-//!   boundary: two identical 32×32 grid networks run the same 40
+//!   transmission event: two identical 32×32 grid networks run the same 40
 //!   protocol-shaped rounds, one audited and one not, and the audited one
 //!   may hold at most 40 extra bytes per event (a doubling `Vec` of
 //!   16-byte records stays below 32).
+//! * **The audit's round boundaries.** A boundary keeps its record count,
+//!   not the ledger: an audited 32×32 grid that closes 200 rounds without
+//!   traffic may grow by at most 64 bytes per boundary, where a copy of the
+//!   ledger's two per-node totals would take 16,384.
 //! * **The audit of broadcast waves.** A lossless broadcast wave is one
 //!   16-byte record however many transmissions and receptions it holds:
 //!   over 40 held rounds of one convergecast and eight broadcasts in
@@ -97,7 +100,7 @@ fn round(net: &mut Network, slots: &mut [Option<Count>], mask: &mut NodeBits) {
     for s in slots.iter_mut().skip(1) {
         *s = Some(Count(1));
     }
-    net.convergecast_with(|u| slots[u.index()].take(), |_, _| {});
+    net.convergecast(|u| slots[u.index()].take());
     net.broadcast_into(64, mask);
     net.broadcast(64);
     net.end_round();
@@ -110,7 +113,7 @@ fn held_round(net: &mut Network, slots: &mut [Option<Count>], mask: &mut NodeBit
     for s in slots.iter_mut().skip(1) {
         *s = Some(Count(1));
     }
-    net.convergecast_with(|u| slots[u.index()].take(), |_, _| {});
+    net.convergecast(|u| slots[u.index()].take());
     for b in 0..8 {
         net.broadcast_into(32 + 48 * (b % 4), mask);
         net.end_round();
@@ -183,6 +186,23 @@ fn a_network_holds_at_most_512_bytes_per_node() {
     assert!(
         per_node <= 512.0,
         "the 32x32 grid network holds {per_node:.1} bytes per node"
+    );
+}
+
+#[test]
+fn a_round_boundary_keeps_at_most_64_bytes() {
+    let mut net = grid_network(32);
+    net.set_audit(true);
+    let before = live_bytes();
+    for _ in 0..200 {
+        net.end_round();
+    }
+    let per_boundary = (live_bytes() - before) as f64 / 200.0;
+    assert_eq!(net.audit_log().boundaries().len(), 200);
+    eprintln!("audit: {per_boundary:.1} heap bytes per quiet round boundary");
+    assert!(
+        per_boundary <= 64.0,
+        "the audit holds {per_boundary:.1} bytes per round boundary"
     );
 }
 
