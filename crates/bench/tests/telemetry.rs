@@ -191,6 +191,10 @@ fn fuzz_exit_codes_through_the_real_binary() {
     let sinusoid = r#""source":"sinusoid","p1":8,"p2":0"#;
     for bad in [
         clean_repro.replace(sinusoid, r#""source":"walk","p1":-1,"p2":3"#),
+        clean_repro.replace(
+            sinusoid,
+            r#""source":"walk","p1":9223372036854775807,"p2":3"#,
+        ),
         clean_repro.replace(sinusoid, r#""source":"pressure","p1":4294967297,"p2":1"#),
         clean_repro.replace(sinusoid, r#""source":"pressure","p1":1,"p2":7"#),
         clean_repro.replace(r#"{"seed":1,"#, r#"{"seed":9,"seed":10,"#),
@@ -199,6 +203,23 @@ fn fuzz_exit_codes_through_the_real_binary() {
         assert_ne!(bad, clean_repro);
         let (code, out) = simulate(&dir, &["fuzz", "--repro", &bad]);
         assert_eq!(code, 2, "{bad} is a usage error: {out}");
+    }
+
+    // A walk's step or a regime's drift of i64::MAX saturates into the
+    // world's range: a clean run, not an overflow.
+    let six = clean_repro.replace(r#""nodes":1,"#, r#""nodes":6,"#);
+    for extreme in [
+        six.replace(
+            sinusoid,
+            r#""source":"walk","p1":64,"p2":9223372036854775807"#,
+        ),
+        six.replace(sinusoid, r#""source":"regime","p1":64,"p2":5"#)
+            .replace(r#""p3":0}"#, r#""p3":9223372036854775807}"#),
+    ] {
+        assert_ne!(extreme, six);
+        let (code, out) = simulate(&dir, &["fuzz", "--repro", &extreme]);
+        assert_eq!(code, 0, "{extreme}: {out}");
+        assert!(out.contains("clean"), "{extreme}: {out}");
     }
 
     let (code, _) = simulate(&dir, &["fuzz", "--scenarios", "many"]);

@@ -70,11 +70,17 @@ impl Rng {
         }
     }
 
-    /// Uniform integer in `[lo, hi]` (inclusive).
+    /// Uniform integer in `[lo, hi]` (inclusive), over any span up to the
+    /// whole `i64` range: `hi - lo` is taken as a wrapping `u64`, exact for
+    /// every `lo <= hi`, and the whole range, whose span `2⁶⁴` no `u64`
+    /// holds, draws one `next_u64`.
     pub fn range_i64(&mut self, lo: i64, hi: i64) -> i64 {
         debug_assert!(lo <= hi);
-        let span = (hi - lo) as u64 + 1;
-        lo + self.below(span) as i64
+        let offset = match (hi.wrapping_sub(lo) as u64).checked_add(1) {
+            Some(span) => self.below(span),
+            None => self.next_u64(),
+        };
+        lo.wrapping_add(offset as i64)
     }
 
     /// Standard normal variate (Box–Muller, one value per call).
@@ -170,6 +176,44 @@ mod tests {
             hi_seen |= v == 3;
         }
         assert!(lo_seen && hi_seen);
+    }
+
+    #[test]
+    fn range_i64_spans_the_whole_i64_range() {
+        // The whole range is `i64::MIN` plus one `next_u64`, wrapping.
+        let mut r = Rng::seed_from_u64(13);
+        let mut twin = r.clone();
+        for _ in 0..1_000 {
+            let offset = twin.next_u64() as i64;
+            assert_eq!(
+                r.range_i64(i64::MIN, i64::MAX),
+                i64::MIN.wrapping_add(offset)
+            );
+        }
+        // A span of 2⁶⁴ - 1 stays inside its bounds and reaches both signs.
+        let (mut negative, mut positive) = (false, false);
+        for _ in 0..1_000 {
+            let v = r.range_i64(-i64::MAX, i64::MAX);
+            assert!(v >= -i64::MAX);
+            negative |= v < 0;
+            positive |= v > 0;
+        }
+        assert!(negative && positive);
+        // A span that fits an `i64` draws exactly what `lo + below(span)`
+        // drew before, so no seeded world moves.
+        let mut r = Rng::seed_from_u64(17);
+        let mut twin = r.clone();
+        for (lo, hi) in [
+            (-3, 3),
+            (0, 1_023),
+            (i64::MAX - 5, i64::MAX),
+            (i64::MIN, i64::MIN + 9),
+        ] {
+            for _ in 0..100 {
+                let span = (hi - lo) as u64 + 1;
+                assert_eq!(r.range_i64(lo, hi), lo + twin.below(span) as i64);
+            }
+        }
     }
 
     #[test]

@@ -66,7 +66,9 @@ impl Dataset for RandomWalkDataset {
             if self.last_round.is_some() || t > 0 {
                 for v in &mut self.state {
                     let delta = self.rng.range_i64(-self.step, self.step);
-                    *v = (*v + delta).clamp(self.range_min, self.range_max);
+                    *v = v
+                        .saturating_add(delta)
+                        .clamp(self.range_min, self.range_max);
                 }
             }
             self.last_round = Some(t);
@@ -225,9 +227,11 @@ impl Dataset for RegimeDataset {
                 *o = self.rng.range_i64(self.range_min, self.range_max);
             }
         } else {
-            let shift = (t % self.phase_len) as Value * self.drift;
+            let shift = ((t % self.phase_len) as Value).saturating_mul(self.drift);
             for (o, &b) in out.iter_mut().zip(&self.base) {
-                *o = (b + shift).clamp(self.range_min, self.range_max);
+                *o = b
+                    .saturating_add(shift)
+                    .clamp(self.range_min, self.range_max);
             }
         }
     }
@@ -322,6 +326,24 @@ mod tests {
         walk.replace(1);
         let p = walk.positions()[1];
         assert!((0.0..=50.0).contains(&p.x) && (0.0..=50.0).contains(&p.y));
+    }
+
+    #[test]
+    fn extreme_steps_and_drifts_saturate_into_the_range() {
+        let mut rng = Rng::seed_from_u64(5);
+        let mut out = vec![0; 6];
+        let mut walk = RandomWalkDataset::new(6, 0, 63, i64::MAX, &mut rng);
+        for t in 0..50 {
+            walk.sample_round(t, &mut out);
+            assert!(out.iter().all(|v| (0..=63).contains(v)), "walk {out:?}");
+        }
+        for drift in [i64::MAX, i64::MIN] {
+            let mut regime = RegimeDataset::new(6, 0, 63, 5, drift, &mut rng);
+            for t in 0..50 {
+                regime.sample_round(t, &mut out);
+                assert!(out.iter().all(|v| (0..=63).contains(v)), "regime {out:?}");
+            }
+        }
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! order, the same lane books and the same digest hashes, over random call
 //! sequences that include every kind and phase, out-of-range nodes,
 //! over-wide fields, ACKs of the wrong size, disagreeing ledgers and
-//! mid-run enabling. The sequences include lossless broadcast waves over
-//! random routing trees, which the plain log records event by event in the
-//! per-child loop's order and the running log as one wave record, or event
-//! by event where one record cannot hold the wave; the trees change
-//! between waves.
+//! mid-run enabling. The sequences include lossless broadcast and
+//! convergecast waves over random routing trees, which the plain log
+//! records event by event — in the per-child loop's order, and sender by
+//! sender in wave-slot order — and the running log as one wave record, or
+//! event by event where one record cannot hold the wave (a lane past 255,
+//! a field too wide); the trees change between waves.
 
 use crate::audit::{
     self as running, AuditReport, Discrepancy, LaneBook, Phase, PhaseBreakdown, Tariff, TxEvent,
@@ -394,6 +395,45 @@ impl Pair {
         self.new.record_wave(tree, phase, fragments, bits);
     }
 
+    /// One lossless convergecast wave over the tree, charged to the ledger
+    /// sender by sender and recorded in both logs: a data event from each
+    /// sender to its parent, in wave-slot order, in the plain log, and one
+    /// wave in the running one. Some nodes stay silent; unless `honest`,
+    /// some waves have senders too wide for a column entry.
+    fn convergecast(&mut self, rng: &mut SplitMix64, honest: bool) {
+        let phase = Phase::ALL[below(rng, Phase::COUNT as u64) as usize];
+        let wide = !honest && below(rng, 4) == 0;
+        let Some(tree) = &self.tree else {
+            return;
+        };
+        self.new.open_convergecast(tree, phase);
+        for (slot, &u) in tree.bottom_up().iter().enumerate() {
+            let Some(parent) = tree.parent(u) else {
+                continue;
+            };
+            if below(rng, 3) == 0 {
+                continue;
+            }
+            let fragments = match below(rng, 10) {
+                0 if wide => 255 + below(rng, 3),
+                1 => 0,
+                _ => 1 + below(rng, 4),
+            };
+            let bits = match below(rng, 10) {
+                0 if wide => (1 << 24) - 1 + below(rng, 3),
+                1 if wide => u32::MAX as u64 + below(rng, 3),
+                2 => 0,
+                _ => below(rng, 4000),
+            };
+            self.ledger.charge_tx(u, bits);
+            self.ledger.charge_rx(parent, bits);
+            self.old
+                .record(phase, TxKind::Data, u, parent, fragments, bits);
+            self.new.record_sender(slot, fragments, bits);
+        }
+        self.new.close_convergecast();
+    }
+
     fn enable(&mut self, on: bool) {
         self.old.set_enabled(on);
         let tariff = Tariff::of(&self.model, &self.sizes, self.range);
@@ -607,6 +647,7 @@ fn the_running_audit_matches_the_replay_on_random_call_sequences() {
             }
             match below(&mut rng, 24) {
                 0..=1 => pair.end_round(&mut rng),
+                17..=19 => pair.convergecast(&mut rng, false),
                 20..=22 => pair.wave(&mut rng, false),
                 23 => pair.new_tree(&mut rng),
                 2 => {
@@ -636,6 +677,7 @@ fn a_clean_run_escapes_nothing() {
         }
         for _ in 0..3 {
             pair.wave(&mut rng, true);
+            pair.convergecast(&mut rng, true);
         }
         for _ in 0..20 {
             // Honest, in-range transmissions only.

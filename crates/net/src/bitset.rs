@@ -96,15 +96,21 @@ impl NodeBits {
 
     /// Iterates the indices of set bits in ascending order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            // Peel one set bit per step; word index recovers the offset.
-            std::iter::successors((w != 0).then_some(w), |&rest| {
-                let next = rest & (rest - 1);
-                (next != 0).then_some(next)
-            })
-            .map(move |rest| (wi << 6) + rest.trailing_zeros() as usize)
-        })
+        ones(&self.words)
     }
+}
+
+/// The indices of the set bits of `words` (bit `i` is bit `i % 64` of word
+/// `i / 64`), in ascending order.
+pub(crate) fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
+        // Peel one set bit per step; word index recovers the offset.
+        std::iter::successors((w != 0).then_some(w), |&rest| {
+            let next = rest & (rest - 1);
+            (next != 0).then_some(next)
+        })
+        .map(move |rest| (wi << 6) + rest.trailing_zeros() as usize)
+    })
 }
 
 #[cfg(test)]

@@ -2,11 +2,16 @@
 //! per unit it stores, measured with a live-byte counting global
 //! allocator.
 //!
-//! * **The audit.** An audited network keeps one 16-byte record per
-//!   transmission event: two identical 32×32 grid networks run the same 40
-//!   protocol-shaped rounds, one audited and one not, and the audited one
-//!   may hold at most 40 extra bytes per event (a doubling `Vec` of
-//!   16-byte records stays below 32).
+//! * **The audit.** An audited network keeps at most one 16-byte record
+//!   per transmission event: two identical 32×32 grid networks run the
+//!   same 40 protocol-shaped rounds, one audited and one not, and the
+//!   audited one may hold at most 40 extra bytes per event (a doubling
+//!   `Vec` of 16-byte records stays below 32).
+//! * **The audit of convergecast waves.** A lossless convergecast wave is
+//!   one 16-byte record, a bit per wave slot and a 4-byte column entry per
+//!   sender: over 40 rounds of one full collection each, every sensor
+//!   sending, as TAG's are, the audited grid may hold at most 8 extra bytes
+//!   per event, where one 16-byte record per event would hold 16 or more.
 //! * **The audit's round boundaries.** A boundary keeps its record count,
 //!   not the ledger: an audited 32×32 grid that closes 200 rounds without
 //!   traffic may grow by at most 64 bytes per boundary, where a copy of the
@@ -121,10 +126,22 @@ fn held_round(net: &mut Network, slots: &mut [Option<Count>], mask: &mut NodeBit
     net.finish_round();
 }
 
-/// Builds a 32×32 grid network, runs 40 rounds (`held`: broadcast-heavy
-/// held rounds in shared frames) and returns it with the live bytes the
-/// whole run left behind.
-fn run(audit: bool, held: bool) -> (Network, i64) {
+/// A full collection round: every sensor contributes to one convergecast,
+/// as in TAG's rounds; then the round closes.
+fn collection_round(net: &mut Network, slots: &mut [Option<Count>], _: &mut NodeBits) {
+    for s in slots.iter_mut().skip(1) {
+        *s = Some(Count(1));
+    }
+    net.convergecast(|u| slots[u.index()].take());
+    net.end_round();
+}
+
+type Round = fn(&mut Network, &mut [Option<Count>], &mut NodeBits);
+
+/// Builds a 32×32 grid network, runs 40 `round`s (`held`: in held rounds
+/// and shared frames) and returns it with the live bytes the whole run
+/// left behind.
+fn run(audit: bool, held: bool, round: Round) -> (Network, i64) {
     let before = live_bytes();
     let mut net = grid_network(32);
     net.set_audit(audit);
@@ -133,11 +150,7 @@ fn run(audit: bool, held: bool) -> (Network, i64) {
     let mut slots: Vec<Option<Count>> = vec![None; net.len()];
     let mut mask = NodeBits::new();
     for _ in 0..40 {
-        if held {
-            held_round(&mut net, &mut slots, &mut mask);
-        } else {
-            round(&mut net, &mut slots, &mut mask);
-        }
+        round(&mut net, &mut slots, &mut mask);
     }
     drop((slots, mask));
     let bytes = live_bytes() - before;
@@ -146,8 +159,8 @@ fn run(audit: bool, held: bool) -> (Network, i64) {
 
 #[test]
 fn the_audit_keeps_at_most_40_bytes_per_event() {
-    let (_plain, plain_bytes) = run(false, false);
-    let (audited, audited_bytes) = run(true, false);
+    let (_plain, plain_bytes) = run(false, false, round);
+    let (audited, audited_bytes) = run(true, false, round);
     let events = audited.audit_log().len();
     assert!(
         events > 100_000,
@@ -163,8 +176,8 @@ fn the_audit_keeps_at_most_40_bytes_per_event() {
 
 #[test]
 fn the_audit_keeps_a_broadcast_wave_in_one_record() {
-    let (_plain, plain_bytes) = run(false, true);
-    let (audited, audited_bytes) = run(true, true);
+    let (_plain, plain_bytes) = run(false, true, held_round);
+    let (audited, audited_bytes) = run(true, true, held_round);
     let events = audited.audit_log().len();
     assert!(
         events > 400_000,
@@ -179,8 +192,22 @@ fn the_audit_keeps_a_broadcast_wave_in_one_record() {
 }
 
 #[test]
+fn the_audit_keeps_a_convergecast_wave_in_a_column() {
+    let (_plain, plain_bytes) = run(false, false, collection_round);
+    let (audited, audited_bytes) = run(true, false, collection_round);
+    let events = audited.audit_log().len();
+    assert_eq!(events, 40 * 1023, "every sensor sends once a round");
+    let per_event = (audited_bytes - plain_bytes) as f64 / events as f64;
+    eprintln!("audit of collections: {events} events, {per_event:.2} extra heap bytes per event");
+    assert!(
+        per_event <= 8.0,
+        "the audit holds {per_event:.2} bytes per event over {events} events"
+    );
+}
+
+#[test]
 fn a_network_holds_at_most_512_bytes_per_node() {
-    let (net, bytes) = run(false, false);
+    let (net, bytes) = run(false, false, round);
     let per_node = bytes as f64 / net.len() as f64;
     eprintln!("network: {per_node:.1} heap bytes per node after 40 rounds");
     assert!(

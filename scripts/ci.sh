@@ -188,7 +188,7 @@ while read -r workload want; do
         scale_10k) pin=5.90 ;;
         paper_batch) pin=0.65 ;;
         dynamic_lossy) pin=0.85 ;;
-        serve_64q) pin=34.85 ;;
+        serve_64q) pin=11.50 ;;
         *) pin="" ;;
     esac
     if [ -n "$pin" ]; then
