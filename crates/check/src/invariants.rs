@@ -243,6 +243,13 @@ fn catch<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|e| panic_text(&*e))
 }
 
+/// The protocol-level affine metamorphic run maps every value `v` to
+/// `AFFINE_SCALE · v + AFFINE_OFFSET` ([`meta::answers`]).
+pub const AFFINE_SCALE: Value = 3;
+
+/// See [`AFFINE_SCALE`].
+pub const AFFINE_OFFSET: Value = 1000;
+
 /// Runs the full invariant battery against one scenario.
 pub fn check(scenario: &Scenario) -> ScenarioReport {
     let mut violations = Vec::new();
@@ -351,7 +358,7 @@ pub fn check(scenario: &Scenario) -> ScenarioReport {
         let runs = (
             meta::answers(scenario, kind, 1, 0, 0),
             meta::answers(scenario, kind, 1, 0, rot),
-            meta::answers(scenario, kind, 3, 1000, 0),
+            meta::answers(scenario, kind, AFFINE_SCALE, AFFINE_OFFSET, 0),
         );
         match runs {
             (Ok(identity), Ok(rotated), Ok(affine)) => {
@@ -362,8 +369,8 @@ pub fn check(scenario: &Scenario) -> ScenarioReport {
                         round,
                     });
                 }
-                if let Some(round) =
-                    (0..identity.len()).find(|&t| affine[t] != 3 * identity[t] + 1000)
+                let image = |v: Value| AFFINE_SCALE * v + AFFINE_OFFSET;
+                if let Some(round) = (0..identity.len()).find(|&t| affine[t] != image(identity[t]))
                 {
                     violations.push(Violation::ProtocolMetamorphic {
                         algorithm: kind.name(),
