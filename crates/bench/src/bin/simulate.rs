@@ -103,27 +103,6 @@ impl Default for Args {
     }
 }
 
-/// Every protocol the CLI runs, in `--all` order. The sketch family sits
-/// at the default ε = 0.1 and derived capacity; pick other operating
-/// points through the library API.
-const ALGORITHMS: [AlgorithmKind; 12] = [
-    AlgorithmKind::Tag,
-    AlgorithmKind::Pos,
-    AlgorithmKind::LcllH,
-    AlgorithmKind::LcllS,
-    AlgorithmKind::LcllR,
-    AlgorithmKind::Hbc,
-    AlgorithmKind::HbcNb,
-    AlgorithmKind::Iq,
-    AlgorithmKind::Adaptive,
-    AlgorithmKind::Gk,
-    AlgorithmKind::QDigest { eps_milli: 100 },
-    AlgorithmKind::GkSink {
-        eps_milli: 100,
-        capacity: 0,
-    },
-];
-
 const POSITIVE: &str = "a positive integer";
 const UNIT: &str = "a fraction in [0, 1]";
 
@@ -138,7 +117,7 @@ fn parse_args(argv: Vec<String>) -> Args {
         match flag.as_str() {
             "--algorithm" | "-a" => {
                 let name = argv.value(&flag);
-                let kind = ALGORITHMS
+                let kind = AlgorithmKind::ALL
                     .into_iter()
                     .find(|a| a.name().eq_ignore_ascii_case(&name));
                 args.algorithm =
@@ -1041,7 +1020,7 @@ fn main() {
     }
 
     let kinds: Vec<AlgorithmKind> = if args.all {
-        ALGORITHMS.to_vec()
+        AlgorithmKind::ALL.to_vec()
     } else {
         vec![args.algorithm.expect("validated")]
     };

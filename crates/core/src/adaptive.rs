@@ -150,6 +150,37 @@ impl Adaptive {
         self.switches += 1;
     }
 
+    /// Executes the protocol in charge and updates its cost estimate.
+    /// Returns the answer and whether a mode switch may follow, which it
+    /// never does after the initialization round.
+    fn execute_member(&mut self, net: &mut Network, values: &[Value]) -> (Value, bool) {
+        if !self.initialized {
+            // Initialize through IQ (any member works, §4.2.1).
+            let q = self.iq.execute(net, values);
+            self.initialized = true;
+            self.rounds_in_mode = 1;
+            return (q, false);
+        }
+
+        let bits_before = net.stats().bits;
+        let q = match self.mode {
+            Mode::Iq => self.iq.execute(net, values),
+            Mode::Hbc => self.hbc.execute(net, values),
+        };
+        let cost = (net.stats().bits - bits_before) as f64;
+
+        let cur = Self::slot(self.mode);
+        let a = self.config.ewma_alpha;
+        self.ewma[cur] = Some(match self.ewma[cur] {
+            Some(prev) => (1.0 - a) * prev + a * cost,
+            None => cost,
+        });
+        self.age[cur] = 0;
+        self.age[Self::slot(Self::other(self.mode))] += 1;
+        self.rounds_in_mode += 1;
+        (q, true)
+    }
+
     fn maybe_switch(&mut self, net: &mut Network) {
         if self.rounds_in_mode < self.config.min_dwell {
             return;
@@ -173,33 +204,23 @@ impl ContinuousQuantile for Adaptive {
         "Adaptive"
     }
 
-    fn round(&mut self, net: &mut Network, values: &[Value]) -> Value {
-        if !self.initialized {
-            // Initialize through IQ (any member works, §4.2.1).
-            let q = self.iq.round(net, values);
-            self.initialized = true;
-            self.rounds_in_mode = 1;
-            return q;
+    /// Books a mode announcement inside the round it follows.
+    fn execute(&mut self, net: &mut Network, values: &[Value]) -> Value {
+        let (q, settled) = self.execute_member(net, values);
+        if settled {
+            self.maybe_switch(net);
         }
+        q
+    }
 
-        let bits_before = net.stats().bits;
-        let q = match self.mode {
-            Mode::Iq => self.iq.round(net, values),
-            Mode::Hbc => self.hbc.round(net, values),
-        };
-        let cost = (net.stats().bits - bits_before) as f64;
-
-        let cur = Self::slot(self.mode);
-        let a = self.config.ewma_alpha;
-        self.ewma[cur] = Some(match self.ewma[cur] {
-            Some(prev) => (1.0 - a) * prev + a * cost,
-            None => cost,
-        });
-        self.age[cur] = 0;
-        self.age[Self::slot(Self::other(self.mode))] += 1;
-        self.rounds_in_mode += 1;
-
-        self.maybe_switch(net);
+    /// Closes the round before the mode announcement, so a solo run books
+    /// the announcement in the next accounting round.
+    fn round(&mut self, net: &mut Network, values: &[Value]) -> Value {
+        let (q, settled) = self.execute_member(net, values);
+        net.end_round();
+        if settled {
+            self.maybe_switch(net);
+        }
         q
     }
 }

@@ -256,7 +256,7 @@ impl ContinuousQuantile for Gk {
         "GK"
     }
 
-    fn round(&mut self, net: &mut Network, values: &[Value]) -> Value {
+    fn execute(&mut self, net: &mut Network, values: &[Value]) -> Value {
         if self.last.is_none() {
             // The retrieval wave is answered by a different few nodes each
             // round: give its slots storage up front.
@@ -281,7 +281,6 @@ impl ContinuousQuantile for Gk {
             |_, _| None,
         );
         self.last = Some(result);
-        net.end_round();
         result
     }
 }

@@ -215,7 +215,7 @@ impl ContinuousQuantile for GkSinkQuantile {
         "GKS"
     }
 
-    fn round(&mut self, net: &mut Network, values: &[Value]) -> Value {
+    fn execute(&mut self, net: &mut Network, values: &[Value]) -> Value {
         self.last_iterations = 0;
         self.refined_last_round = false;
 
@@ -231,7 +231,6 @@ impl ContinuousQuantile for GkSinkQuantile {
             // exact validity condition (l < k ≤ l+e) at tol = 0.
             let accept = n_obs >= k && counts.l < k + tol && counts.l + counts.e + tol >= k;
             if accept {
-                net.end_round();
                 return q;
             }
             net.set_phase(wsn_net::Phase::Refinement);
@@ -242,7 +241,6 @@ impl ContinuousQuantile for GkSinkQuantile {
         self.refined_last_round = true;
         let result = self.refine(net, values);
         self.last = Some(result);
-        net.end_round();
         result
     }
 

@@ -140,7 +140,6 @@ impl Hbc {
         let bits = net.sizes().value_bits;
         self.sensors.broadcast(net, bits, (q, q));
         self.initialized = true;
-        net.end_round();
         q
     }
 
@@ -228,7 +227,7 @@ impl ContinuousQuantile for Hbc {
         }
     }
 
-    fn round(&mut self, net: &mut Network, values: &[Value]) -> Value {
+    fn execute(&mut self, net: &mut Network, values: &[Value]) -> Value {
         if !self.initialized {
             return self.init_round(net, values);
         }
@@ -304,7 +303,6 @@ impl ContinuousQuantile for Hbc {
         if !self.variant() {
             self.conclude(net, result);
         }
-        net.end_round();
         result
     }
 }

@@ -199,7 +199,6 @@ impl Iq {
             history.push_back(q);
         }
         self.initialized = true;
-        net.end_round();
         q
     }
 
@@ -279,7 +278,7 @@ impl ContinuousQuantile for Iq {
         "IQ"
     }
 
-    fn round(&mut self, net: &mut Network, values: &[Value]) -> Value {
+    fn execute(&mut self, net: &mut Network, values: &[Value]) -> Value {
         if !self.initialized {
             return self.init_round(net, values);
         }
@@ -394,7 +393,6 @@ impl ContinuousQuantile for Iq {
         };
 
         self.conclude(net, result);
-        net.end_round();
         result
     }
 }

@@ -124,7 +124,6 @@ impl Lcll {
         let bits = net.sizes().value_bits;
         self.sensors.broadcast(net, bits, q);
         self.initialized = true;
-        net.end_round();
         q
     }
 
@@ -238,7 +237,7 @@ impl ContinuousQuantile for Lcll {
         }
     }
 
-    fn round(&mut self, net: &mut Network, values: &[Value]) -> Value {
+    fn execute(&mut self, net: &mut Network, values: &[Value]) -> Value {
         if !self.initialized {
             return self.init_round(net, values);
         }
@@ -285,7 +284,6 @@ impl ContinuousQuantile for Lcll {
             let bits = net.sizes().value_bits;
             self.sensors.broadcast(net, bits, result);
         }
-        net.end_round();
         result
     }
 }

@@ -232,7 +232,6 @@ impl LcllRange {
         let bits = net.sizes().refinement_request_bits();
         self.sensors.broadcast(net, bits, self.focus);
         self.initialized = true;
-        net.end_round();
         q
     }
 }
@@ -299,7 +298,7 @@ impl ContinuousQuantile for LcllRange {
         "LCLL-R"
     }
 
-    fn round(&mut self, net: &mut Network, values: &[Value]) -> Value {
+    fn execute(&mut self, net: &mut Network, values: &[Value]) -> Value {
         if !self.initialized {
             return self.init_round(net, values);
         }
@@ -398,7 +397,6 @@ impl ContinuousQuantile for LcllRange {
         };
 
         self.last_quantile = result;
-        net.end_round();
         result
     }
 }

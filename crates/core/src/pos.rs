@@ -92,7 +92,6 @@ impl Pos {
         let bits = net.sizes().value_bits;
         self.sensors.broadcast(net, bits, q);
         self.initialized = true;
-        net.end_round();
         q
     }
 
@@ -151,7 +150,7 @@ impl ContinuousQuantile for Pos {
         "POS"
     }
 
-    fn round(&mut self, net: &mut Network, values: &[Value]) -> Value {
+    fn execute(&mut self, net: &mut Network, values: &[Value]) -> Value {
         if !self.initialized {
             return self.init_round(net, values);
         }
@@ -188,7 +187,6 @@ impl ContinuousQuantile for Pos {
         }
 
         if self.counts.is_valid_quantile(self.query.k) {
-            net.end_round();
             return self.root_filter;
         }
 
@@ -216,7 +214,7 @@ impl ContinuousQuantile for Pos {
         };
 
         let capacity = net.sizes().values_per_message() as u64;
-        let result = loop {
+        loop {
             if lo > hi {
                 // Inconsistent state: only reachable under message loss.
                 break self.root_filter;
@@ -255,10 +253,7 @@ impl ContinuousQuantile for Pos {
                     below = Some(self.counts.l + self.counts.e);
                 }
             }
-        };
-
-        net.end_round();
-        result
+        }
     }
 }
 

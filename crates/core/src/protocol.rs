@@ -41,9 +41,16 @@ impl QueryConfig {
 
 /// A continuous quantile query protocol.
 ///
-/// The first [`ContinuousQuantile::round`] call is the initialization round
-/// `t = 0`; subsequent calls are update rounds. `values[i]` is the current
-/// measurement of sensor `NodeId(i+1)` (the root measures nothing).
+/// The first [`ContinuousQuantile::execute`] call, directly or through
+/// `round`, is the initialization round `t = 0`; later calls are update
+/// rounds. `values[i]` is the current measurement of sensor
+/// `NodeId(i+1)` (the root measures nothing).
+///
+/// A protocol only [`ContinuousQuantile::execute`]s a round's waves; the
+/// driver closes the accounting round ([`Network::end_round`]). A solo run
+/// calls `round`, which executes and then closes; the multi-query service
+/// executes every due query and closes once, so all of them share one
+/// accounting round.
 ///
 /// The paper's protocols are **exact**: absent message loss, the returned
 /// value equals `kth_smallest(values, k)` each round. The sketch family
@@ -54,9 +61,17 @@ pub trait ContinuousQuantile {
     /// Short identifier used in reports ("TAG", "POS", "HBC", …).
     fn name(&self) -> &'static str;
 
-    /// Executes one query round over the given measurements and returns the
-    /// quantile as determined at the root node.
-    fn round(&mut self, net: &mut Network, values: &[Value]) -> Value;
+    /// Runs one query round's waves over the given measurements and returns
+    /// the quantile as determined at the root node, leaving the accounting
+    /// round open.
+    fn execute(&mut self, net: &mut Network, values: &[Value]) -> Value;
+
+    /// Executes one query round, then closes the accounting round.
+    fn round(&mut self, net: &mut Network, values: &[Value]) -> Value {
+        let q = self.execute(net, values);
+        net.end_round();
+        q
+    }
 
     /// Largest rank error (distance of the answer's true rank span from
     /// `k`) this protocol may commit on a reliable network over `n`

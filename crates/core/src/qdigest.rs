@@ -477,7 +477,7 @@ impl ContinuousQuantile for QDigestQuantile {
         "QD"
     }
 
-    fn round(&mut self, net: &mut Network, values: &[Value]) -> Value {
+    fn execute(&mut self, net: &mut Network, values: &[Value]) -> Value {
         // Every round is a fresh snapshot sweep, like TAG — charged as
         // the init phase (no validation/refinement split exists here).
         net.set_phase(wsn_net::Phase::Init);
@@ -494,7 +494,6 @@ impl ContinuousQuantile for QDigestQuantile {
         let q = digest
             .and_then(|d| d.query(self.query.k))
             .unwrap_or(self.last.unwrap_or(range_min));
-        net.end_round();
         self.last = Some(q);
         q
     }

@@ -84,7 +84,7 @@ impl ContinuousQuantile for SampledQuantile {
         "Sampled"
     }
 
-    fn round(&mut self, net: &mut Network, values: &[Value]) -> Value {
+    fn execute(&mut self, net: &mut Network, values: &[Value]) -> Value {
         let k_sample = self.sample_rank() as usize;
         let member = &self.member;
         let own = |id: wsn_net::NodeId, slot: &mut Option<ValueList>| {
@@ -97,7 +97,6 @@ impl ContinuousQuantile for SampledQuantile {
         };
         let prune = |_, l: &mut ValueList| l.keep_smallest(k_sample);
         let collected = delivered(net.convergecast_in(&mut self.lists, own, prune));
-        net.end_round();
         let q = if collected.is_empty() {
             self.last.unwrap_or(self.query.range_min)
         } else {

@@ -43,7 +43,7 @@ impl ContinuousQuantile for Tag {
         "TAG"
     }
 
-    fn round(&mut self, net: &mut Network, values: &[Value]) -> Value {
+    fn execute(&mut self, net: &mut Network, values: &[Value]) -> Value {
         // Every TAG round *is* the initialization collection (§3.2 calls
         // POS's init "an aggregation technique equivalent to TAG"), so its
         // traffic is attributed to the Init phase.
@@ -56,7 +56,6 @@ impl ContinuousQuantile for Tag {
         };
         let prune = |_, l: &mut ValueList| l.keep_smallest(k);
         let collected = delivered(net.convergecast_in(&mut self.store, own, prune));
-        net.end_round();
         // The root holds the k smallest network values; the answer is their
         // maximum. An empty collection (total message loss) keeps the last
         // answer.

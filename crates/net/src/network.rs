@@ -306,11 +306,6 @@ pub struct Network {
     /// Per-round shared-frame state for multi-query rounds (see
     /// [`Network::set_shared_frames`]). Off by default.
     share: SharedWave,
-    /// When true, [`Network::end_round`] is deferred: protocol-internal
-    /// round boundaries become no-ops and the service runner closes the
-    /// real round with [`Network::finish_round`] once every due query has
-    /// executed — so shared frames span the whole multi-query round.
-    round_hold: bool,
     /// Every record a send writes.
     books: Books,
     scratch: ScratchPool,
@@ -1057,7 +1052,6 @@ impl Network {
             duty_milli: 0,
             phase: Phase::default(),
             share: SharedWave::default(),
-            round_hold: false,
             books,
             scratch: ScratchPool::default(),
             recorder: Recorder::default(),
@@ -1139,23 +1133,6 @@ impl Network {
             self.share.up.resize(self.len(), 0);
         }
         self.share.reset();
-    }
-
-    /// Holds or releases round boundaries. While held, protocol-internal
-    /// [`Network::end_round`] calls are no-ops; the caller closes each
-    /// real round with [`Network::finish_round`]. The multi-query service
-    /// runner holds rounds so that all due queries execute inside one
-    /// accounting round (one ledger snapshot, one shared-frame window).
-    pub fn set_round_hold(&mut self, on: bool) {
-        self.round_hold = on;
-    }
-
-    /// Closes the current round even while a round hold is active.
-    pub fn finish_round(&mut self) {
-        let hold = self.round_hold;
-        self.round_hold = false;
-        self.end_round();
-        self.round_hold = hold;
     }
 
     /// Enables or disables transmission-event recording. Enable *before*
@@ -1471,9 +1448,6 @@ impl Network {
     /// telemetry on, closes the round's phase and round spans and opens
     /// the next round's.
     pub fn end_round(&mut self) {
-        if self.round_hold {
-            return;
-        }
         let round = self.books.audit.round();
         if self.share.enabled {
             self.share.reset();

@@ -14,7 +14,7 @@
 //! of the same length that reads back the same events, replays the same
 //! lane books at every round boundary and verifies clean. The random call
 //! sequences run audited and unaudited, solo and in shared frames, with
-//! held rounds of several broadcasts, lane and phase switches (lanes past
+//! rounds of several broadcasts, lane and phase switches (lanes past
 //! 255 included, which the audit cannot pack), failures, rebuilds, churn
 //! and emptied trees, both between rounds and in the middle of one. A tree
 //! change ends the shared-frame window on both sides: the engine resets
@@ -210,14 +210,10 @@ impl Reference {
         per_child_broadcast(&mut self.net, self.down.as_deref_mut(), bits, received);
     }
 
-    /// Runs `close` (a round end of either kind) and clears the
-    /// accumulators if it closed the round.
-    fn close(&mut self, close: impl FnOnce(&mut Network)) {
-        let rounds = self.net.ledger().rounds();
-        close(&mut self.net);
-        if self.net.ledger().rounds() != rounds {
-            self.tree_changed();
-        }
+    /// Closes the round, which ends the shared-frame window.
+    fn end_round(&mut self) {
+        self.net.end_round();
+        self.tree_changed();
     }
 
     /// Ends the shared-frame window: clears the accumulators, as the
@@ -232,7 +228,7 @@ impl Reference {
 #[test]
 fn bulk_broadcasts_book_as_the_per_child_loop() {
     const RANGE: f64 = 25.0;
-    let (mut broadcasts, mut emptied, mut ended) = (0, 0, 0);
+    let (mut broadcasts, mut emptied, mut ended, mut multiwave) = (0, 0, 0, 0);
     for world in 0..8u64 {
         let (audit, shared) = (world & 1 == 1, world & 2 == 2);
         let mut rng = SplitMix64::new(0xb00c + world);
@@ -249,12 +245,13 @@ fn bulk_broadcasts_book_as_the_per_child_loop() {
             down: shared.then(|| vec![0; n]),
         };
         let (mut recv_b, mut recv_r) = (NodeBits::new(), NodeBits::new());
+        let mut round_waves = 0;
 
         for step in 0..400 {
             let ctx =
                 format!("world {world} ({n} nodes, audit {audit}, shared {shared}), step {step}");
             let pending = bulk.share.down > 0;
-            match rng.next_u64() % 24 {
+            match rng.next_u64() % 22 {
                 0..=3 => {
                     let salt = rng.next_u64();
                     let local = |id| {
@@ -263,6 +260,7 @@ fn bulk_broadcasts_book_as_the_per_child_loop() {
                     };
                     bulk.convergecast(local);
                     reference.net.convergecast(local);
+                    round_waves += 1;
                 }
                 4..=10 => {
                     // One to four broadcasts: a few sizes recur, some
@@ -286,6 +284,7 @@ fn bulk_broadcasts_book_as_the_per_child_loop() {
                             assert_eq!(recv_b, recv_r, "{ctx}: the same nodes receive");
                         }
                         broadcasts += 1;
+                        round_waves += 1;
                     }
                 }
                 11 => {
@@ -362,24 +361,17 @@ fn bulk_broadcasts_book_as_the_per_child_loop() {
                     bulk = copy;
                     reference.net = reference.net.clone();
                 }
-                18 => {
-                    let hold = !rng.next_u64().is_multiple_of(3);
-                    bulk.set_round_hold(hold);
-                    reference.net.set_round_hold(hold);
-                }
-                19 => {
-                    bulk.finish_round();
-                    reference.close(Network::finish_round);
-                }
                 _ => {
                     bulk.end_round();
-                    reference.close(Network::end_round);
+                    reference.end_round();
+                    multiwave += usize::from(shared && round_waves >= 2);
+                    round_waves = 0;
                 }
             }
             assert_same(&bulk, &reference.net, step % 16 == 15, &ctx);
         }
-        bulk.finish_round();
-        reference.close(Network::finish_round);
+        bulk.end_round();
+        reference.end_round();
         assert_same(&bulk, &reference.net, true, &format!("world {world} end"));
     }
     assert!(broadcasts > 2_000, "only {broadcasts} broadcasts");
@@ -387,5 +379,9 @@ fn bulk_broadcasts_book_as_the_per_child_loop() {
     assert!(
         ended > 3,
         "only {ended} tree changes ended a shared-frame window"
+    );
+    assert!(
+        multiwave > 100,
+        "only {multiwave} rounds of several waves in shared frames"
     );
 }

@@ -21,9 +21,10 @@
 //! The random call sequences run audited and unaudited, solo and in
 //! shared frames, lossless and lossy (with ARQ, with recovery passes, and
 //! worlds whose loss switches on and off between waves), with lanes 0–4
-//! and 300 (which the audit cannot pack), phase switches, held rounds,
-//! clones, failures, rebuilds and churn, over empty, single-value and
-//! fragmenting payloads, some too wide for the audit's column.
+//! and 300 (which the audit cannot pack), phase switches, rounds of
+//! several waves, clones, failures, rebuilds and churn, over empty,
+//! single-value and fragmenting payloads, some too wide for the audit's
+//! column.
 
 use super::*;
 use crate::audit::{lane_breakdowns, lane_breakdowns_by_round, EnergyAuditor, TxEvent};
@@ -398,7 +399,7 @@ impl Draw {
 
 /// Drives one bulk network and its per-sender reference through the same
 /// random call sequence, checking every book after every step.
-fn run_world(world: u64) -> [usize; 4] {
+fn run_world(world: u64) -> [usize; 5] {
     const RANGE: f64 = 25.0;
     let (audit, shared, lossy) = (world & 1 == 1, world & 2 == 2, world & 4 == 4);
     let mut rng = SplitMix64::new(0xc0c0 + world);
@@ -424,12 +425,14 @@ fn run_world(world: u64) -> [usize; 4] {
     let (mut pooled, mut store_b, mut store_r) =
         (WaveStore::new(), WaveStore::new(), WaveStore::new());
     let mut mask = NodeBits::new();
-    // Lossless waves, lossy waves, and audited lossless waves of more than
-    // one sender recorded as one record and event by event.
-    let mut seen = [0; 4];
+    // Lossless waves, lossy waves, audited lossless waves of more than one
+    // sender recorded as one record and event by event, and rounds closed
+    // after two or more lossless waves in shared frames.
+    let mut seen = [0; 5];
+    let mut round_waves = 0;
     for step in 0..200 {
         let ctx = format!("world {world} ({n} nodes, audit {audit}, shared {shared}), step {step}");
-        match rng.next_u64() % 24 {
+        match rng.next_u64() % 22 {
             0..=9 => {
                 let draw = Draw::of(&mut rng, bulk.loss.is_none());
                 let cap = 1 + rng.next_u64() % 60;
@@ -461,6 +464,7 @@ fn run_world(world: u64) -> [usize; 4] {
                 assert_eq!(got, want, "{ctx}: aggregate");
                 let lossless = bulk.loss.is_none();
                 seen[usize::from(!lossless)] += 1;
+                round_waves += usize::from(lossless);
                 let (records, events) = log(&bulk);
                 let (records, events) = (records - before.0, events - before.1);
                 if audit && lossless && events > 1 {
@@ -472,6 +476,7 @@ fn run_world(world: u64) -> [usize; 4] {
                 let bits = [0, 16, 48, 3_000][(rng.next_u64() % 4) as usize];
                 bulk.broadcast_into(bits, &mut mask);
                 reference.broadcast_into(bits, &mut mask);
+                round_waves += usize::from(bulk.loss.is_none());
             }
             12 => {
                 let phase = Phase::ALL[(rng.next_u64() % Phase::ALL.len() as u64) as usize];
@@ -522,40 +527,37 @@ fn run_world(world: u64) -> [usize; 4] {
                 bulk.set_loss(loss.clone());
                 reference.set_loss(loss);
             }
-            19 => {
-                let hold = !rng.next_u64().is_multiple_of(3);
-                bulk.set_round_hold(hold);
-                reference.set_round_hold(hold);
-            }
-            20 => {
-                bulk.finish_round();
-                reference.finish_round();
-            }
             _ => {
                 bulk.end_round();
                 reference.end_round();
+                seen[4] += usize::from(shared && round_waves >= 2);
+                round_waves = 0;
             }
         }
         assert_same(&bulk, &reference, &ctx);
     }
-    bulk.finish_round();
-    reference.finish_round();
+    bulk.end_round();
+    reference.end_round();
     assert_same(&bulk, &reference, &format!("world {world} end"));
     seen
 }
 
 #[test]
 fn convergecasts_book_as_the_per_sender_loop() {
-    let mut seen = [0; 4];
+    let mut seen = [0; 5];
     for world in 0..16 {
         for (total, count) in seen.iter_mut().zip(run_world(world)) {
             *total += count;
         }
     }
-    let [lossless, lossy, packed, unpacked] = seen;
+    let [lossless, lossy, packed, unpacked, multiwave] = seen;
     assert!(lossless > 400, "only {lossless} lossless waves");
     assert!(lossy > 200, "only {lossy} lossy waves");
     assert!(packed > 100, "only {packed} audited waves in one record");
     // Lane 300, or a sender too wide for a column entry.
     assert!(unpacked > 20, "only {unpacked} audited waves unpacked");
+    assert!(
+        multiwave > 50,
+        "only {multiwave} rounds of several lossless waves in shared frames"
+    );
 }

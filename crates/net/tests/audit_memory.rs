@@ -18,9 +18,9 @@
 //!   ledger's two per-node totals would take 16,384.
 //! * **The audit of broadcast waves.** A lossless broadcast wave is one
 //!   16-byte record however many transmissions and receptions it holds:
-//!   over 40 held rounds of one convergecast and eight broadcasts in
-//!   shared frames, the audited grid may hold at most 6 extra bytes per
-//!   event, where one record per event would hold 16 or more.
+//!   over 40 rounds of one convergecast and eight broadcasts in shared
+//!   frames, the audited grid may hold at most 6 extra bytes per event,
+//!   where one record per event would hold 16 or more.
 //! * **The topology.** A `Topology` holds `O(n)` bytes at any density: the
 //!   32×32 grid at ρ = 40 (69.5 neighbours per node on average) may hold at
 //!   most 1.1× the bytes it holds at ρ = 12 (7.6).
@@ -112,18 +112,16 @@ fn round(net: &mut Network, slots: &mut [Option<Count>], mask: &mut NodeBits) {
 }
 
 /// A broadcast-heavy service round: one convergecast and eight
-/// broadcasts of four sizes, all in one held round, closed by
-/// `finish_round`.
-fn held_round(net: &mut Network, slots: &mut [Option<Count>], mask: &mut NodeBits) {
+/// broadcasts of four sizes, all in one round, closed once.
+fn broadcast_round(net: &mut Network, slots: &mut [Option<Count>], mask: &mut NodeBits) {
     for s in slots.iter_mut().skip(1) {
         *s = Some(Count(1));
     }
     net.convergecast(|u| slots[u.index()].take());
     for b in 0..8 {
         net.broadcast_into(32 + 48 * (b % 4), mask);
-        net.end_round();
     }
-    net.finish_round();
+    net.end_round();
 }
 
 /// A full collection round: every sensor contributes to one convergecast,
@@ -138,15 +136,13 @@ fn collection_round(net: &mut Network, slots: &mut [Option<Count>], _: &mut Node
 
 type Round = fn(&mut Network, &mut [Option<Count>], &mut NodeBits);
 
-/// Builds a 32×32 grid network, runs 40 `round`s (`held`: in held rounds
-/// and shared frames) and returns it with the live bytes the whole run
-/// left behind.
-fn run(audit: bool, held: bool, round: Round) -> (Network, i64) {
+/// Builds a 32×32 grid network, runs 40 `round`s (`shared`: in shared
+/// frames) and returns it with the live bytes the whole run left behind.
+fn run(audit: bool, shared: bool, round: Round) -> (Network, i64) {
     let before = live_bytes();
     let mut net = grid_network(32);
     net.set_audit(audit);
-    net.set_shared_frames(held);
-    net.set_round_hold(held);
+    net.set_shared_frames(shared);
     let mut slots: Vec<Option<Count>> = vec![None; net.len()];
     let mut mask = NodeBits::new();
     for _ in 0..40 {
@@ -176,15 +172,17 @@ fn the_audit_keeps_at_most_40_bytes_per_event() {
 
 #[test]
 fn the_audit_keeps_a_broadcast_wave_in_one_record() {
-    let (_plain, plain_bytes) = run(false, true, held_round);
-    let (audited, audited_bytes) = run(true, true, held_round);
+    let (_plain, plain_bytes) = run(false, true, broadcast_round);
+    let (audited, audited_bytes) = run(true, true, broadcast_round);
     let events = audited.audit_log().len();
     assert!(
         events > 400_000,
         "40 rounds of nine waves over 1023 sensors: {events} events"
     );
     let per_event = (audited_bytes - plain_bytes) as f64 / events as f64;
-    eprintln!("audit of held rounds: {events} events, {per_event:.2} extra heap bytes per event");
+    eprintln!(
+        "audit of broadcast rounds: {events} events, {per_event:.2} extra heap bytes per event"
+    );
     assert!(
         per_event <= 6.0,
         "the audit holds {per_event:.2} bytes per event over {events} events"

@@ -62,6 +62,27 @@ impl AlgorithmKind {
         AlgorithmKind::Iq,
     ];
 
+    /// Every protocol the `simulate` CLI runs, in `--all` order. The
+    /// sketch family sits at the default ε = 0.1 and derived capacity;
+    /// pick other operating points through [`AlgorithmKind::battery`].
+    pub const ALL: [AlgorithmKind; 12] = [
+        AlgorithmKind::Tag,
+        AlgorithmKind::Pos,
+        AlgorithmKind::LcllH,
+        AlgorithmKind::LcllS,
+        AlgorithmKind::LcllR,
+        AlgorithmKind::Hbc,
+        AlgorithmKind::HbcNb,
+        AlgorithmKind::Iq,
+        AlgorithmKind::Adaptive,
+        AlgorithmKind::Gk,
+        AlgorithmKind::QDigest { eps_milli: 100 },
+        AlgorithmKind::GkSink {
+            eps_milli: 100,
+            capacity: 0,
+        },
+    ];
+
     /// The full differential-oracle battery: the paper set plus the two
     /// approximate sketch protocols at the given ε/capacity operating
     /// point (8 protocols; `crates/check` runs every scenario through it).

@@ -174,10 +174,7 @@ pub fn run_once_capture(
     let mut rank_error_sum = 0u64;
     let mut max_rank_error = 0u64;
     for t in 0..cfg.rounds {
-        if world.begin_round(t) {
-            alg.topology_changed();
-        }
-        let answer = world.round(alg.as_mut());
+        let answer = world.round(t, alg.as_mut());
         let err = world.rank_error(cfg.phi, answer);
         if err == 0 {
             exact_rounds += 1;
@@ -245,10 +242,7 @@ pub fn run_until_death(
     let mut world = World::new(cfg, run_index);
     let mut alg = kind.build(world.query(cfg.phi), &cfg.sizes);
     for t in 0..max_rounds {
-        if world.begin_round(t) {
-            alg.topology_changed();
-        }
-        world.round(alg.as_mut());
+        world.round(t, alg.as_mut());
         let net = world.net();
         if net.ledger().max_sensor_consumption() > net.model().initial_energy {
             return Some(t + 1);

@@ -18,9 +18,9 @@
 //!   ([`wsn_net::Network::set_shared_frames`]), so each additional due
 //!   query pays only its marginal payload bits, not its own headers.
 //!
-//! Rounds are *held* ([`wsn_net::Network::set_round_hold`]) so every due
-//! query executes inside one accounting round; the runner closes each
-//! round with `finish_round`, giving one ledger snapshot and one
+//! The runner executes every due query without closing the accounting
+//! round ([`World::execute`]) and then closes it once
+//! ([`wsn_net::Network::end_round`]), giving one ledger snapshot and one
 //! shared-frame window per simulated round regardless of workload size.
 
 use cqp_core::service::{QuerySpec, Service};
@@ -346,7 +346,6 @@ pub fn serve_monitored(
 ) -> (ServeReport, Option<Monitor>, Network) {
     let mut world = World::new(cfg, run_index);
     world.net_mut().set_shared_frames(shared);
-    world.net_mut().set_round_hold(true);
 
     let mut reg = Registry {
         svc: Service::new(),
@@ -391,7 +390,7 @@ pub fn serve_monitored(
                 .iter_mut()
                 .find(|i| i.spec == spec)
                 .expect("active spec has an instance");
-            let answer = world.round(inst.alg.as_mut());
+            let answer = world.execute(inst.alg.as_mut());
             executions += 1;
 
             for &slot in std::iter::once(&group.leader).chain(&group.followers) {
@@ -412,7 +411,7 @@ pub fn serve_monitored(
                 }
             }
         }
-        world.net_mut().finish_round();
+        world.net_mut().end_round();
 
         // Round boundary: feed the monitor each active lane's cumulative
         // charges since admission (the same delta the final report uses)

@@ -58,10 +58,7 @@ pub fn trace_run(
     let mut out = Vec::with_capacity(rounds as usize);
     let (mut prev_stats, mut prev_hotspot, mut prev_phase_bits) = totals(world.net());
     for t in 0..rounds {
-        if world.begin_round(t) {
-            alg.topology_changed();
-        }
-        let quantile = world.round(alg);
+        let quantile = world.round(t, alg);
         let truth = world.oracle(phi).map_or(quantile, |(population, k)| {
             cqp_core::rank::kth_smallest(population, k)
         });

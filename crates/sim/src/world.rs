@@ -9,6 +9,11 @@
 //! * which loss, ARQ, failure and dynamics models are installed,
 //! * the per-round fail → dynamics → sample step ([`World::begin_round`]),
 //! * which population the oracle judges at which rank ([`World::oracle`]).
+//!
+//! A driver closes each accounting round: a solo run through
+//! [`World::round`] (begin → notify → execute → close), the multi-query
+//! service by executing every due query ([`World::execute`]) and then
+//! calling [`Network::end_round`] once.
 
 use cqp_core::protocol::QueryConfig;
 use cqp_core::ContinuousQuantile;
@@ -161,9 +166,20 @@ impl World {
         rebuilt
     }
 
-    /// Runs one protocol round over this round's measurements.
-    pub fn round(&mut self, alg: &mut dyn ContinuousQuantile) -> Value {
+    /// Runs round `t` of `alg` alone: starts the round
+    /// ([`World::begin_round`]), tells `alg` when its tree was rebuilt,
+    /// executes it and closes the accounting round.
+    pub fn round(&mut self, t: u32, alg: &mut dyn ContinuousQuantile) -> Value {
+        if self.begin_round(t) {
+            alg.topology_changed();
+        }
         alg.round(&mut self.net, &self.values)
+    }
+
+    /// Executes `alg` over this round's measurements and leaves the
+    /// accounting round open for the caller to close.
+    pub fn execute(&mut self, alg: &mut dyn ContinuousQuantile) -> Value {
+        alg.execute(&mut self.net, &self.values)
     }
 
     /// This round's measurements, one per sensor.
@@ -176,7 +192,7 @@ impl World {
         &self.net
     }
 
-    /// The network, mutably (lanes, frame sharing, round holds).
+    /// The network, mutably (lanes, frame sharing, round closes).
     pub fn net_mut(&mut self) -> &mut Network {
         &mut self.net
     }

@@ -11,6 +11,10 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> cargo test --release -q (the benchmarked build wraps on integer"
+echo "    overflow where the debug build panics, so it must pass on its own)"
+cargo test --release -q
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -3,12 +3,14 @@
 //! transmission log — under loss, ARQ retransmissions, wave recovery and
 //! crash-stop node failures, for every paper protocol — and the ledger,
 //! the traffic stats and the phase and lane books must count the same
-//! bits after every round.
+//! bits after every round. Only the driver closes a round: a protocol's
+//! `execute` leaves it open, its `round` closes it once, and a served
+//! session closes one accounting round per simulated round.
 
-use wsn_net::{Network, Phase, PhaseBreakdown};
+use wsn_net::{EnergyAuditor, Network, Phase, PhaseBreakdown, TxKind};
 use wsn_sim::runner::{run_experiment_threads, run_once};
 use wsn_sim::service::serve_capture;
-use wsn_sim::{AlgorithmKind, DynamicsConfig, ServeQuery, SimulationConfig, World};
+use wsn_sim::{AlgorithmKind, DynamicsConfig, ServeEvent, ServeQuery, SimulationConfig, World};
 
 fn audited_cfg() -> SimulationConfig {
     SimulationConfig {
@@ -188,10 +190,7 @@ fn ledger_traffic_phase_and_lane_bits_agree_after_every_round() {
             let mut world = World::new(cfg, 0);
             let mut alg = kind.build(world.query(cfg.phi), &cfg.sizes);
             for t in 0..cfg.rounds {
-                if world.begin_round(t) {
-                    alg.topology_changed();
-                }
-                world.round(alg.as_mut());
+                world.round(t, alg.as_mut());
                 let ctx = format!("{name}, {}, round {t}", kind.name());
                 assert_books_agree(world.net(), &ctx);
             }
@@ -229,5 +228,99 @@ fn ledger_traffic_phase_and_lane_bits_agree_after_every_round() {
         assert_eq!(report.rounds, rounds);
         assert_eq!(net.lane_book().len(), workload.len());
         assert_books_agree(&net, &format!("serve, round {}", rounds - 1));
+    }
+}
+
+/// The rounds a network has closed, as its ledger and its audit count
+/// them, and the idle-listening bits its duty-cycled sensors were charged
+/// at those closes.
+fn closes(net: &Network) -> (u32, u32, u64) {
+    let report = EnergyAuditor::verify(net);
+    assert!(report.is_clean(), "{:?}", report.discrepancies);
+    let idle = net.audit_log().events().filter(|e| e.kind == TxKind::Idle);
+    let idle = idle.map(|e| e.bits).sum();
+    (net.ledger().rounds(), report.rounds_checked, idle)
+}
+
+#[test]
+fn execute_leaves_the_round_open_and_round_closes_it_once() {
+    let cfg = SimulationConfig {
+        sensor_count: 60,
+        rounds: 8,
+        runs: 1,
+        audit: true,
+        dynamics: Some(DynamicsConfig {
+            duty_milli: 100,
+            ..DynamicsConfig::default()
+        }),
+        ..SimulationConfig::default()
+    };
+    for kind in AlgorithmKind::ALL {
+        let name = kind.name();
+        let mut world = World::new(&cfg, 0);
+        let mut alg = kind.build(world.query(cfg.phi), &cfg.sizes);
+        for t in 0..cfg.rounds {
+            let (rounds, checked, idle) = closes(world.net());
+            if t % 2 == 0 {
+                world.begin_round(t);
+                world.execute(alg.as_mut());
+                let open = closes(world.net());
+                assert_eq!(open, (rounds, checked, idle), "{name} round {t}: execute");
+                world.net_mut().end_round();
+            } else {
+                world.round(t, alg.as_mut());
+            }
+            let (after, after_checked, after_idle) = closes(world.net());
+            assert_eq!(after, rounds + 1, "{name} round {t}: ledger rounds");
+            assert_eq!(
+                after_checked,
+                checked + 1,
+                "{name} round {t}: audited rounds"
+            );
+            assert!(
+                after_idle > idle,
+                "{name} round {t}: a close charges idle listening"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_served_session_closes_one_accounting_round_per_round() {
+    let cfg = SimulationConfig {
+        sensor_count: 40,
+        rounds: 10,
+        runs: 1,
+        audit: true,
+        ..SimulationConfig::default()
+    };
+    let query = |algorithm, phi_milli, epoch| ServeQuery {
+        algorithm,
+        phi_milli,
+        epoch,
+    };
+    let initial = [
+        query(AlgorithmKind::Iq, 500, 1),
+        query(AlgorithmKind::Adaptive, 250, 1),
+        query(AlgorithmKind::Hbc, 900, 2),
+    ];
+    let events = [
+        ServeEvent::Admit {
+            round: 3,
+            query: query(AlgorithmKind::Adaptive, 750, 2),
+        },
+        ServeEvent::Retire { round: 6, slot: 0 },
+    ];
+    for shared in [false, true] {
+        let (report, net) = serve_capture(&cfg, &initial, &events, shared, 0);
+        assert_eq!(report.rounds, cfg.rounds);
+        let audit = EnergyAuditor::verify(&net);
+        assert!(
+            audit.is_clean(),
+            "shared {shared}: {:?}",
+            audit.discrepancies
+        );
+        assert_eq!(net.ledger().rounds(), cfg.rounds, "shared {shared}");
+        assert_eq!(audit.rounds_checked, cfg.rounds, "shared {shared}");
     }
 }
